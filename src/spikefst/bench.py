@@ -81,13 +81,10 @@ class BenchReport:
 
 
 def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
-          cfg: DecoderConfig, repeats: int = 5, unit: str = "word",
-          jobs: int = 1) -> BenchReport:
+          cfg: DecoderConfig, repeats: int = 5, unit: str = "word") -> BenchReport:
     """Run every mode over (utt_id, PosteriorMatrix) pairs and report
     Table-style rows.  The dense mode must be present as the baseline.
-    Failed utterances are counted per mode and excluded from scoring.
-    Modes run sequentially; *jobs* applies identically to every mode so
-    the speedup ratios stay honest."""
+    Failed utterances are counted per mode and excluded from scoring."""
     utts = list(utts)
     if not any(m.mode == "dense" for m in modes):
         raise ValidationError("bench requires the dense mode as its baseline")
@@ -105,7 +102,7 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
         for _ in range(repeats):
             t0 = time.perf_counter()
             compressed = [(u, compress(p, mode_cfg)) for u, p in utts]
-            batch = decode_batch(graph, compressed, cfg, jobs=jobs)
+            batch = decode_batch(graph, compressed, cfg)
             samples.append(time.perf_counter() - t0)
         median_s = statistics.median(samples)
         timings[label] = median_s

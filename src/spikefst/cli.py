@@ -17,8 +17,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bench import bench
 from .compress import CompressConfig, compress, load_compressed
@@ -42,19 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _atomic_via_tmp(path: Path, write_fn) -> None:
@@ -101,15 +86,13 @@ def _compress_config(args, mode: str | None = None) -> CompressConfig:
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beam", type=float, default=16.0)
-    p.add_argument("--lattice-beam", type=float, default=4.0)
     p.add_argument("--max-active", type=int, default=5000)
     p.add_argument("--acoustic-scale", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def _decoder_config(args) -> DecoderConfig:
-    return DecoderConfig(beam=args.beam, lattice_beam=args.lattice_beam,
-                         max_active=args.max_active, acoustic_scale=args.acoustic_scale)
+    return DecoderConfig(beam=args.beam, max_active=args.max_active,
+                         acoustic_scale=args.acoustic_scale)
 
 
 def _load_graph(graph_dir: str):
@@ -128,10 +111,6 @@ def _iter_corpus(path: str):
             raise ValidationError(f"{path}: no .spkf files found")
         return [(f.stem, f) for f in files]
     return [(p.stem, p)]
-
-
-def _load_frames(path: Path):
-    return load_compressed(path)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +137,8 @@ def cmd_build_graph(args) -> int:
         "tokens": len(lex.token_table),
         "words": len(lex.word_table),
     }
-    _atomic_write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    _atomic_via_tmp(out / "manifest.json", lambda tmp: Path(tmp).write_text(text))
     log.info("wrote %s (%d states, %d arcs)", out / "tlg.fst.txt",
              tlg.num_states, tlg.num_arcs)
     return EXIT_OK
@@ -227,8 +207,8 @@ def cmd_compress(args) -> int:
 def cmd_decode(args) -> int:
     graph, _tokens, words = _load_graph(args.graph_dir)
     cfg = _decoder_config(args)
-    utts = [(u, _load_frames(p)) for u, p in _iter_corpus(args.input)]
-    batch = decode_batch(graph, utts, cfg, jobs=args.jobs)
+    utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
+    batch = decode_batch(graph, utts, cfg)
 
     lines = []
     hyp_lines = []
@@ -252,11 +232,12 @@ def cmd_decode(args) -> int:
 
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        _atomic_write_text(Path(args.out), text)
+        _atomic_via_tmp(Path(args.out), lambda tmp: Path(tmp).write_text(text))
     else:
         sys.stdout.write(text)
     if args.hyps:
-        _atomic_write_text(Path(args.hyps), "\n".join(hyp_lines) + ("\n" if hyp_lines else ""))
+        hyps = "\n".join(hyp_lines) + ("\n" if hyp_lines else "")
+        _atomic_via_tmp(Path(args.hyps), lambda tmp: Path(tmp).write_text(hyps))
     summary = {
         "utterances": len(batch.utt_ids),
         "failures": len(batch.failures),
@@ -280,7 +261,7 @@ def cmd_score(args) -> int:
     }
     out = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _atomic_write_text(Path(args.out), out)
+        _atomic_via_tmp(Path(args.out), lambda tmp: Path(tmp).write_text(out))
     sys.stdout.write(out)
     return EXIT_OK
 
@@ -297,10 +278,10 @@ def cmd_bench(args) -> int:
         for name in args.modes.split(",") if name.strip()
     ]
     report = bench(graph, utts, refs, modes, _decoder_config(args),
-                   repeats=args.repeats, unit=args.unit, jobs=args.jobs)
+                   repeats=args.repeats, unit=args.unit)
     out = Path(args.out_dir)
-    _atomic_write_text(out / "bench.csv", report.to_csv())
-    _atomic_write_text(out / "bench.json", report.to_json() + "\n")
+    _atomic_via_tmp(out / "bench.csv", lambda tmp: Path(tmp).write_text(report.to_csv()))
+    _atomic_via_tmp(out / "bench.json", lambda tmp: Path(tmp).write_text(report.to_json() + "\n"))
     sys.stdout.write(report.to_csv())
     return EXIT_OK
 
@@ -308,28 +289,26 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     graph, _tokens, _words = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
-    utts = [(u, _load_frames(p)) for u, p in _iter_corpus(args.input)]
+    utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
 
     def axis(spec: str, cast):
         return [cast(x) for x in spec.split(",") if x.strip()]
 
     grid = [
-        DecoderConfig(beam=b, lattice_beam=lb, max_active=ma,
-                      acoustic_scale=args.acoustic_scale)
+        DecoderConfig(beam=b, max_active=ma, acoustic_scale=args.acoustic_scale)
         for b in axis(args.beams, float)
-        for lb in axis(args.lattice_beams, float)
         for ma in axis(args.max_actives, int)
     ]
-    points = sweep_params(graph, utts, refs, grid, unit=args.unit, jobs=args.jobs)
-    lines = ["beam,lattice_beam,max_active,cer,mean_wall_ms,speedup_vs_first,max_live_tokens,failures"]
+    points = sweep_params(graph, utts, refs, grid, unit=args.unit)
+    lines = ["beam,max_active,cer,mean_wall_ms,speedup_vs_first,max_live_tokens,failures"]
     for pt in points:
         lines.append(
-            f"{pt.beam:g},{pt.lattice_beam:g},{pt.max_active},{pt.cer:.6f},"
+            f"{pt.beam:g},{pt.max_active},{pt.cer:.6f},"
             f"{pt.mean_wall_ms:.3f},{pt.speedup_vs_first:.3f},{pt.max_live_tokens},{pt.failures}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write_text(Path(args.out), text)
+        _atomic_via_tmp(Path(args.out), lambda tmp: Path(tmp).write_text(text))
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -409,11 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--refs", required=True)
     p.add_argument("--beams", default="8,16,32")
-    p.add_argument("--lattice-beams", default="4")
     p.add_argument("--max-actives", default="5000")
     p.add_argument("--acoustic-scale", type=float, default=1.0)
     p.add_argument("--unit", default="word", choices=["word", "char"])
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 

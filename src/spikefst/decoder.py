@@ -7,6 +7,9 @@ non-emitting arcs to a cost fixpoint, then prunes by beam width and the
 live-token cap.  Costs are negative natural logs plus graph weights, so
 lower is better and the result is the min-cost path to a final state.
 
+The search runs over a per-graph table of arc tuples compiled on the
+first decode and rebuilt whenever the graph's mutation counter moves.
+
 Decoding is deterministic: states are visited in sorted order, a token
 is replaced only by a strictly cheaper one, and equal-cost ties keep the
 path through the lower-numbered predecessor state.
@@ -17,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,23 +30,21 @@ from .compress import CUSTOM_BLANK, CompressedPosteriors
 from .errors import DecodeError, FstError, ValidationError
 from .posterior import PosteriorMatrix
 from .scoring import score_corpus
-from .wfst import EPSILON, ZERO, Fst
+from .wfst import EPSILON, ZERO, Arc, Fst
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
     """Search knobs: cost width kept around the best token per frame,
-    retention width for traceback alternatives, live-token cap, and the
-    multiplier on acoustic costs."""
+    live-token cap, and the multiplier on acoustic costs."""
 
     beam: float = 16.0
-    lattice_beam: float = 4.0
     max_active: int = 5000
     acoustic_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.beam > 0 and self.lattice_beam > 0 and self.acoustic_scale > 0):
-            raise ValidationError("beam, lattice_beam, and acoustic_scale must be positive")
+        if not (self.beam > 0 and self.acoustic_scale > 0):
+            raise ValidationError("beam and acoustic_scale must be positive")
         if self.max_active < 1:
             raise ValidationError("max_active must be >= 1")
 
@@ -69,64 +71,63 @@ class DecodeResult:
         )
 
 
-class _Trace:
-    __slots__ = ("prev", "ilabel", "olabel", "weight", "frame")
+@dataclass(frozen=True)
+class _Table:
+    """Search-time view of one version of a graph.  Arc ids index
+    ``arcs`` in state order; traceback maps them back to labels."""
 
-    def __init__(self, prev, ilabel, olabel, weight, frame):
-        self.prev = prev
-        self.ilabel = ilabel
-        self.olabel = olabel
-        self.weight = weight
-        self.frame = frame
-
-
-_MAX_ALTS = 8
+    version: int
+    max_ilabel: int
+    emit: tuple[tuple[tuple[int, float, int, int], ...], ...]  # (column, weight, next, id)
+    eps: dict[int, tuple[tuple[float, int, int], ...]]  # (weight, next, id), states with any
+    arcs: tuple[Arc, ...]
 
 
-def _arc_split_cache(graph: Fst) -> dict:
-    """Per-graph lazy cache of each state's (non-emitting, emitting) arcs.
-    Keyed off the arc count so a graph mutated after a decode rebuilds."""
-    cached = getattr(graph, "_decode_split_cache", None)
-    if cached is None or cached[0] != graph.num_arcs:
-        cached = (graph.num_arcs, {})
-        graph._decode_split_cache = cached
-    return cached[1]
+_tables: weakref.WeakKeyDictionary[Fst, _Table] = weakref.WeakKeyDictionary()
 
 
-def _split_arcs(graph: Fst, cache: dict, state: int):
-    entry = cache.get(state)
-    if entry is None:
-        eps, emit = [], []
-        for a in graph.arcs(state):
-            (eps if a.ilabel == EPSILON else emit).append(a)
-        entry = (eps, emit)
-        cache[state] = entry
-    return entry
+def _table(graph: Fst) -> _Table:
+    table = _tables.get(graph)
+    if table is not None and table.version == graph.version:
+        return table
+    arcs: list[Arc] = []
+    emit = []
+    eps = {}
+    for s in range(graph.num_states):
+        s_emit, s_eps = [], []
+        for a in graph.arcs(s):
+            if a.ilabel == EPSILON:
+                s_eps.append((a.weight, a.nextstate, len(arcs)))
+            else:
+                s_emit.append((a.ilabel - 1, a.weight, a.nextstate, len(arcs)))
+            arcs.append(a)
+        emit.append(tuple(s_emit))
+        if s_eps:
+            eps[s] = tuple(s_eps)
+    table = _Table(
+        version=graph.version,
+        max_ilabel=max((a.ilabel for a in arcs), default=0),
+        emit=tuple(emit),
+        eps=eps,
+        arcs=tuple(arcs),
+    )
+    _tables[graph] = table
+    return table
 
 
-def _eps_fixpoint(graph: Fst, cache: dict, active: dict, lattice_beam: float) -> None:
+def _eps_fixpoint(eps: dict, active: dict, max_passes: int) -> None:
     """Relax non-emitting arcs until no token improves.  A visit guard
     (pass cap) turns a negative-weight epsilon cycle into an error."""
-    max_passes = graph.num_states + 8
     for _ in range(max_passes):
         changed = False
-        for s in sorted(active):
-            cost, trace, alts = active[s]
-            for a in _split_arcs(graph, cache, s)[0]:
-                nc = cost + a.weight
-                entry = active.get(a.nextstate)
+        for s in sorted(eps.keys() & active.keys()):
+            cost, trace = active[s]
+            for w, ns, aid in eps[s]:
+                nc = cost + w
+                entry = active.get(ns)
                 if entry is None or nc < entry[0]:
-                    new_alts = entry[2] if entry is not None else []
-                    if entry is not None and len(new_alts) < _MAX_ALTS:
-                        new_alts.append((entry[0], entry[1]))
-                    active[a.nextstate] = (
-                        nc, _Trace(trace, a.ilabel, a.olabel, a.weight, -1), new_alts
-                    )
+                    active[ns] = (nc, (trace, aid, -1))
                     changed = True
-                elif nc <= entry[0] + lattice_beam and len(entry[2]) < _MAX_ALTS:
-                    entry[2].append(
-                        (nc, _Trace(trace, a.ilabel, a.olabel, a.weight, -1))
-                    )
         if not changed:
             return
     raise FstError("non-emitting arcs did not reach a fixpoint (negative cycle?)")
@@ -144,10 +145,10 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     values = frames.values
     n_frames, vocab = values.shape
     source_map = frames.source_map if isinstance(frames, CompressedPosteriors) else None
-    max_ilabel = max((a.ilabel for _, a in graph.all_arcs()), default=0)
-    if max_ilabel > vocab:
+    table = _table(graph)
+    if table.max_ilabel > vocab:
         raise ValidationError(
-            f"graph consumes input label {max_ilabel} but posteriors have only "
+            f"graph consumes input label {table.max_ilabel} but posteriors have only "
             f"{vocab} columns (label k reads column k-1)"
         )
     if graph.start < 0:
@@ -155,45 +156,37 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
 
     with np.errstate(divide="ignore"):
         acoustic = np.where(values > 0.0, -np.log(values), math.inf)
-    acoustic = cfg.acoustic_scale * acoustic
+    rows = (cfg.acoustic_scale * acoustic).tolist()
 
-    cache = _arc_split_cache(graph)
-    # state -> (cost, trace, alternatives within lattice_beam)
-    active: dict[int, tuple] = {graph.start: (0.0, None, [])}
-    _eps_fixpoint(graph, cache, active, cfg.lattice_beam)
+    emit, eps = table.emit, table.eps
+    max_passes = graph.num_states + 8
+    inf = math.inf
+    # state -> (cost, trace); a trace is (prev trace, arc id, frame or -1)
+    active: dict[int, tuple] = {graph.start: (0.0, None)}
+    _eps_fixpoint(eps, active, max_passes)
     histogram: list[int] = []
 
-    for t in range(n_frames):
-        row = acoustic[t]
+    for t, row in enumerate(rows):
         nxt: dict[int, tuple] = {}
         for s in sorted(active):
-            cost, trace, _ = active[s]
-            for a in _split_arcs(graph, cache, s)[1]:
-                ac = row[a.ilabel - 1]
-                if ac == math.inf:
+            cost, trace = active[s]
+            for col, w, ns, aid in emit[s]:
+                ac = row[col]
+                if ac == inf:
                     continue
-                nc = cost + a.weight + ac
-                entry = nxt.get(a.nextstate)
+                nc = cost + w + ac
+                entry = nxt.get(ns)
                 if entry is None or nc < entry[0]:
-                    new_alts = entry[2] if entry is not None else []
-                    if entry is not None and len(new_alts) < _MAX_ALTS:
-                        new_alts.append((entry[0], entry[1]))
-                    nxt[a.nextstate] = (
-                        nc, _Trace(trace, a.ilabel, a.olabel, a.weight, t), new_alts
-                    )
-                elif nc <= entry[0] + cfg.lattice_beam and len(entry[2]) < _MAX_ALTS:
-                    entry[2].append(
-                        (nc, _Trace(trace, a.ilabel, a.olabel, a.weight, t))
-                    )
+                    nxt[ns] = (nc, (trace, aid, t))
         if not nxt:
             raise DecodeError(t)
-        _eps_fixpoint(graph, cache, nxt, cfg.lattice_beam)
-        best = min(c for c, _, _ in nxt.values())
-        cutoff = best + cfg.beam
-        survivors = [(c, s) for s, (c, _, _) in nxt.items() if c <= cutoff]
-        if len(survivors) > cfg.max_active:
-            survivors = heapq.nsmallest(cfg.max_active, survivors)
-        active = {s: nxt[s] for _, s in survivors}
+        if eps:
+            _eps_fixpoint(eps, nxt, max_passes)
+        cutoff = min(nxt.values(), key=itemgetter(0))[0] + cfg.beam
+        active = {s: e for s, e in nxt.items() if e[0] <= cutoff}
+        if len(active) > cfg.max_active:
+            kept = heapq.nsmallest(cfg.max_active, [(e[0], s) for s, e in active.items()])
+            active = {s: nxt[s] for _, s in kept}
         if not active:
             raise DecodeError(t)
         histogram.append(len(active))
@@ -214,16 +207,16 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     steps = []
     node = active[best_state][1]
     while node is not None:
-        steps.append(node)
-        node = node.prev
+        node, aid, frame = node
+        steps.append((table.arcs[aid], frame))
     steps.reverse()
-    words = tuple(n.olabel for n in steps if n.olabel != EPSILON)
+    words = tuple(a.olabel for a, _ in steps if a.olabel != EPSILON)
     tokens = []
-    for n in steps:
-        if n.ilabel == EPSILON:
+    for a, frame in steps:
+        if a.ilabel == EPSILON:
             continue
-        src = n.frame if source_map is None else source_map[n.frame]
-        tokens.append((src if src != CUSTOM_BLANK else -1, n.ilabel))
+        src = frame if source_map is None else source_map[frame]
+        tokens.append((src if src != CUSTOM_BLANK else -1, a.ilabel))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return DecodeResult(
         words=words,
@@ -232,7 +225,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         frames_processed=n_frames,
         wall_time_ms=wall_ms,
         tokens_alive_histogram=tuple(histogram),
-        path_graph_costs=tuple(n.weight for n in steps),
+        path_graph_costs=tuple(a.weight for a, _ in steps),
     )
 
 
@@ -251,39 +244,27 @@ class BatchResult:
 
 
 def decode_batch(graph: Fst, utts, cfg: DecoderConfig, jobs: int = 1) -> BatchResult:
-    """Decode a corpus of (utt_id, frames) pairs sharing one graph.
-
-    Utterances are independent; with jobs > 1 they run on a thread pool,
-    results still ordered by input position.
-    """
-    utts = list(utts)
+    """Decode a corpus of (utt_id, frames) pairs sharing one graph, in
+    input order.  The search is pure Python and bound by the interpreter
+    lock, so it runs serially; *jobs* must be 1."""
+    if jobs != 1:
+        raise ValidationError(f"decode_batch runs serially; jobs must be 1, got {jobs}")
     t0 = time.perf_counter()
-
-    def run(item):
-        utt_id, frames = item
+    batch = BatchResult(utt_ids=[], results=[])
+    for utt_id, frames in utts:
+        batch.utt_ids.append(utt_id)
         try:
-            return utt_id, decode(graph, frames, cfg), None
+            batch.results.append(decode(graph, frames, cfg))
         except DecodeError as exc:
-            return utt_id, None, str(exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, utts))
-    else:
-        outcomes = [run(item) for item in utts]
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-
-    batch = BatchResult(utt_ids=[u for u, _, _ in outcomes],
-                        results=[r for _, r, _ in outcomes],
-                        wall_time_ms=wall_ms)
-    batch.failures = [(u, err) for u, _, err in outcomes if err is not None]
+            batch.results.append(None)
+            batch.failures.append((utt_id, str(exc)))
+    batch.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return batch
 
 
 @dataclass(frozen=True)
 class SweepPoint:
     beam: float
-    lattice_beam: float
     max_active: int
     cer: float
     mean_wall_ms: float
@@ -293,7 +274,7 @@ class SweepPoint:
 
 
 def sweep_params(graph: Fst, utts, refs: dict[str, str], grid,
-                 unit: str = "word", jobs: int = 1) -> list[SweepPoint]:
+                 unit: str = "word") -> list[SweepPoint]:
     """Decode the corpus at every config in *grid* and report CER, timing,
     and the live-token peak per point.  *refs* maps utt id to reference
     text; the speedup column is relative to the first grid point."""
@@ -304,7 +285,7 @@ def sweep_params(graph: Fst, utts, refs: dict[str, str], grid,
     points: list[SweepPoint] = []
     base_ms: float | None = None
     for cfg in grid:
-        batch = decode_batch(graph, utts, cfg, jobs=jobs)
+        batch = decode_batch(graph, utts, cfg)
         hyps = {
             u: " ".join(_word_syms(graph, r.words))
             for u, r in batch.ok()
@@ -319,7 +300,7 @@ def sweep_params(graph: Fst, utts, refs: dict[str, str], grid,
             default=0,
         )
         points.append(SweepPoint(
-            beam=cfg.beam, lattice_beam=cfg.lattice_beam, max_active=cfg.max_active,
+            beam=cfg.beam, max_active=cfg.max_active,
             cer=report.rate, mean_wall_ms=mean_ms,
             speedup_vs_first=base_ms / mean_ms if mean_ms > 0 else math.inf,
             max_live_tokens=max_live, failures=len(batch.failures),

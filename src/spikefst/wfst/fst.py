@@ -111,23 +111,30 @@ class Fst:
         self.isyms = isyms
         self.osyms = osyms
         self._ilabel_sorted: bool | None = None
+        # Bumped by every mutator, so caches derived from the machine can
+        # tell when they are stale.
+        self.version: int = 0
 
     # -- construction ---------------------------------------------------
 
     def add_state(self) -> int:
+        self.version += 1
         self._arcs.append([])
         return len(self._arcs) - 1
 
     def add_states(self, n: int) -> None:
+        self.version += 1
         for _ in range(n):
             self._arcs.append([])
 
     def set_start(self, state: int) -> None:
         self._check_state(state)
+        self.version += 1
         self.start = state
 
     def set_final(self, state: int, weight: float = ONE) -> None:
         self._check_state(state)
+        self.version += 1
         if weight == ZERO:
             self.finals.pop(state, None)
         else:
@@ -138,6 +145,7 @@ class Fst:
         self._check_state(dst)
         self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
         self._ilabel_sorted = None
+        self.version += 1
 
     def _check_state(self, state: int) -> None:
         if not (0 <= state < len(self._arcs)):

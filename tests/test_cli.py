@@ -184,7 +184,7 @@ class TestPipeline:
     def test_sweep_emits_grid_rows(self, workdir, graph_dir, posterior_dir, capsys):
         rc = main(["sweep", "--graph-dir", str(graph_dir), "--input", str(posterior_dir),
                    "--refs", str(workdir / "refs.txt"), "--beams", "8,16",
-                   "--lattice-beams", "4", "--max-actives", "5000"])
+                   "--max-actives", "5000"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3  # header + 2 beams

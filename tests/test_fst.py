@@ -114,6 +114,15 @@ class TestStructure:
             via_scan = {a for a in arcs if a.ilabel == probe}
             assert via_bisect == via_scan
 
+    def test_every_mutator_bumps_version(self):
+        f = Fst()
+        seen = [f.version]
+        for edit in (f.add_state, lambda: f.add_states(2), lambda: f.set_start(0),
+                     lambda: f.set_final(1, 0.5), lambda: f.add_arc(0, 1, 1, 0.0, 1)):
+            edit()
+            assert f.version > seen[-1]
+            seen.append(f.version)
+
     def test_trim_keeps_connected_machine(self):
         f = chain([(1, 1, 0.0), (2, 2, 0.0)])
         g = trim(f)
