@@ -11,7 +11,6 @@ from .compress import (
     CUSTOM_BLANK,
     CompressConfig,
     CompressedPosteriors,
-    FrameBlock,
     baseline_average,
     baseline_discard,
     baseline_lsd,

@@ -61,7 +61,7 @@ def _add_compress_flags(p: argparse.ArgumentParser) -> None:
                    help="dense|ioo|ioo_koo|ioo_nb|discard|average|lsd|swd|aed_ioo")
     p.add_argument("--koo-strategy", default="max", choices=["max", "min"])
     p.add_argument("--blanks-per-region", type=int, default=1, choices=[1, 2])
-    p.add_argument("--nb-onehot", default="off", choices=["off", "all", "max"])
+    p.add_argument("--nb-onehot", default="all", choices=["all", "max"])
     p.add_argument("--nb-threshold", type=float, default=None,
                    help="peak-probability gate for one-hot rewrites (best known: 0.99)")
     p.add_argument("--lsd-threshold", type=float, default=0.99)
@@ -69,15 +69,11 @@ def _add_compress_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _compress_config(args, mode: str | None = None) -> CompressConfig:
-    m = mode if mode is not None else args.mode
-    nb = args.nb_onehot
-    if m == "ioo_nb" and nb == "off":
-        nb = "all"  # one-hot rewriting is the whole point of this mode
     return CompressConfig(
-        mode=m,
+        mode=mode if mode is not None else args.mode,
         koo_strategy=args.koo_strategy,
         blanks_per_region=args.blanks_per_region,
-        nb_onehot=nb,
+        nb_onehot=args.nb_onehot,
         nb_threshold=args.nb_threshold,
         lsd_threshold=args.lsd_threshold,
         swd_window=args.swd_window,
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spikefst", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spikefst {__version__}")
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -347,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target blank-argmax fraction; overrides --blank-min/max")
     p.add_argument("--peak", type=float, default=0.95)
     p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0, help="utterance i is drawn with seed + i")
     p.set_defaults(fn=cmd_synth)
 
     p = add_parser("compress", help="compress posterior files")

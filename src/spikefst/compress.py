@@ -10,14 +10,22 @@ reaches the search:
 * ``ioo_koo``: additionally keep one representative frame per non-blank
   run (max- or min-probability).
 * ``ioo_nb``: rewrite non-blank frames to one-hot rows, optionally gated
-  by a peak-probability threshold.
+  by a peak-probability threshold (``nb_onehot`` ``all`` keeps every
+  frame of a run, ``max`` only its max-probability frame).
 * ``aed_ioo``: interleave a one-hot blank row around every row of a
   per-emission matrix that has no native blanks.
 * ``discard`` / ``average`` / ``lsd`` / ``swd``: reference heuristics
   from prior systems, kept for benchmarking.
 
-All transforms are pure and deterministic; every output row records its
-source frame so time alignments survive compression.
+Every mode is a choice of rows.  ``segment_blocks`` splits the frame
+axis into maximal same-argmax runs in one pass; a mode picks frame
+indices from those runs (a blank run carries only position, so it
+becomes one inserted blank; a non-blank run carries the content, so
+``koo_select`` can keep one frame of it) and gathers them in one step.
+Index ``CUSTOM_BLANK`` reads the inserted blank row, so the index array
+is also the source map: every output row records its source frame and
+time alignments survive compression.  All transforms are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -34,19 +42,6 @@ CUSTOM_BLANK = -1
 
 MODES = ("dense", "ioo", "ioo_koo", "ioo_nb", "discard", "average", "lsd", "swd", "aed_ioo")
 _CTC_MODES = ("ioo", "ioo_koo", "ioo_nb")
-
-
-@dataclass(frozen=True)
-class FrameBlock:
-    """Maximal run of consecutive frames sharing one argmax token."""
-
-    token: int
-    start: int
-    end: int  # inclusive
-    frames: np.ndarray  # rows of the source matrix for [start, end]
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ class CompressConfig:
     mode: str = "dense"
     koo_strategy: str = "max"
     blanks_per_region: int = 1
-    nb_onehot: str = "off"  # off | all | max
+    nb_onehot: str = "all"  # all | max
     nb_threshold: float | None = None
     lsd_threshold: float = 0.99
     swd_window: int = 1
@@ -102,8 +97,8 @@ class CompressConfig:
             raise ValidationError(f"koo_strategy must be 'max' or 'min', got {self.koo_strategy!r}")
         if self.blanks_per_region not in (1, 2):
             raise ValidationError("blanks_per_region must be 1 or 2")
-        if self.nb_onehot not in ("off", "all", "max"):
-            raise ValidationError(f"nb_onehot must be off|all|max, got {self.nb_onehot!r}")
+        if self.nb_onehot not in ("all", "max"):
+            raise ValidationError(f"nb_onehot must be all|max, got {self.nb_onehot!r}")
         if self.nb_threshold is not None and not (0.0 <= self.nb_threshold <= 1.0):
             raise ValidationError("nb_threshold must lie in [0, 1]")
         if not (0.0 <= self.lsd_threshold <= 1.0):
@@ -134,43 +129,46 @@ def custom_blank(vocab_size: int) -> np.ndarray:
     return row
 
 
-def segment_blocks(p: PosteriorMatrix) -> list[FrameBlock]:
-    """Split the frame axis into maximal same-argmax runs, blanks included.
+def segment_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a frame-label sequence into maximal same-label runs, blanks
+    included, as ``(tokens, starts, ends)`` arrays with ``ends`` exclusive.
 
     Runs are built on the full sequence: dropping blank frames first could
     fuse two non-adjacent runs of the same token into one.
     """
-    if p.frames == 0:
-        return []
-    labels = argmax_labels(p)
-    bounds = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [p.frames]))
-    return [
-        FrameBlock(int(labels[s]), int(s), int(e) - 1, p.values[s:e])
-        for s, e in zip(starts, ends)
-    ]
+    labels = np.asarray(labels)
+    # labels are >= 0, so the -1 sentinels open the first run and close the last
+    edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
+    starts, ends = edges[:-1], edges[1:]
+    return labels[starts], starts, ends
 
 
-def koo_select(block: FrameBlock, strategy: str = "max") -> int:
-    """Representative frame of a non-blank block: its max- (or min-)
-    probability frame for the block's own token; ties go to the earliest."""
-    if block.token == BLANK_ID:
-        raise ValidationError("cannot select a representative from a blank block")
-    probs = block.frames[:, block.token]
+def koo_select(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max") -> np.ndarray:
+    """Representative frame of each run ``[starts[i], ends[i])``: its max-
+    (or min-) probability frame for the run's token ``tokens[i]``; ties go
+    to the earliest frame."""
     if strategy == "max":
-        off = int(np.argmax(probs))
+        extreme = np.maximum
     elif strategy == "min":
-        off = int(np.argmin(probs))
+        extreme = np.minimum
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    return block.start + off
+    lengths = np.asarray(ends) - starts
+    offsets = np.cumsum(lengths) - lengths  # each run's first slot in the flat layout
+    slots = np.arange(lengths.sum())
+    frames = slots + np.repeat(starts - offsets, lengths)
+    probs = p.values[frames, np.repeat(tokens, lengths)]
+    best = np.repeat(extreme.reduceat(probs, offsets), lengths)
+    first = np.minimum.reduceat(np.where(probs == best, slots, slots.size), offsets)
+    return frames[first]
 
 
-def _onehot(vocab_size: int, token: int) -> np.ndarray:
-    row = np.zeros(vocab_size, dtype=np.float64)
-    row[token] = 1.0
-    return row
+def _take(values: np.ndarray, rows: np.ndarray, nonblank: int) -> CompressedPosteriors:
+    """Gather *rows* of *values* in one step.  Row ``CUSTOM_BLANK`` (-1)
+    reads the custom blank appended after the last frame, so *rows* is
+    also the source map."""
+    table = np.vstack((values, custom_blank(values.shape[1])))
+    return CompressedPosteriors(table[rows], rows.tolist(), nonblank)
 
 
 def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
@@ -193,45 +191,28 @@ def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosterior
     """
     if cfg.mode not in _CTC_MODES:
         raise ValidationError(f"compress_ctc expects mode in {_CTC_MODES}, got {cfg.mode!r}")
-    if cfg.mode == "ioo_nb" and cfg.nb_onehot == "off":
-        raise ValidationError("mode ioo_nb requires nb_onehot 'all' or 'max'")
-    V = p.vocab_size
-    cb = custom_blank(V)
-    rows: list[np.ndarray] = [cb] * cfg.blanks_per_region
-    srcs: list[int] = [CUSTOM_BLANK] * cfg.blanks_per_region
-    nonblank = 0
-
-    for idx, block in enumerate(segment_blocks(p)):
-        if block.token == BLANK_ID:
-            if idx == 0:
-                continue  # absorbed by the opening custom blanks
-            rows.extend([cb] * cfg.blanks_per_region)
-            srcs.extend([CUSTOM_BLANK] * cfg.blanks_per_region)
-        elif cfg.mode == "ioo":
-            for off in range(len(block)):
-                rows.append(block.frames[off])
-                srcs.append(block.start + off)
-                nonblank += 1
-        elif cfg.mode == "ioo_koo":
-            f = koo_select(block, cfg.koo_strategy)
-            rows.append(p.values[f])
-            srcs.append(f)
-            nonblank += 1
-        else:  # ioo_nb
-            if cfg.nb_onehot == "max":
-                picks = [koo_select(block, "max")]
-            else:
-                picks = list(range(block.start, block.end + 1))
-            for f in picks:
-                peak = p.values[f, block.token]
-                if cfg.nb_threshold is None or peak >= cfg.nb_threshold:
-                    rows.append(_onehot(V, block.token))
-                else:
-                    rows.append(p.values[f])
-                srcs.append(f)
-                nonblank += 1
-
-    return CompressedPosteriors(np.vstack(rows), tuple(srcs), nonblank)
+    labels = argmax_labels(p)
+    tokens, starts, ends = segment_blocks(labels)
+    content = tokens != BLANK_ID
+    if cfg.mode == "ioo" or (cfg.mode == "ioo_nb" and cfg.nb_onehot == "all"):
+        keep = labels != BLANK_ID
+    else:
+        strategy = cfg.koo_strategy if cfg.mode == "ioo_koo" else "max"
+        keep = np.zeros(p.frames, dtype=bool)
+        keep[koo_select(p, tokens[content], starts[content], ends[content], strategy)] = True
+    nonblank = int(np.count_nonzero(keep))
+    keep[starts[~content & (starts > 0)]] = True  # one head per later blank run
+    frames = np.flatnonzero(keep)
+    rows = np.concatenate(([CUSTOM_BLANK], np.where(labels[frames] == BLANK_ID, CUSTOM_BLANK, frames)))
+    rows = np.repeat(rows, np.where(rows == CUSTOM_BLANK, cfg.blanks_per_region, 1))
+    values = p.values
+    if cfg.mode == "ioo_nb":
+        hot = labels != BLANK_ID
+        if cfg.nb_threshold is not None:
+            hot &= values.max(axis=1) >= cfg.nb_threshold
+        values = values.copy()
+        values[hot] = np.eye(p.vocab_size)[labels[hot]]
+    return _take(values, rows, nonblank)
 
 
 def compress_aed(p: PosteriorMatrix) -> CompressedPosteriors:
@@ -241,53 +222,37 @@ def compress_aed(p: PosteriorMatrix) -> CompressedPosteriors:
     2T+1 rows.  Gives attention-decoder outputs, which have no native
     blank, the temporal separation the graph search relies on.
     """
-    V = p.vocab_size
-    cb = custom_blank(V)
-    rows: list[np.ndarray] = [cb]
-    srcs: list[int] = [CUSTOM_BLANK]
-    for t in range(p.frames):
-        rows.append(p.values[t])
-        srcs.append(t)
-        rows.append(cb)
-        srcs.append(CUSTOM_BLANK)
-    return CompressedPosteriors(np.vstack(rows), tuple(srcs), p.frames)
+    rows = np.full(2 * p.frames + 1, CUSTOM_BLANK)
+    rows[1::2] = np.arange(p.frames)
+    return _take(p.values, rows, p.frames)
 
 
 def baseline_discard(p: PosteriorMatrix) -> CompressedPosteriors:
     """Keep only frames whose argmax is non-blank."""
-    keep = np.flatnonzero(argmax_labels(p) != BLANK_ID) if p.frames else np.empty(0, np.int64)
-    values = p.values[keep] if keep.size else np.empty((0, p.vocab_size))
-    return CompressedPosteriors(values, tuple(int(t) for t in keep), int(keep.size))
+    keep = np.flatnonzero(argmax_labels(p) != BLANK_ID)
+    return _take(p.values, keep, keep.size)
 
 
 def baseline_average(p: PosteriorMatrix) -> CompressedPosteriors:
     """Replace each maximal blank run with the elementwise mean of its rows."""
-    rows: list[np.ndarray] = []
-    srcs: list[int] = []
-    nonblank = 0
-    for block in segment_blocks(p):
-        if block.token == BLANK_ID:
-            rows.append(block.frames.mean(axis=0))
-            srcs.append(block.start)  # run is represented by its first frame
-        else:
-            for off in range(len(block)):
-                rows.append(block.frames[off])
-                srcs.append(block.start + off)
-                nonblank += 1
-    values = np.vstack(rows) if rows else np.empty((0, p.vocab_size))
-    return CompressedPosteriors(values, tuple(srcs), nonblank)
+    labels = argmax_labels(p)
+    tokens, starts, ends = segment_blocks(labels)
+    blank = tokens == BLANK_ID
+    keep = labels != BLANK_ID
+    keep[starts[blank]] = True  # a blank run is represented by its first frame
+    values = p.values.copy()
+    for s, e in zip(starts[blank], ends[blank]):
+        values[s] = p.values[s:e].mean(axis=0)
+    return _take(values, np.flatnonzero(keep), int(np.count_nonzero(labels != BLANK_ID)))
 
 
 def baseline_lsd(p: PosteriorMatrix, threshold: float) -> CompressedPosteriors:
     """Drop every frame whose blank posterior reaches *threshold*."""
     if not (0.0 <= threshold <= 1.0):
         raise ValidationError("lsd threshold must lie in [0, 1]")
-    blank_probs = p.values[:, BLANK_ID] if p.frames else np.empty(0)
-    keep = np.flatnonzero(blank_probs < threshold)
-    values = p.values[keep] if keep.size else np.empty((0, p.vocab_size))
-    labels = argmax_labels(p)
-    nonblank = int(np.count_nonzero(labels[keep] != BLANK_ID)) if keep.size else 0
-    return CompressedPosteriors(values, tuple(int(t) for t in keep), nonblank)
+    keep = np.flatnonzero(p.values[:, BLANK_ID] < threshold)
+    nonblank = int(np.count_nonzero(argmax_labels(p)[keep] != BLANK_ID))
+    return _take(p.values, keep, nonblank)
 
 
 def baseline_swd(p: PosteriorMatrix, window: int) -> CompressedPosteriors:
@@ -298,15 +263,12 @@ def baseline_swd(p: PosteriorMatrix, window: int) -> CompressedPosteriors:
     """
     if window < 0:
         raise ValidationError("swd window must be >= 0")
-    labels = argmax_labels(p) if p.frames else np.empty(0, np.int64)
-    spikes = np.flatnonzero(labels != BLANK_ID)
+    labels = argmax_labels(p)
     keep_mask = np.zeros(p.frames, dtype=bool)
-    for t in spikes:
+    for t in np.flatnonzero(labels != BLANK_ID):
         keep_mask[max(0, t - window):min(p.frames, t + window + 1)] = True
     keep = np.flatnonzero(keep_mask)
-    values = p.values[keep] if keep.size else np.empty((0, p.vocab_size))
-    nonblank = int(np.count_nonzero(labels[keep] != BLANK_ID)) if keep.size else 0
-    return CompressedPosteriors(values, tuple(int(t) for t in keep), nonblank)
+    return _take(p.values, keep, int(np.count_nonzero(labels[keep] != BLANK_ID)))
 
 
 def compress(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:

@@ -161,8 +161,9 @@ class Fst:
     def num_arcs(self) -> int:
         return sum(len(a) for a in self._arcs)
 
-    def arcs(self, state: int) -> list[Arc]:
-        return self._arcs[state]
+    def arcs(self, state: int) -> tuple[Arc, ...]:
+        """A read-only snapshot; ``add_arc`` is the only way to add an arc."""
+        return tuple(self._arcs[state])
 
     def all_arcs(self) -> Iterable[tuple[int, Arc]]:
         for s, arcs in enumerate(self._arcs):

@@ -48,6 +48,81 @@ def recursive_levenshtein(a, b) -> int:
     return rec(0, 0)
 
 
+def compress_oracle(p: PosteriorMatrix, cfg) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Every compression mode as a per-run loop over groupby runs, one row
+    appended at a time.  Returns ``(values, source_map, nonblank_count)``."""
+    vals = p.values
+    T, V = vals.shape
+    labels = [int(x) for x in np.argmax(vals, axis=1)]
+
+    def onehot(tok: int) -> np.ndarray:
+        row = np.zeros(V)
+        row[tok] = 1.0
+        return row
+
+    runs, t = [], 0
+    for tok, grp in itertools.groupby(labels):
+        n = len(list(grp))
+        runs.append((tok, t, t + n))
+        t += n
+    content = [t for t in range(T) if labels[t] != 0]
+    rows: list[np.ndarray] = []
+    srcs: list[int] = []
+    nonblank = 0
+
+    if cfg.mode == "dense":
+        return vals, tuple(range(T)), len(content)
+    if cfg.mode in ("ioo", "ioo_koo", "ioo_nb"):
+        rows += [onehot(0)] * cfg.blanks_per_region
+        srcs += [-1] * cfg.blanks_per_region
+        for i, (tok, s, e) in enumerate(runs):
+            if tok == 0:
+                if i > 0:
+                    rows += [onehot(0)] * cfg.blanks_per_region
+                    srcs += [-1] * cfg.blanks_per_region
+                continue
+            if cfg.mode == "ioo" or (cfg.mode == "ioo_nb" and cfg.nb_onehot == "all"):
+                picks = range(s, e)
+            else:
+                probs = [float(vals[f, tok]) for f in range(s, e)]
+                pick_max = cfg.mode == "ioo_nb" or cfg.koo_strategy == "max"
+                picks = [s + probs.index(max(probs) if pick_max else min(probs))]
+            for f in picks:
+                hot = cfg.mode == "ioo_nb" and (
+                    cfg.nb_threshold is None or vals[f, tok] >= cfg.nb_threshold)
+                rows.append(onehot(tok) if hot else vals[f])
+                srcs.append(f)
+                nonblank += 1
+    elif cfg.mode == "aed_ioo":
+        rows.append(onehot(0))
+        srcs.append(-1)
+        for f in range(T):
+            rows += [vals[f], onehot(0)]
+            srcs += [f, -1]
+        nonblank = T
+    elif cfg.mode == "average":
+        for tok, s, e in runs:
+            if tok == 0:
+                rows.append(vals[s:e].mean(axis=0))
+                srcs.append(s)
+            else:
+                rows += [vals[f] for f in range(s, e)]
+                srcs += list(range(s, e))
+        nonblank = len(content)
+    else:
+        if cfg.mode == "discard":
+            keep = content
+        elif cfg.mode == "lsd":
+            keep = [f for f in range(T) if vals[f, 0] < cfg.lsd_threshold]
+        else:  # swd
+            w = cfg.swd_window
+            keep = [f for f in range(T) if any(abs(f - u) <= w for u in content)]
+        rows = [vals[f] for f in keep]
+        srcs = keep
+        nonblank = sum(1 for f in keep if labels[f] != 0)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), V), tuple(srcs), nonblank
+
+
 # ----------------------------------------------------------------------
 # FST oracles
 # ----------------------------------------------------------------------

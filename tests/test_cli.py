@@ -197,6 +197,10 @@ class TestExitCodes:
     def test_unknown_subcommand_is_one(self):
         assert main(["frobnicate"]) == 1
 
+    def test_seed_only_on_synth_and_no_nb_onehot_off(self):
+        assert main(["score", "--refs", "r.txt", "--hyps", "h.txt", "--seed", "1"]) == 1
+        assert main(["compress", "--input", "in", "--out", "out", "--nb-onehot", "off"]) == 1
+
     def test_data_error_is_two(self, workdir):
         rc = main(["score", "--refs", str(workdir / "nope.txt"),
                    "--hyps", str(workdir / "refs.txt")])

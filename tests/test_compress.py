@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import collapse_oracle
+from helpers import collapse_oracle, compress_oracle
 from spikefst import (
     CUSTOM_BLANK,
     CompressConfig,
@@ -22,6 +22,7 @@ from spikefst import (
     segment_blocks,
     synth_posteriors,
 )
+from spikefst.compress import MODES
 
 
 def matrix_from_argmax(pattern, vocab=4, peak=0.7):
@@ -38,44 +39,43 @@ BLK, A, B = 0, 1, 2
 
 
 class TestSegmentBlocks:
+    def runs(self, pattern):
+        tokens, starts, ends = segment_blocks(np.array(pattern, dtype=np.intp))
+        return [(int(t), int(s), int(e)) for t, s, e in zip(tokens, starts, ends)]
+
     def test_mixed_runs(self):
-        p = matrix_from_argmax([BLK, A, A, BLK, BLK, B])
-        blocks = segment_blocks(p)
-        assert [(b.token, b.start, b.end) for b in blocks] == [
-            (BLK, 0, 0), (A, 1, 2), (BLK, 3, 4), (B, 5, 5),
-        ]
+        labels = argmax_labels(matrix_from_argmax([BLK, A, A, BLK, BLK, B]))
+        tokens, starts, ends = segment_blocks(labels)
+        assert tokens.tolist() == [BLK, A, BLK, B]
+        assert starts.tolist() == [0, 1, 3, 5]
+        assert ends.tolist() == [1, 3, 5, 6]
 
     def test_matches_run_length_oracle(self):
         rng = np.random.default_rng(1)
         for trial in range(25):
             pattern = [int(rng.integers(0, 4)) for _ in range(int(rng.integers(0, 40)))]
-            p = matrix_from_argmax(pattern, vocab=5)
-            blocks = segment_blocks(p)
+            runs = self.runs(pattern)
             # brute-force scan oracle
             expected = []
             for t, tok in enumerate(pattern):
                 if expected and expected[-1][0] == tok:
-                    expected[-1][2] = t
+                    expected[-1][2] = t + 1
                 else:
-                    expected.append([tok, t, t])
-            assert [[b.token, b.start, b.end] for b in blocks] == expected
-            # tiling with no gaps, alternating tokens
-            for prev, cur in zip(blocks, blocks[1:]):
-                assert prev.end + 1 == cur.start
-                assert prev.token != cur.token
+                    expected.append([tok, t, t + 1])
+            assert [list(r) for r in runs] == expected
+            # the runs tile [0, T) with no gaps, and adjacent runs differ
+            assert [s for _, s, _ in runs] + [len(pattern)] == [0] + [e for _, _, e in runs]
+            assert all(prev[0] != cur[0] for prev, cur in zip(runs, runs[1:]))
 
     def test_all_blank_single_block(self):
-        p = matrix_from_argmax([BLK] * 5)
-        blocks = segment_blocks(p)
-        assert [(b.token, b.start, b.end) for b in blocks] == [(BLK, 0, 4)]
+        assert self.runs([BLK] * 5) == [(BLK, 0, 5)]
 
     def test_separated_repeats_not_merged(self):
-        p = matrix_from_argmax([A, BLK, A])
-        blocks = segment_blocks(p)
-        assert [b.token for b in blocks] == [A, BLK, A]
+        assert [tok for tok, _, _ in self.runs([A, BLK, A])] == [A, BLK, A]
 
     def test_empty_input(self):
-        assert segment_blocks(matrix_from_argmax([])) == []
+        tokens, starts, ends = segment_blocks(np.empty(0, dtype=np.intp))
+        assert tokens.size == starts.size == ends.size == 0
 
 
 class TestCustomBlank:
@@ -90,43 +90,55 @@ class TestCustomBlank:
 
 
 class TestKooSelect:
-    def block(self, probs, token=A, start=10):
+    def run(self, probs, token=A, start=10):
+        """A matrix whose frames [start, start + len(probs)) form one run of
+        *token* with the given peak probabilities, after *start* blank frames."""
         vocab = 4
-        rows = []
+        rows = [custom_blank(vocab)] * start
         for p in probs:
             row = np.full(vocab, (1.0 - p) / (vocab - 1))
             row[token] = p
             rows.append(row)
-        from spikefst import FrameBlock
-
-        return FrameBlock(token, start, start + len(probs) - 1, np.array(rows))
+        p = PosteriorMatrix(np.array(rows))
+        return p, np.array([token]), np.array([start]), np.array([start + len(probs)])
 
     def test_max_and_min(self):
-        blk = self.block([0.6, 0.9, 0.7])
-        assert koo_select(blk, "max") == 11
-        assert koo_select(blk, "min") == 10
+        run = self.run([0.6, 0.9, 0.7])
+        assert koo_select(*run, "max").tolist() == [11]
+        assert koo_select(*run, "min").tolist() == [10]
 
     def test_singleton(self):
-        blk = self.block([0.8])
-        assert koo_select(blk, "max") == koo_select(blk, "min") == 10
+        run = self.run([0.8])
+        assert koo_select(*run, "max").tolist() == koo_select(*run, "min").tolist() == [10]
 
     def test_tie_goes_earliest(self):
-        blk = self.block([0.8, 0.8])
-        assert koo_select(blk, "max") == 10
-        assert koo_select(blk, "min") == 10
+        run = self.run([0.8, 0.8])
+        assert koo_select(*run, "max").tolist() == [10]
+        assert koo_select(*run, "min").tolist() == [10]
 
     def test_exhaustive_scan_agreement(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
-            probs = rng.uniform(0.5, 0.99, size=int(rng.integers(1, 9))).round(6)
-            blk = self.block(list(probs))
-            assert probs[koo_select(blk, "max") - 10] == max(probs)
-            assert probs[koo_select(blk, "min") - 10] == min(probs)
+            # several runs per matrix; two decimals make equal peaks common
+            pattern = [int(rng.integers(0, 4)) for _ in range(int(rng.integers(0, 30)))]
+            peaks = rng.uniform(0.5, 0.99, size=len(pattern)).round(2)
+            rows = []
+            for tok, peak in zip(pattern, peaks):
+                row = np.full(4, (1.0 - peak) / 3)
+                row[tok] = peak
+                rows.append(row)
+            p = PosteriorMatrix(np.array(rows).reshape(len(rows), 4))
+            tokens, starts, ends = segment_blocks(argmax_labels(p))
+            got_max = koo_select(p, tokens, starts, ends, "max").tolist()
+            got_min = koo_select(p, tokens, starts, ends, "min").tolist()
+            for i, (tok, s, e) in enumerate(zip(tokens, starts, ends)):
+                probs = [p.values[f, tok] for f in range(s, e)]
+                assert got_max[i] == s + probs.index(max(probs))
+                assert got_min[i] == s + probs.index(min(probs))
 
-    def test_blank_block_rejected(self):
-        blk = self.block([0.9], token=BLK)
-        with pytest.raises(ValidationError):
-            koo_select(blk)
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValidationError, match="unknown strategy"):
+            koo_select(*self.run([0.9]), "median")
 
 
 def is_custom_blank(row):
@@ -391,6 +403,11 @@ class TestDispatcher:
         np.testing.assert_array_equal(c.values, p.values)
         assert c.source_map == (0, 1, 2)
 
+    def test_nb_onehot_is_all_or_max(self):
+        assert CompressConfig(mode="ioo_nb").label() == "ioo_nb/all"
+        with pytest.raises(ValidationError, match=r"all\|max"):
+            CompressConfig(mode="ioo_nb", nb_onehot="off")
+
     def test_all_modes_deterministic(self):
         p = synth_posteriors(
             LabelSequence((1, 2, 3)),
@@ -398,8 +415,60 @@ class TestDispatcher:
             seed=2,
         )
         for mode in ("dense", "ioo", "ioo_koo", "discard", "average", "lsd", "swd", "aed_ioo"):
-            cfg = CompressConfig(mode=mode, nb_onehot="all" if mode == "ioo_nb" else "off")
+            cfg = CompressConfig(mode=mode)
             c1 = compress(p, cfg)
             c2 = compress(p, cfg)
             assert np.array_equal(c1.values, c2.values)
             assert c1.source_map == c2.source_map
+
+
+# Rows with exact ties between frames and exact threshold values (0.5, 0.9).
+TIE_PALETTE = np.array([
+    [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.7, 0.1, 0.1, 0.1], [0.9, 0.05, 0.05, 0.0],
+    [0.0, 1.0, 0.0, 0.0], [0.1, 0.9, 0.0, 0.0], [0.2, 0.5, 0.2, 0.1], [0.25, 0.5, 0.25, 0.0],
+    [0.0, 0.25, 0.5, 0.25], [0.05, 0.05, 0.9, 0.0], [0.1, 0.1, 0.2, 0.6], [0.0, 0.0, 0.0, 1.0],
+])
+
+
+def oracle_matrices():
+    rng = np.random.default_rng(404)
+    mats = [np.empty((0, 4)), np.tile(custom_blank(4), (6, 1)), np.tile(TIE_PALETTE[2], (5, 1))]
+    by_label = [TIE_PALETTE[np.argmax(TIE_PALETTE, axis=1) == k] for k in range(4)]
+    for t in (1, 3, 9, 30):
+        mats.append(rng.dirichlet(np.full(5, 0.3), size=t))
+        mats.append(np.eye(4)[rng.integers(0, 4, size=t)])
+    for _ in range(8):
+        rows = []
+        for _ in range(int(rng.integers(1, 9))):
+            choices = by_label[int(rng.integers(0, 4))]
+            rows += [choices[rng.integers(0, len(choices))] for _ in range(int(rng.integers(1, 5)))]
+        mats.append(np.array(rows))
+    return [PosteriorMatrix(m) for m in mats]
+
+
+def oracle_configs():
+    for mode in MODES:
+        for koo in ("max", "min"):
+            for bpr in (1, 2):
+                for nb in ("all", "max"):
+                    for thr in (None, 0.5, 0.9):
+                        yield CompressConfig(mode=mode, koo_strategy=koo, blanks_per_region=bpr,
+                                             nb_onehot=nb, nb_threshold=thr)
+    for x in (0.0, 0.5, 0.9, 1.0):
+        yield CompressConfig(mode="lsd", lsd_threshold=x)
+    for w in (0, 2, 5):
+        yield CompressConfig(mode="swd", swd_window=w)
+
+
+class TestCompressOracle:
+    def test_every_mode_bitwise_equal_to_per_run_oracle(self):
+        mats = oracle_matrices()
+        for cfg in oracle_configs():
+            for i, p in enumerate(mats):
+                got = compress(p, cfg)
+                values, source_map, nonblank = compress_oracle(p, cfg)
+                where = f"{cfg} on matrix {i}"
+                assert got.values.dtype == values.dtype and got.values.shape == values.shape, where
+                assert got.values.tobytes() == values.tobytes(), where
+                assert got.source_map == source_map, where
+                assert got.nonblank_count == nonblank, where

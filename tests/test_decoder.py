@@ -15,7 +15,7 @@ from spikefst import (
     decode_batch,
     sweep_params,
 )
-from spikefst.wfst import Fst
+from spikefst.wfst import Arc, Fst
 
 WIDE = DecoderConfig(beam=math.inf, max_active=10**9)
 
@@ -101,6 +101,26 @@ class TestViterbiOracle:
             assert r.total_cost == pytest.approx(expected, abs=1e-6), f"trial {trial}"
             checked += 1
         assert checked >= 50
+
+    def test_onehot_ioo_nb_rows_match_exhaustive_dp(self):
+        # One-hot rows leave a single column nonzero, so every arc on any
+        # other label is zero-probability and many inputs have no path.
+        rng = np.random.default_rng(909)
+        finite = hopeless = 0
+        for trial in range(200):
+            g = random_decodable_graph(rng, max_states=30, vocab=5)
+            p = random_posteriors(rng, int(rng.integers(0, 8)), 5)
+            comp = compress(p, CompressConfig(mode="ioo_nb", nb_onehot="all"))
+            expected = viterbi_oracle(g, comp.values)
+            if math.isfinite(expected):
+                got = decode(g, comp, WIDE).total_cost
+                assert abs(got - expected) <= 1e-9, f"trial {trial}: {got} vs {expected}"
+                finite += 1
+            else:
+                with pytest.raises(DecodeError):
+                    decode(g, comp, WIDE)
+                hopeless += 1
+        assert finite >= 15 and hopeless >= 15
 
     def test_acoustic_scale_respected(self):
         rng = np.random.default_rng(7)
@@ -236,6 +256,15 @@ class TestGraphEdits:
         g.set_start(s)
         r = decode(g, one_hot_rows([0, 0, 1, 0]), WIDE)
         assert r.words == (9, 7)
+
+    def test_arcs_cannot_be_appended_to(self):
+        g = one_word_graph()
+        p = one_hot_rows([0, 1, 0])
+        decode(g, p, WIDE)
+        arcs = g.arcs(0)
+        with pytest.raises(AttributeError):
+            arcs.append(Arc(2, 7, 0.1, 1))
+        assert decode(g, p, WIDE).same_search(decode(g.copy(), p, WIDE))
 
     def test_out_of_vocab_arc_added_after_decode_rejected(self):
         g = one_word_graph()
