@@ -12,18 +12,16 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
 from .bench import bench
-from .compress import CompressConfig, compress, load_compressed
+from .compress import CompressConfig, compress, load_compressed, save_compressed
 from .decoder import DecoderConfig, decode_batch, sweep_params, _word_syms
 from .errors import DecodeError, SpikefstError, ValidationError
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
-from .posterior import PosteriorMatrix, SynthConfig, load_labels, load_posteriors, save_posteriors, synth_posteriors
+from .posterior import SynthConfig, atomic_write, load_labels, load_posteriors, save_posteriors, synth_posteriors
 from .scoring import read_trans_file, score_corpus
 from .wfst import SymbolTable, read_fst_text, write_fst_text
 
@@ -40,20 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _atomic_via_tmp(path: Path, write_fn) -> None:
-    """Run write_fn(tmp_path) then rename the result into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _add_compress_flags(p: argparse.ArgumentParser) -> None:
@@ -123,9 +107,9 @@ def cmd_build_graph(args) -> int:
     tlg = build_tlg(t, l, g, use_pushing=args.push, report=report)
 
     out = Path(args.out_dir)
-    _atomic_via_tmp(out / "tlg.fst.txt", lambda tmp: write_fst_text(tlg, tmp))
-    _atomic_via_tmp(out / "tokens.txt", lambda tmp: lex.token_table.to_file(tmp))
-    _atomic_via_tmp(out / "words.txt", lambda tmp: lex.word_table.to_file(tmp))
+    atomic_write(out / "tlg.fst.txt", lambda tmp: write_fst_text(tlg, tmp))
+    atomic_write(out / "tokens.txt", lambda tmp: lex.token_table.to_file(tmp))
+    atomic_write(out / "words.txt", lambda tmp: lex.word_table.to_file(tmp))
     manifest = {
         "pushed": report.pushed,
         "lm_order": model.order,
@@ -134,7 +118,7 @@ def cmd_build_graph(args) -> int:
         "words": len(lex.word_table),
     }
     text = json.dumps(manifest, indent=2) + "\n"
-    _atomic_via_tmp(out / "manifest.json", lambda tmp: Path(tmp).write_text(text))
+    atomic_write(out / "manifest.json", lambda tmp: Path(tmp).write_text(text))
     log.info("wrote %s (%d states, %d arcs)", out / "tlg.fst.txt",
              tlg.num_states, tlg.num_arcs)
     return EXIT_OK
@@ -175,7 +159,7 @@ def cmd_synth(args) -> int:
     for i, seq in enumerate(labels):
         mat = synth_posteriors(seq, cfg, seed=args.seed + i)
         name = f"utt{i:05d}.spkf"
-        _atomic_via_tmp(out / name, lambda tmp, m=mat: save_posteriors(m, tmp, "binary"))
+        atomic_write(out / name, lambda tmp, m=mat: save_posteriors(m, tmp, "binary"))
     log.info("wrote %d posterior files to %s", len(labels), out)
     return EXIT_OK
 
@@ -185,16 +169,9 @@ def cmd_compress(args) -> int:
     out = Path(args.out)
     pairs = _iter_corpus(args.input)
     multi = len(pairs) > 1 or Path(args.input).is_dir()
-    from .compress import save_source_map
-
     for utt, path in pairs:
-        mat = load_posteriors(path, "binary")
-        comp = compress(mat, cfg)
-        dest = (out / f"{utt}.spkf") if multi else out
-        _atomic_via_tmp(dest, lambda tmp, c=comp: save_posteriors(
-            PosteriorMatrix(c.values), tmp, "binary"))
-        _atomic_via_tmp(Path(str(dest) + ".map"),
-                        lambda tmp, c=comp: save_source_map(c, tmp))
+        comp = compress(load_posteriors(path, "binary"), cfg)
+        save_compressed(comp, (out / f"{utt}.spkf") if multi else out)
     log.info("compressed %d utterances with mode %s", len(pairs), cfg.label())
     print(json.dumps({"utterances": len(pairs), "mode": cfg.label()}), file=sys.stderr)
     return EXIT_OK
@@ -228,12 +205,12 @@ def cmd_decode(args) -> int:
 
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        _atomic_via_tmp(Path(args.out), lambda tmp: Path(tmp).write_text(text))
+        atomic_write(Path(args.out), lambda tmp: Path(tmp).write_text(text))
     else:
         sys.stdout.write(text)
     if args.hyps:
         hyps = "\n".join(hyp_lines) + ("\n" if hyp_lines else "")
-        _atomic_via_tmp(Path(args.hyps), lambda tmp: Path(tmp).write_text(hyps))
+        atomic_write(Path(args.hyps), lambda tmp: Path(tmp).write_text(hyps))
     summary = {
         "utterances": len(batch.utt_ids),
         "failures": len(batch.failures),
@@ -257,7 +234,7 @@ def cmd_score(args) -> int:
     }
     out = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _atomic_via_tmp(Path(args.out), lambda tmp: Path(tmp).write_text(out))
+        atomic_write(Path(args.out), lambda tmp: Path(tmp).write_text(out))
     sys.stdout.write(out)
     return EXIT_OK
 
@@ -276,8 +253,8 @@ def cmd_bench(args) -> int:
     report = bench(graph, utts, refs, modes, _decoder_config(args),
                    repeats=args.repeats, unit=args.unit)
     out = Path(args.out_dir)
-    _atomic_via_tmp(out / "bench.csv", lambda tmp: Path(tmp).write_text(report.to_csv()))
-    _atomic_via_tmp(out / "bench.json", lambda tmp: Path(tmp).write_text(report.to_json() + "\n"))
+    atomic_write(out / "bench.csv", lambda tmp: Path(tmp).write_text(report.to_csv()))
+    atomic_write(out / "bench.json", lambda tmp: Path(tmp).write_text(report.to_json() + "\n"))
     sys.stdout.write(report.to_csv())
     return EXIT_OK
 
@@ -304,7 +281,7 @@ def cmd_sweep(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_via_tmp(Path(args.out), lambda tmp: Path(tmp).write_text(text))
+        atomic_write(Path(args.out), lambda tmp: Path(tmp).write_text(text))
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -31,11 +31,19 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .posterior import BLANK_ID, PosteriorMatrix, argmax_labels
+from .errors import DataFormatError, ValidationError
+from .posterior import (
+    BLANK_ID,
+    PosteriorMatrix,
+    argmax_labels,
+    atomic_write,
+    load_posteriors,
+    save_posteriors,
+)
 
 # source_map marker for inserted one-hot blank rows
 CUSTOM_BLANK = -1
@@ -294,55 +302,65 @@ def compress(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
 
 
 def save_source_map(c: CompressedPosteriors, path) -> None:
-    """Sidecar text file: one line per output row, frame index or 'B'."""
-    from pathlib import Path
+    """Sidecar text file: a '# nonblank N' line with the content-row
+    count, then one line per output row, frame index or 'B'."""
+    lines = [f"# nonblank {c.nonblank_count}"]
+    lines += ["B" if s == CUSTOM_BLANK else str(s) for s in c.source_map]
+    Path(path).write_text("\n".join(lines) + "\n")
 
-    lines = ["B" if s == CUSTOM_BLANK else str(s) for s in c.source_map]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
-
-def load_source_map(path) -> tuple[int, ...]:
-    from pathlib import Path
-
-    out = []
-    for line in Path(path).read_text().splitlines():
+def load_source_map(path) -> tuple[tuple[int, ...], int | None]:
+    """Read a sidecar.  Returns the source map and the content-row count,
+    which is None when the file has no '# nonblank' line."""
+    out, nonblank = [], None
+    for no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        head = line.split()
+        if head[0] == "#":
+            if no != 1 or len(head) != 3 or head[1] != "nonblank" or not head[2].isdigit():
+                raise DataFormatError(
+                    f"{path}: line {no}: expected '# nonblank N' as the first line, got {line!r}")
+            nonblank = int(head[2])
+            continue
+        try:
             out.append(CUSTOM_BLANK if line == "B" else int(line))
-    return tuple(out)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {no}: expected a frame index or 'B', got {line!r}") from None
+    if nonblank is not None and nonblank > len(out):
+        raise DataFormatError(f"{path}: {nonblank} content rows but only {len(out)} rows")
+    return tuple(out), nonblank
 
 
 def save_compressed(c: CompressedPosteriors, path) -> None:
     """Write the frame matrix in the standard binary posterior format plus
-    a '<path>.map' provenance sidecar."""
-    from pathlib import Path
-
-    from .posterior import PosteriorMatrix, save_posteriors
-
+    a '<path>.map' provenance sidecar, each through a temporary file that
+    is renamed into place."""
     path = Path(path)
-    save_posteriors(PosteriorMatrix(c.values), path, "binary")
-    save_source_map(c, Path(str(path) + ".map"))
+    atomic_write(path, lambda tmp: save_posteriors(PosteriorMatrix(c.values), tmp, "binary"))
+    atomic_write(Path(str(path) + ".map"), lambda tmp: save_source_map(c, tmp))
 
 
 def load_compressed(path):
     """Load a compressed corpus file; without its sidecar the provenance is
     gone and a plain :class:`PosteriorMatrix` is returned instead.
 
-    The content-row count is rebuilt as "kept row with a non-blank
-    argmax", which reproduces the original for every CTC-side mode.
+    A sidecar with no '# nonblank' line (written before the count was
+    stored) gets the content-row count rebuilt as "kept row with a
+    non-blank argmax", which reproduces the original for every CTC-side
+    mode but not for ``aed_ioo``.
     """
-    from pathlib import Path
-
-    from .posterior import load_posteriors
-
     path = Path(path)
     mat = load_posteriors(path, "binary")
     sidecar = Path(str(path) + ".map")
     if not sidecar.exists():
         return mat
-    smap = load_source_map(sidecar)
-    labels = argmax_labels(mat)
-    nonblank = sum(
-        1 for s, tok in zip(smap, labels) if s != CUSTOM_BLANK and tok != BLANK_ID
-    )
+    smap, nonblank = load_source_map(sidecar)
+    if nonblank is None:
+        labels = argmax_labels(mat)
+        nonblank = sum(
+            1 for s, tok in zip(smap, labels) if s != CUSTOM_BLANK and tok != BLANK_ID
+        )
     return CompressedPosteriors(mat.values, smap, nonblank)

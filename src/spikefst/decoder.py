@@ -10,6 +10,28 @@ lower is better and the result is the min-cost path to a final state.
 The search runs over a per-graph table of arc tuples compiled on the
 first decode and rebuilt whenever the graph's mutation counter moves.
 
+Token costs live in two lists indexed by state, swapped each frame, with
+``inf`` for "no token"; the frame's traces live in a state -> trace dict
+whose keys are the states reached.  After a frame's expansion the old
+list is reset at exactly those keys, so it is all ``inf`` again when it
+is reused.  A candidate is stored only when it is strictly cheaper than
+the state's current cost, so zero-probability (``inf``) candidates are
+never stored.
+
+Before the expansion, the arcs of the previous frame's best token are
+relaxed; the cheapest of those costs plus the beam bounds this frame's
+cutoff from above (those candidates are among the frame's, and the
+epsilon fixpoint only lowers costs), so a candidate above the bound
+could never survive pruning and is dropped instead of stored.  States
+with non-emitting arcs are exempt: they can pass a cost on through an
+epsilon arc, so storing all of them makes the epsilon fixpoint visit
+the same states in the same order with the same costs, and break ties
+the same way, as a search with no bound.
+
+A row with exactly one positive column (an inserted blank, an ``ioo_nb``
+one-hot row) reads the table's per-column view of the arcs, so only the
+arcs on that column are expanded.
+
 Decoding is deterministic: states are visited in sorted order, a token
 is replaced only by a strictly cheaper one, and equal-cost ties keep the
 path through the lower-numbered predecessor state.
@@ -21,7 +43,6 @@ import heapq
 import math
 import time
 import weakref
-from operator import itemgetter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +95,14 @@ class DecodeResult:
 @dataclass(frozen=True)
 class _Table:
     """Search-time view of one version of a graph.  Arc ids index
-    ``arcs`` in state order; traceback maps them back to labels."""
+    ``arcs`` in state order; traceback maps them back to labels.
+    ``by_column[col][state]`` is ``emit[state]`` restricted to one
+    column, in arc order."""
 
     version: int
     max_ilabel: int
     emit: tuple[tuple[tuple[int, float, int, int], ...], ...]  # (column, weight, next, id)
+    by_column: tuple[list[tuple[tuple[int, float, int, int], ...]], ...]
     eps: dict[int, tuple[tuple[float, int, int], ...]]  # (weight, next, id), states with any
     arcs: tuple[Arc, ...]
 
@@ -104,10 +128,16 @@ def _table(graph: Fst) -> _Table:
         emit.append(tuple(s_emit))
         if s_eps:
             eps[s] = tuple(s_eps)
+    max_ilabel = max((a.ilabel for a in arcs), default=0)
+    by_column = tuple([()] * graph.num_states for _ in range(max_ilabel))
+    for s, s_emit in enumerate(emit):
+        for arc in s_emit:
+            by_column[arc[0]][s] += (arc,)
     table = _Table(
         version=graph.version,
-        max_ilabel=max((a.ilabel for a in arcs), default=0),
+        max_ilabel=max_ilabel,
         emit=tuple(emit),
+        by_column=by_column,
         eps=eps,
         arcs=tuple(arcs),
     )
@@ -115,18 +145,18 @@ def _table(graph: Fst) -> _Table:
     return table
 
 
-def _eps_fixpoint(eps: dict, active: dict, max_passes: int) -> None:
+def _eps_fixpoint(eps: dict, cost: list, back: dict, max_passes: int) -> None:
     """Relax non-emitting arcs until no token improves.  A visit guard
     (pass cap) turns a negative-weight epsilon cycle into an error."""
     for _ in range(max_passes):
         changed = False
-        for s in sorted(eps.keys() & active.keys()):
-            cost, trace = active[s]
+        for s in sorted(eps.keys() & back.keys()):
+            c, trace = cost[s], back[s]
             for w, ns, aid in eps[s]:
-                nc = cost + w
-                entry = active.get(ns)
-                if entry is None or nc < entry[0]:
-                    active[ns] = (nc, (trace, aid, -1))
+                nc = c + w
+                if nc < cost[ns]:
+                    cost[ns] = nc
+                    back[ns] = (trace, aid, -1)
                     changed = True
         if not changed:
             return
@@ -139,7 +169,10 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
 
     Raises :class:`DecodeError` naming the frame if every token is pruned
     away, or frame T if no final state is reachable at the end.  A zero
-    probability under a required arc is an infinite cost, not an error.
+    probability under a required arc is an infinite cost, not an error;
+    tokens of infinite cost are not carried, so a graph whose every path
+    crosses an infinite-weight arc fails at the frame where the last
+    finite token dies.
     """
     t0 = time.perf_counter()
     values = frames.values
@@ -154,50 +187,69 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     if graph.start < 0:
         raise FstError("graph has no start state")
 
+    positive = values > 0.0
     with np.errstate(divide="ignore"):
-        acoustic = np.where(values > 0.0, -np.log(values), math.inf)
+        acoustic = np.where(positive, -np.log(values), math.inf)
     rows = (cfg.acoustic_scale * acoustic).tolist()
+    hot = np.where(positive.sum(axis=1) == 1, positive.argmax(axis=1), -1).tolist()
 
-    emit, eps = table.emit, table.eps
+    emit, by_column, eps = table.emit, table.by_column, table.eps
+    # rows with one positive column read only that column's arcs; a column
+    # no arc reads keeps the full view, where every candidate is inf
+    views = [by_column[c] if 0 <= c < len(by_column) else emit for c in hot]
     max_passes = graph.num_states + 8
     inf = math.inf
-    # state -> (cost, trace); a trace is (prev trace, arc id, frame or -1)
-    active: dict[int, tuple] = {graph.start: (0.0, None)}
-    _eps_fixpoint(eps, active, max_passes)
+    beam, max_active = cfg.beam, cfg.max_active
+    # cost[s] is the live token's cost or inf; back maps each reached state
+    # to its trace, (prev trace, arc id, frame or -1)
+    cost, nxt = [inf] * graph.num_states, [inf] * graph.num_states
+    cost[graph.start] = 0.0
+    back: dict[int, tuple | None] = {graph.start: None}
+    _eps_fixpoint(eps, cost, back, max_passes)
+    live = sorted(back)
+    best = min(live, key=cost.__getitem__)
     histogram: list[int] = []
 
     for t, row in enumerate(rows):
-        nxt: dict[int, tuple] = {}
-        for s in sorted(active):
-            cost, trace = active[s]
-            for col, w, ns, aid in emit[s]:
-                ac = row[col]
-                if ac == inf:
-                    continue
-                nc = cost + w + ac
-                entry = nxt.get(ns)
-                if entry is None or nc < entry[0]:
-                    nxt[ns] = (nc, (trace, aid, t))
-        if not nxt:
+        arcs_of = views[t]
+        # the best token's candidates bound the cutoff from above; see the module doc
+        c = cost[best]
+        bound = inf
+        for col, w, _, _ in arcs_of[best]:
+            nc = c + w + row[col]
+            if nc < bound:
+                bound = nc
+        bound += beam
+        nback: dict[int, tuple] = {}
+        for s in live:
+            c, trace = cost[s], back[s]
+            for col, w, ns, aid in arcs_of[s]:
+                nc = c + w + row[col]
+                if (nc <= bound or ns in eps) and nc < nxt[ns]:
+                    nxt[ns] = nc
+                    nback[ns] = (trace, aid, t)
+        for s in back:
+            cost[s] = inf
+        if not nback:
             raise DecodeError(t)
         if eps:
-            _eps_fixpoint(eps, nxt, max_passes)
-        cutoff = min(nxt.values(), key=itemgetter(0))[0] + cfg.beam
-        active = {s: e for s, e in nxt.items() if e[0] <= cutoff}
-        if len(active) > cfg.max_active:
-            kept = heapq.nsmallest(cfg.max_active, [(e[0], s) for s, e in active.items()])
-            active = {s: nxt[s] for _, s in kept}
-        if not active:
-            raise DecodeError(t)
-        histogram.append(len(active))
+            _eps_fixpoint(eps, nxt, nback, max_passes)
+        reached = sorted(nback)
+        best = min(reached, key=nxt.__getitem__)
+        cutoff = nxt[best] + beam
+        live = [s for s in reached if nxt[s] <= cutoff]
+        if len(live) > max_active:
+            live = sorted(s for _, s in heapq.nsmallest(max_active, [(nxt[s], s) for s in live]))
+        histogram.append(len(live))
+        cost, nxt, back = nxt, cost, nback
 
     best_state = -1
     best_total = ZERO
-    for s in sorted(active):
+    for s in live:
         wf = graph.final_weight(s)
         if wf == ZERO:
             continue
-        total = active[s][0] + wf
+        total = cost[s] + wf
         if total < best_total:
             best_total = total
             best_state = s
@@ -205,7 +257,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         raise DecodeError(n_frames, "no final state reachable at end of input")
 
     steps = []
-    node = active[best_state][1]
+    node = back[best_state]
     while node is not None:
         node, aid, frame = node
         steps.append((table.arcs[aid], frame))

@@ -8,7 +8,9 @@ treated as immutable after construction.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,6 +112,21 @@ def ctc_collapse(labels) -> list[int]:
 # ----------------------------------------------------------------------
 # File formats
 # ----------------------------------------------------------------------
+
+def atomic_write(path: Path, write_fn) -> None:
+    """Run write_fn(tmp_path) then rename the result into place, so a
+    failed write never leaves a partial file at *path*."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
 
 def save_posteriors(p: PosteriorMatrix, path, format: str = "binary") -> None:
     path = Path(path)

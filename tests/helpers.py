@@ -4,11 +4,13 @@ The oracles here deliberately use different algorithm families from the
 production code: exhaustive path enumeration and string-indexed dynamic
 programs instead of subset constructions and token passing, plain
 recursion instead of the tabular edit-distance, groupby instead of the
-run-length scanner.
+run-length scanner, and dict-stored tokens with no cutoff bound instead
+of the decoder's list-indexed costs.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -17,6 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from spikefst import LabelSequence, PosteriorMatrix, SynthConfig, synth_posteriors
+from spikefst.compress import CUSTOM_BLANK
+from spikefst.decoder import DecodeResult
+from spikefst.errors import DecodeError, FstError, ValidationError
 from spikefst.graph import Lexicon, build_grammar_fst, build_lexicon_fst, build_token_fst, parse_arpa
 from spikefst.wfst import EPSILON, Fst
 
@@ -240,6 +245,114 @@ def viterbi_oracle(graph: Fst, values: np.ndarray, acoustic_scale: float = 1.0) 
     )
 
 
+def search_oracle(graph: Fst, frames, cfg):
+    """The dict-based token passing that ``decode`` replaced, kept as a
+    reference: every candidate is stored in a state -> (cost, trace) dict,
+    the epsilon fixpoint relaxes those dicts, and pruning filters them
+    after each frame.  Returns a ``DecodeResult`` with zero wall time and
+    raises the same errors as ``decode`` (``inf``-cost tokens aside: this
+    search carries them, ``decode`` drops them)."""
+    values = frames.values
+    source_map = getattr(frames, "source_map", None)
+    arcs = [a for s in range(graph.num_states) for a in graph.arcs(s)]
+    max_ilabel = max((a.ilabel for a in arcs), default=0)
+    if max_ilabel > values.shape[1]:
+        raise ValidationError(
+            f"graph consumes input label {max_ilabel} but posteriors have only "
+            f"{values.shape[1]} columns (label k reads column k-1)"
+        )
+    if graph.start < 0:
+        raise FstError("graph has no start state")
+    emit, eps, aid = [], {}, 0
+    for s in range(graph.num_states):
+        s_emit, s_eps = [], []
+        for a in graph.arcs(s):
+            if a.ilabel == EPSILON:
+                s_eps.append((a.weight, a.nextstate, aid))
+            else:
+                s_emit.append((a.ilabel - 1, a.weight, a.nextstate, aid))
+            aid += 1
+        emit.append(s_emit)
+        if s_eps:
+            eps[s] = s_eps
+    max_passes = graph.num_states + 8
+
+    def eps_fixpoint(active: dict) -> None:
+        for _ in range(max_passes):
+            changed = False
+            for s in sorted(eps.keys() & active.keys()):
+                cost, trace = active[s]
+                for w, ns, a in eps[s]:
+                    nc = cost + w
+                    entry = active.get(ns)
+                    if entry is None or nc < entry[0]:
+                        active[ns] = (nc, (trace, a, -1))
+                        changed = True
+            if not changed:
+                return
+        raise FstError("non-emitting arcs did not reach a fixpoint (negative cycle?)")
+
+    with np.errstate(divide="ignore"):
+        rows = (cfg.acoustic_scale * np.where(values > 0.0, -np.log(values), math.inf)).tolist()
+    active = {graph.start: (0.0, None)}
+    eps_fixpoint(active)
+    histogram = []
+    for t, row in enumerate(rows):
+        nxt: dict = {}
+        for s in sorted(active):
+            cost, trace = active[s]
+            for col, w, ns, a in emit[s]:
+                ac = row[col]
+                if ac == math.inf:
+                    continue
+                nc = cost + w + ac
+                entry = nxt.get(ns)
+                if entry is None or nc < entry[0]:
+                    nxt[ns] = (nc, (trace, a, t))
+        if not nxt:
+            raise DecodeError(t)
+        eps_fixpoint(nxt)
+        cutoff = min(e[0] for e in nxt.values()) + cfg.beam
+        active = {s: e for s, e in nxt.items() if e[0] <= cutoff}
+        if len(active) > cfg.max_active:
+            kept = heapq.nsmallest(cfg.max_active, [(e[0], s) for s, e in active.items()])
+            active = {s: nxt[s] for _, s in kept}
+        if not active:
+            raise DecodeError(t)
+        histogram.append(len(active))
+
+    best_state, best_total = -1, math.inf
+    for s in sorted(active):
+        wf = graph.final_weight(s)
+        if wf == math.inf:
+            continue
+        total = active[s][0] + wf
+        if total < best_total:
+            best_state, best_total = s, total
+    if best_state < 0:
+        raise DecodeError(values.shape[0], "no final state reachable at end of input")
+    steps = []
+    node = active[best_state][1]
+    while node is not None:
+        node, a, frame = node
+        steps.append((arcs[a], frame))
+    steps.reverse()
+    tokens = []
+    for a, frame in steps:
+        if a.ilabel != EPSILON:
+            src = frame if source_map is None else source_map[frame]
+            tokens.append((src if src != CUSTOM_BLANK else -1, a.ilabel))
+    return DecodeResult(
+        words=tuple(a.olabel for a, _ in steps if a.olabel != EPSILON),
+        tokens=tuple(tokens),
+        total_cost=best_total,
+        frames_processed=values.shape[0],
+        wall_time_ms=0.0,
+        tokens_alive_histogram=tuple(histogram),
+        path_graph_costs=tuple(a.weight for a, _ in steps),
+    )
+
+
 def random_decodable_graph(rng: np.random.Generator, max_states: int = 50,
                            vocab: int = 5) -> Fst:
     """Random emitting graph where every state has an emitting arc and a
@@ -264,6 +377,69 @@ def random_decodable_graph(rng: np.random.Generator, max_states: int = 50,
 def random_posteriors(rng: np.random.Generator, frames: int, vocab: int) -> PosteriorMatrix:
     raw = rng.dirichlet(np.ones(vocab), size=frames) if frames else np.empty((0, vocab))
     return PosteriorMatrix(raw)
+
+
+def random_search_case(rng: np.random.Generator, vocab: int = 4):
+    """A small graph and input built to stress the search's edge cases:
+    quantised weights (so costs tie), epsilon:word chains, finals reached
+    only through epsilon arcs, non-negative epsilon cycles, and rows that
+    are Dirichlet, two-way ties or one-hot (column 0 most often, as for
+    inserted blanks).  Most graphs also carry an epsilon diamond whose
+    tie is decided by the order in which the epsilon fixpoint visits
+    states.  Returns ``(graph, PosteriorMatrix)``; many cases have no
+    surviving path."""
+    n = int(rng.integers(2, 13))
+    g = Fst()
+    g.add_states(n)
+    g.set_start(0)
+
+    def q() -> float:
+        return float(rng.choice((0.0, 0.5, 1.0, 1.5, 4.0, 12.0)))
+
+    for s in range(n):
+        for _ in range(int(rng.integers(1, 5))):
+            il = 1 if rng.random() < 0.4 else int(rng.integers(1, vocab + 1))
+            g.add_arc(s, il, int(rng.integers(0, 4)) * 10, q(), int(rng.integers(0, n)))
+        for _ in range(int(rng.integers(0, 3))):  # epsilon:word chain link or jump
+            dst = s + 1 if s + 1 < n and rng.random() < 0.6 else int(rng.integers(0, n))
+            g.add_arc(s, EPSILON, int(rng.integers(0, 4)) * 10 + 1, q() % 2, dst)
+        if rng.random() < 0.5:
+            g.set_final(s, q())
+    if rng.random() < 0.5:  # a final state entered only by epsilon arcs
+        f = g.add_state()
+        for s in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+            g.add_arc(int(s), EPSILON, 99, q(), f)
+        g.set_final(f, q())
+    if rng.random() < 0.8:
+        # a < x < b < y, one frame from s: x is entered cheaply only through
+        # a, and a-x-y ties b-y, so the word on y depends on whether x is
+        # in the fixpoint's first sweep
+        s = int(rng.integers(0, n))
+        a, x, b, y = (g.add_state() for _ in range(4))
+        il = 1 if rng.random() < 0.6 else int(rng.integers(1, vocab + 1))
+        w, w1, w2 = (q() % 2 for _ in range(3))
+        g.add_arc(s, il, 0, w, a)
+        g.add_arc(s, il, 0, w, b)
+        g.add_arc(s, il, 0, w + 12.0, x)
+        g.add_arc(a, EPSILON, 0, w1, x)
+        g.add_arc(x, EPSILON, 41, w2, y)
+        g.add_arc(b, EPSILON, 51, w1 + w2, y)
+        g.add_arc(y, 1, 0, 0.0, y)
+        g.add_arc(y, il, 0, 0.0, int(rng.integers(0, n)))
+        g.set_final(y, 0.0)
+
+    rows = []
+    for _ in range(int(rng.integers(0, 10))):
+        kind = rng.random()
+        row = np.zeros(vocab)
+        if kind < 0.35:
+            row[0 if rng.random() < 0.6 else int(rng.integers(0, vocab))] = 1.0
+        elif kind < 0.6:
+            row[rng.choice(vocab, size=2, replace=False)] = 0.5
+        else:
+            row = rng.dirichlet(np.ones(vocab))
+        rows.append(row)
+    return g, PosteriorMatrix(np.array(rows).reshape(len(rows), vocab))
 
 
 # ----------------------------------------------------------------------

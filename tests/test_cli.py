@@ -149,6 +149,24 @@ class TestPipeline:
             assert rec["cost"] == pytest.approx(expect.total_cost)
             assert rec["frames"] == expect.frames_processed
 
+    def test_compress_writes_what_save_compressed_writes(self, workdir, posterior_dir):
+        from spikefst import CompressConfig, compress, load_compressed, load_posteriors, save_compressed
+
+        comp_dir = workdir / "comp_aed"
+        assert main(["compress", "--input", str(posterior_dir), "--out", str(comp_dir),
+                     "--mode", "aed_ioo"]) == 0
+        ref_dir = workdir / "ref_aed"
+        ref_dir.mkdir()
+        written = sorted(comp_dir.iterdir())
+        assert written and not [f for f in written if f.name.startswith(".")]
+        for path in sorted(posterior_dir.glob("*.spkf")):
+            comp = compress(load_posteriors(path, "binary"), CompressConfig(mode="aed_ioo"))
+            save_compressed(comp, ref_dir / path.name)
+            for suffix in ("", ".map"):
+                got = (comp_dir / (path.name + suffix)).read_bytes()
+                assert got == (ref_dir / (path.name + suffix)).read_bytes()
+            assert load_compressed(comp_dir / path.name).nonblank_count == comp.nonblank_count
+
     def test_score_identical_files_is_zero(self, workdir, capsys):
         rc = main(["score", "--refs", str(workdir / "refs.txt"),
                    "--hyps", str(workdir / "refs.txt")])

@@ -5,6 +5,7 @@ from helpers import collapse_oracle, compress_oracle
 from spikefst import (
     CUSTOM_BLANK,
     CompressConfig,
+    DataFormatError,
     LabelSequence,
     PosteriorMatrix,
     SynthConfig,
@@ -394,6 +395,62 @@ class TestSerialization:
         (tmp_path / "utt.spkf.map").unlink()
         back = load_compressed(path)
         assert isinstance(back, PosteriorMatrix)
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_round_trip_keeps_source_map_and_content_count(self, tmp_path, mode):
+        from spikefst import load_compressed, save_compressed
+
+        p = matrix_from_argmax([BLK, A, A, BLK, BLK, B, BLK, A])
+        c = compress(p, CompressConfig(mode=mode))
+        save_compressed(c, tmp_path / "utt.spkf")
+        back = load_compressed(tmp_path / "utt.spkf")
+        assert back.source_map == c.source_map
+        assert back.nonblank_count == c.nonblank_count
+
+    def test_aed_content_count_survives_round_trip(self, tmp_path):
+        # Content rows are the source frames, blank-argmax or not; the
+        # argmax rebuild used for sidecars without a count line gives 1.
+        from spikefst import load_compressed, save_compressed
+
+        c = compress(PosteriorMatrix(np.array([[0.6, 0.4], [0.3, 0.7]])),
+                     CompressConfig(mode="aed_ioo"))
+        assert c.nonblank_count == 2
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        assert (tmp_path / "utt.spkf.map").read_text().splitlines()[0] == "# nonblank 2"
+        assert load_compressed(path).nonblank_count == 2
+        sidecar = tmp_path / "utt.spkf.map"
+        sidecar.write_text("".join(line + "\n" for line in sidecar.read_text().splitlines()[1:]))
+        assert load_compressed(path).nonblank_count == 1
+
+    @pytest.mark.parametrize("first", [
+        "# nonblank", "# nonblank two", "# nonblank -1", "# nonblank 1 2",
+        "# blanks 1", "#nonblank 1", "# nonblank 9",
+    ])
+    def test_malformed_count_line_is_a_data_error(self, tmp_path, first):
+        from spikefst import load_compressed, save_compressed
+
+        c = compress(matrix_from_argmax([BLK, A, BLK]), CompressConfig(mode="ioo_koo"))
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        rows = (tmp_path / "utt.spkf.map").read_text().splitlines()[1:]
+        (tmp_path / "utt.spkf.map").write_text("\n".join([first, *rows]) + "\n")
+        with pytest.raises(DataFormatError):
+            load_compressed(path)
+
+    def test_count_line_after_rows_or_bad_row_is_a_data_error(self, tmp_path):
+        from spikefst import load_compressed, save_compressed
+
+        c = compress(matrix_from_argmax([BLK, A, BLK]), CompressConfig(mode="ioo_koo"))
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        sidecar = tmp_path / "utt.spkf.map"
+        first, *rows = sidecar.read_text().splitlines()
+        for lines in ([*rows, first], [first, "x", *rows[1:]]):
+            sidecar.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataFormatError, match="line"):
+                load_compressed(path)
 
 
 class TestDispatcher:

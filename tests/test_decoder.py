@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_decodable_graph, random_posteriors, viterbi_oracle
+from helpers import (
+    random_decodable_graph,
+    random_posteriors,
+    random_search_case,
+    search_oracle,
+    viterbi_oracle,
+)
 from spikefst import (
     CompressConfig,
     DecodeError,
@@ -236,6 +242,98 @@ class TestSearchContract:
             else:
                 assert res.same_search(decode(tlg, frames, cfg)), utt
         assert batch.results[1].frames_processed == 0
+
+
+    def test_epsilon_target_above_the_bound_is_still_stored(self):
+        # 0 -> 2 costs 20, far above the frame's bound (0 + beam 12), but 2
+        # has an epsilon arc.  Stored, 2 is in the fixpoint's first sweep:
+        # 1 lowers it to 1, it then reaches 4 at 2 with word 10 before 3
+        # reaches 4 at the same cost with word 20.  Dropped, 2 would only
+        # be swept after 3, and the tie would go to word 20.
+        g = Fst()
+        g.add_states(5)
+        g.set_start(0)
+        g.add_arc(0, 1, 0, 20.0, 2)
+        g.add_arc(0, 1, 0, 0.0, 1)
+        g.add_arc(0, 1, 0, 0.0, 3)
+        g.add_arc(1, 0, 0, 1.0, 2)
+        g.add_arc(2, 0, 10, 1.0, 4)
+        g.add_arc(3, 0, 20, 2.0, 4)
+        g.set_final(4, 0.0)
+        r = decode(g, PosteriorMatrix(np.full((1, 2), 0.5)), DecoderConfig(beam=12.0))
+        assert r.words == (10,)
+        assert r.path_graph_costs == (0.0, 1.0, 1.0)
+
+    def test_one_hot_view_keeps_arc_order(self):
+        # Two equal-cost blank arcs into state 1 with a token arc between
+        # them; a one-hot blank row reads only the blank arcs, and the
+        # lower arc id still wins the tie.
+        g = Fst()
+        g.add_states(2)
+        g.set_start(0)
+        g.add_arc(0, 1, 7, 0.5, 1)
+        g.add_arc(0, 2, 9, 0.0, 1)
+        g.add_arc(0, 1, 8, 0.5, 1)
+        g.set_final(1, 0.0)
+        r = decode(g, one_hot_rows([0]), WIDE)
+        assert r.words == (7,)
+        assert r.tokens == ((0, 1),)
+
+    def test_hot_column_no_arc_reads_fails_at_its_frame(self):
+        # The graph reads columns 0 and 1 only; frame 1 is one-hot on
+        # column 2, so no arc can consume it.
+        g = one_word_graph()
+        p = one_hot_rows([0, 2, 0], vocab=3)
+        with pytest.raises(DecodeError) as exc:
+            decode(g, p, WIDE)
+        assert str(exc.value) == "decode failed at frame 1: no live tokens survive pruning"
+        with pytest.raises(DecodeError) as old:
+            search_oracle(g, p, WIDE)
+        assert str(old.value) == str(exc.value)
+
+    def test_infinite_cost_tokens_are_not_carried(self):
+        # Every path crosses an emitting arc of infinite weight.  The search
+        # stores only finite costs, so it fails at the frame where the last
+        # finite token dies; the dict search it replaced carried the inf
+        # token to the end and failed there with "no final state reachable".
+        g = Fst()
+        g.add_states(2)
+        g.set_start(0)
+        g.add_arc(0, 1, 0, math.inf, 1)
+        g.add_arc(1, 1, 0, 0.0, 1)
+        g.set_final(1, 0.0)
+        p = one_hot_rows([0, 0])
+        with pytest.raises(DecodeError) as exc:
+            decode(g, p, WIDE)
+        assert str(exc.value) == "decode failed at frame 0: no live tokens survive pruning"
+        with pytest.raises(DecodeError, match="frame 2: no final state reachable"):
+            search_oracle(g, p, WIDE)
+
+
+class TestSearchOracle:
+    """``decode`` against the dict-stored token passing it replaced."""
+
+    def test_same_search_and_same_errors_on_random_cases(self):
+        rng = np.random.default_rng(20261018)
+        found = failed = 0
+        for trial in range(1500):
+            g, frames = random_search_case(rng)
+            if rng.random() < 0.3:
+                frames = compress(frames, CompressConfig(mode="ioo_koo"))
+            cfg = DecoderConfig(beam=float(rng.choice((0.5, 1.0, 2.0, 4.0, 8.0, 16.0))),
+                                max_active=int(rng.choice((1, 2, 3, 5000))))
+            try:
+                expected = search_oracle(g, frames, cfg)
+            except DecodeError as exc:
+                with pytest.raises(DecodeError) as got:
+                    decode(g, frames, cfg)
+                assert str(got.value) == str(exc), f"trial {trial}"
+                failed += 1
+                continue
+            got = decode(g, frames, cfg)
+            assert got.same_search(expected), f"trial {trial}: {got} vs {expected}"
+            found += 1
+        assert found >= 500 and failed >= 500
 
 
 class TestGraphEdits:
