@@ -77,7 +77,7 @@ class CompressedPosteriors:
                 raise ValidationError("compressed rows must remain stochastic")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "source_map", tuple(int(s) for s in self.source_map))
+        object.__setattr__(self, "source_map", tuple(map(int, self.source_map)))
 
     @property
     def frames(self) -> int:

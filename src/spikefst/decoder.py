@@ -28,9 +28,23 @@ epsilon arc, so storing all of them makes the epsilon fixpoint visit
 the same states in the same order with the same costs, and break ties
 the same way, as a search with no bound.
 
-A row with exactly one positive column (an inserted blank, an ``ioo_nb``
-one-hot row) reads the table's per-column view of the arcs, so only the
-arcs on that column are expanded.
+Each row's cheapest column ``h`` and second-cheapest cost are found
+once per call.  A row with one finite cost (an inserted blank, an
+``ioo_nb`` one-hot row) reads the table's per-column view of the arcs,
+so only the arcs on column ``h`` are expanded.  On any other row a live
+state ``s`` reads that view too when ``cost[s] + minw[s] + second >
+bound``, ``minw[s]`` being its cheapest emitting weight: every arc off
+column ``h`` then costs at least that much and could not be stored, and
+the view keeps arc order, so the same candidates are stored in the same
+order.  A state with an emitting arc into a state with non-emitting
+arcs always reads its full arc list: that arc's candidate is stored
+above the bound too (the exemption above), whatever column it reads.
+
+The epsilon fixpoint sweeps the epsilon sources that hold a token, in
+sorted order, and stops after a sweep that improved no epsilon source:
+the next sweep would relax the same arcs from the same costs and change
+nothing.  On graphs where no epsilon arc enters an epsilon source, as on
+those from ``build_tlg``, that is one sweep per frame.
 
 Decoding is deterministic: states are visited in sorted order, a token
 is replaced only by a strictly cheaper one, and equal-cost ties keep the
@@ -97,13 +111,17 @@ class _Table:
     """Search-time view of one version of a graph.  Arc ids index
     ``arcs`` in state order; traceback maps them back to labels.
     ``by_column[col][state]`` is ``emit[state]`` restricted to one
-    column, in arc order."""
+    column, in arc order.  ``minw[state]`` is the state's cheapest
+    emitting weight (``inf`` if it has none), and ``into_eps[state]``
+    says whether one of its emitting arcs enters a state in ``eps``."""
 
     version: int
     max_ilabel: int
     emit: tuple[tuple[tuple[int, float, int, int], ...], ...]  # (column, weight, next, id)
     by_column: tuple[list[tuple[tuple[int, float, int, int], ...]], ...]
     eps: dict[int, tuple[tuple[float, int, int], ...]]  # (weight, next, id), states with any
+    minw: list[float]
+    into_eps: list[bool]
     arcs: tuple[Arc, ...]
 
 
@@ -139,6 +157,8 @@ def _table(graph: Fst) -> _Table:
         emit=tuple(emit),
         by_column=by_column,
         eps=eps,
+        minw=[min((w for _, w, _, _ in s_emit), default=math.inf) for s_emit in emit],
+        into_eps=[any(ns in eps for _, _, ns, _ in s_emit) for s_emit in emit],
         arcs=tuple(arcs),
     )
     _tables[graph] = table
@@ -146,7 +166,8 @@ def _table(graph: Fst) -> _Table:
 
 
 def _eps_fixpoint(eps: dict, cost: list, back: dict, max_passes: int) -> None:
-    """Relax non-emitting arcs until no token improves.  A visit guard
+    """Relax non-emitting arcs until no epsilon source improves; a sweep
+    after one that improved none would change nothing.  A visit guard
     (pass cap) turns a negative-weight epsilon cycle into an error."""
     for _ in range(max_passes):
         changed = False
@@ -157,7 +178,8 @@ def _eps_fixpoint(eps: dict, cost: list, back: dict, max_passes: int) -> None:
                 if nc < cost[ns]:
                     cost[ns] = nc
                     back[ns] = (trace, aid, -1)
-                    changed = True
+                    if ns in eps:
+                        changed = True
         if not changed:
             return
     raise FstError("non-emitting arcs did not reach a fixpoint (negative cycle?)")
@@ -187,16 +209,18 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     if graph.start < 0:
         raise FstError("graph has no start state")
 
-    positive = values > 0.0
+    # fmax sends every entry that is not positive (NaN too) to 0, cost inf
     with np.errstate(divide="ignore"):
-        acoustic = np.where(positive, -np.log(values), math.inf)
-    rows = (cfg.acoustic_scale * acoustic).tolist()
-    hot = np.where(positive.sum(axis=1) == 1, positive.argmax(axis=1), -1).tolist()
+        acoustic = cfg.acoustic_scale * -np.log(np.fmax(values, 0.0))
+    rows = acoustic.tolist()
+    cheapest = acoustic.argmin(axis=1).tolist()
+    if vocab > 1:
+        seconds = np.sort(acoustic, axis=1)[:, 1].tolist()
+    else:
+        seconds = [math.inf] * n_frames
 
     emit, by_column, eps = table.emit, table.by_column, table.eps
-    # rows with one positive column read only that column's arcs; a column
-    # no arc reads keeps the full view, where every candidate is inf
-    views = [by_column[c] if 0 <= c < len(by_column) else emit for c in hot]
+    minw, into_eps = table.minw, table.into_eps
     max_passes = graph.num_states + 8
     inf = math.inf
     beam, max_active = cfg.beam, cfg.max_active
@@ -211,11 +235,15 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     histogram: list[int] = []
 
     for t, row in enumerate(rows):
-        arcs_of = views[t]
+        # a column no arc reads has no view; the full arc list stands in
+        h, second = cheapest[t], seconds[t]
+        hot = by_column[h] if h < len(by_column) else emit
+        # a row with one finite cost reads only that column's arcs
+        full = hot if second == inf else emit
         # the best token's candidates bound the cutoff from above; see the module doc
         c = cost[best]
         bound = inf
-        for col, w, _, _ in arcs_of[best]:
+        for col, w, _, _ in full[best]:
             nc = c + w + row[col]
             if nc < bound:
                 bound = nc
@@ -223,6 +251,8 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         nback: dict[int, tuple] = {}
         for s in live:
             c, trace = cost[s], back[s]
+            # only arcs on the cheapest column can pass the bound; see the module doc
+            arcs_of = hot if c + minw[s] + second > bound and not into_eps[s] else full
             for col, w, ns, aid in arcs_of[s]:
                 nc = c + w + row[col]
                 if (nc <= bound or ns in eps) and nc < nxt[ns]:

@@ -442,6 +442,37 @@ def random_search_case(rng: np.random.Generator, vocab: int = 4):
     return g, PosteriorMatrix(np.array(rows).reshape(len(rows), vocab))
 
 
+def spiky_search_case(rng: np.random.Generator, vocab: int = 4):
+    """A ``random_search_case`` graph on spiky rows.  Each row puts
+    0.9-0.99 on one column (column 0 most often, as for blanks) and
+    spreads the rest by a Dirichlet draw, so every other column costs
+    more than -log(0.1) and, at small beams, most live states read only
+    the peak column's arcs.  One more epsilon diamond is planted, like
+    ``random_search_case``'s, but with x entered on a non-blank column:
+    on a blank-peaked row that arc misses the bound, and the tie at y
+    goes to word 41 only if the arc into x is still expanded.  Returns
+    ``(graph, PosteriorMatrix)``."""
+    g, frames = random_search_case(rng, vocab)
+    s = int(rng.integers(0, g.num_states))
+    a, x, b, y = (g.add_state() for _ in range(4))
+    w1, w2 = (float(rng.choice((0.0, 0.5, 1.0))) for _ in range(2))
+    g.add_arc(s, 1, 0, 0.0, a)
+    g.add_arc(s, 1, 0, 0.0, b)
+    g.add_arc(s, int(rng.integers(2, vocab + 1)), 0, 0.0, x)
+    g.add_arc(a, EPSILON, 0, w1, x)
+    g.add_arc(x, EPSILON, 41, w2, y)
+    g.add_arc(b, EPSILON, 51, w1 + w2, y)
+    g.add_arc(y, 1, 0, 0.0, y)
+    g.set_final(y, 0.0)
+
+    n = frames.values.shape[0]
+    peak = rng.uniform(0.9, 0.99, size=n)
+    rows = (1.0 - peak)[:, None] * rng.dirichlet(np.ones(vocab), size=n)
+    cols = np.where(rng.random(n) < 0.6, 0, rng.integers(0, vocab, size=n))
+    rows[np.arange(n), cols] += peak
+    return g, PosteriorMatrix(rows)
+
+
 # ----------------------------------------------------------------------
 # Toy language: lexicon + bigram LM + corpora
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from helpers import (
     random_posteriors,
     random_search_case,
     search_oracle,
+    spiky_search_case,
     viterbi_oracle,
 )
 from spikefst import (
@@ -82,6 +83,21 @@ class TestDecodeBasics:
         g.add_arc(0, 9, 0, 0.0, 0)
         with pytest.raises(ValidationError, match="label 9"):
             decode(g, p, WIDE)
+
+    def test_tiny_negative_entry_costs_like_zero(self):
+        # Entries down to -1e-12 pass validation.  Column 0 must cost inf,
+        # not NaN, or it would be taken as the row's cheapest column and
+        # the narrowed view would skip the arc on column 1.
+        g = Fst()
+        g.add_states(2)
+        g.set_start(0)
+        g.add_arc(0, 2, 10, 0.0, 1)
+        g.add_arc(0, 3, 20, 0.0, 1)
+        g.set_final(1, 0.0)
+        cfg = DecoderConfig(beam=0.5)
+        r = decode(g, PosteriorMatrix([[-1e-13, 0.7, 0.3]]), cfg)
+        assert r.words == (10,)
+        assert r.same_search(decode(g, PosteriorMatrix([[0.0, 0.7, 0.3]]), cfg))
 
     def test_deterministic_apart_from_wall_time(self):
         rng = np.random.default_rng(0)
@@ -264,6 +280,26 @@ class TestSearchContract:
         assert r.words == (10,)
         assert r.path_graph_costs == (0.0, 1.0, 1.0)
 
+    def test_epsilon_target_keeps_the_full_view_on_a_spiky_row(self):
+        # As above, but 0 -> 2 reads column 1, which costs -log(0.03) = 3.5,
+        # more than the beam of 3 above the cheapest candidate.  All of
+        # 0's arcs off the cheap column 0 miss the bound, but 0 -> 2 enters
+        # an epsilon state, so 0 reads its full arc list and 2 is stored;
+        # reading column 0 only, it would drop 2 and the tie would go to
+        # word 20.
+        g = Fst()
+        g.add_states(5)
+        g.set_start(0)
+        g.add_arc(0, 2, 0, 0.0, 2)
+        g.add_arc(0, 1, 0, 0.0, 1)
+        g.add_arc(0, 1, 0, 0.0, 3)
+        g.add_arc(1, 0, 0, 1.0, 2)
+        g.add_arc(2, 0, 10, 1.0, 4)
+        g.add_arc(3, 0, 20, 2.0, 4)
+        g.set_final(4, 0.0)
+        r = decode(g, PosteriorMatrix([[0.97, 0.03]]), DecoderConfig(beam=3.0))
+        assert r.words == (10,)
+
     def test_one_hot_view_keeps_arc_order(self):
         # Two equal-cost blank arcs into state 1 with a token arc between
         # them; a one-hot blank row reads only the blank arcs, and the
@@ -313,14 +349,16 @@ class TestSearchContract:
 class TestSearchOracle:
     """``decode`` against the dict-stored token passing it replaced."""
 
-    def test_same_search_and_same_errors_on_random_cases(self):
-        rng = np.random.default_rng(20261018)
+    @staticmethod
+    def check_cases(rng, make_case, beams):
+        # 1 500 cases, 30% compressed with ioo_koo; each must give the
+        # same search or the same DecodeError text
         found = failed = 0
         for trial in range(1500):
-            g, frames = random_search_case(rng)
+            g, frames = make_case(rng)
             if rng.random() < 0.3:
                 frames = compress(frames, CompressConfig(mode="ioo_koo"))
-            cfg = DecoderConfig(beam=float(rng.choice((0.5, 1.0, 2.0, 4.0, 8.0, 16.0))),
+            cfg = DecoderConfig(beam=float(rng.choice(beams)),
                                 max_active=int(rng.choice((1, 2, 3, 5000))))
             try:
                 expected = search_oracle(g, frames, cfg)
@@ -334,6 +372,15 @@ class TestSearchOracle:
             assert got.same_search(expected), f"trial {trial}: {got} vs {expected}"
             found += 1
         assert found >= 500 and failed >= 500
+
+    def test_same_search_and_same_errors_on_random_cases(self):
+        self.check_cases(np.random.default_rng(20261018), random_search_case,
+                         (0.5, 1.0, 2.0, 4.0, 8.0, 16.0))
+
+    def test_same_search_and_same_errors_on_spiky_rows(self):
+        # smaller beams, so most live states read only the peak column's arcs
+        self.check_cases(np.random.default_rng(20261019), spiky_search_case,
+                         (0.5, 1.0, 2.0, 3.0, 4.0, 8.0))
 
 
 class TestGraphEdits:
