@@ -41,6 +41,7 @@ from .posterior import (
     PosteriorMatrix,
     argmax_labels,
     atomic_write,
+    check_stochastic,
     load_posteriors,
     save_posteriors,
 )
@@ -71,10 +72,7 @@ class CompressedPosteriors:
             raise ValidationError(f"compressed matrix must be 2-D, got {v.shape}")
         if len(self.source_map) != v.shape[0]:
             raise ValidationError("source_map length must match row count")
-        if v.shape[0] > 0:
-            sums = v.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-4):
-                raise ValidationError("compressed rows must remain stochastic")
+        check_stochastic(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "source_map", tuple(map(int, self.source_map)))

@@ -1,14 +1,28 @@
 """Frame-synchronous Viterbi beam search over a static decoding graph.
 
 Token passing: one live token per graph state, advanced one posterior
-frame at a time.  Each frame expands emitting arcs (input label k
-consumes posterior column k-1; blank is input 1, column 0), follows
-non-emitting arcs to a cost fixpoint, then prunes by beam width and the
-live-token cap.  Costs are negative natural logs plus graph weights, so
-lower is better and the result is the min-cost path to a final state.
+frame at a time.  Each frame relaxes the live tokens through their
+compiled entries (input label k consumes posterior column k-1; blank is
+input 1, column 0), then prunes by beam width and the live-token cap.
+Costs are negative natural logs plus graph weights, so lower is better
+and the result is the min-cost path to a final state.
 
-The search runs over a per-graph table of arc tuples compiled on the
-first decode and rebuilt whenever the graph's mutation counter moves.
+The search runs over a per-graph table compiled on the first decode and
+rebuilt whenever the graph's mutation counter moves.  Input-epsilon
+(non-emitting) arcs are compiled away there (Mohri, Pereira & Riley,
+2002).  A state's entries are, first, one per emitting arc
+``p -x/u-> s`` in arc order; then one continuation per such arc and per
+state ``f`` that ``s`` reaches through epsilon arcs, at weight ``u + v``,
+``v`` being the cheapest epsilon path's weight.  Continuations are
+ordered by ``s``, the epsilon state they pass through, then by arc
+order, then by ``f``.  Among epsilon paths of equal weight the one with
+fewer arcs wins, then the one whose arc ids (the graph's arcs in state
+order) are lower, compared in path order.  A candidate costs
+``c + (u + v) + acoustic``, and traceback reports every arc an entry
+crosses with its own weight.  The start state's epsilon closure gives
+the initial tokens.  A negative-weight epsilon cycle anywhere in the
+graph raises :class:`FstError` when the table is compiled, whether or
+not a token would reach it.
 
 Token costs live in two lists indexed by state, swapped each frame, with
 ``inf`` for "no token"; the frame's traces live in a state -> trace dict
@@ -18,37 +32,26 @@ is reused.  A candidate is stored only when it is strictly cheaper than
 the state's current cost, so zero-probability (``inf``) candidates are
 never stored.
 
-Before the expansion, the arcs of the previous frame's best token are
-relaxed; the cheapest of those costs plus the beam bounds this frame's
-cutoff from above (those candidates are among the frame's, and the
-epsilon fixpoint only lowers costs), so a candidate above the bound
-could never survive pruning and is dropped instead of stored.  States
-with non-emitting arcs are exempt: they can pass a cost on through an
-epsilon arc, so storing all of them makes the epsilon fixpoint visit
-the same states in the same order with the same costs, and break ties
-the same way, as a search with no bound.
+Before the expansion, the entries of the previous frame's best token
+are relaxed; the cheapest of those costs plus the beam bounds this
+frame's cutoff from above (those candidates are among the frame's), so a
+candidate above the bound could never survive pruning and is dropped
+instead of stored.
 
 Each row's cheapest column ``h`` and second-cheapest cost are found
 once per call.  A row with one finite cost (an inserted blank, an
-``ioo_nb`` one-hot row) reads the table's per-column view of the arcs,
-so only the arcs on column ``h`` are expanded.  On any other row a live
-state ``s`` reads that view too when ``cost[s] + minw[s] + second >
-bound``, ``minw[s]`` being its cheapest emitting weight: every arc off
-column ``h`` then costs at least that much and could not be stored, and
-the view keeps arc order, so the same candidates are stored in the same
-order.  A state with an emitting arc into a state with non-emitting
-arcs always reads its full arc list: that arc's candidate is stored
-above the bound too (the exemption above), whatever column it reads.
+``ioo_nb`` one-hot row) reads the table's per-column view of the
+entries, so only the entries on column ``h`` are expanded.  On any other
+row a live state ``s`` reads that view too when ``cost[s] + minw[s] +
+second > bound``, ``minw[s]`` being its cheapest entry weight: every
+entry off column ``h`` then costs at least that much and could not be
+stored, and the view keeps entry order, so the same candidates are
+stored in the same order.
 
-The epsilon fixpoint sweeps the epsilon sources that hold a token, in
-sorted order, and stops after a sweep that improved no epsilon source:
-the next sweep would relax the same arcs from the same costs and change
-nothing.  On graphs where no epsilon arc enters an epsilon source, as on
-those from ``build_tlg``, that is one sweep per frame.
-
-Decoding is deterministic: states are visited in sorted order, a token
-is replaced only by a strictly cheaper one, and equal-cost ties keep the
-path through the lower-numbered predecessor state.
+Decoding is deterministic: live states are expanded in sorted order,
+each through its entries in table order, and a token is replaced only
+by a strictly cheaper one, so equal-cost ties keep the path through the
+lower-numbered predecessor state, then through its earlier entry.
 """
 
 from __future__ import annotations
@@ -108,81 +111,81 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class _Table:
-    """Search-time view of one version of a graph.  Arc ids index
-    ``arcs`` in state order; traceback maps them back to labels.
+    """Search-time view of one version of a graph, epsilon arcs compiled
+    away (see the module doc).  ``emit[state]`` holds its entries
+    ``(column, weight, next, arcs crossed)``, and ``start`` the start
+    state's epsilon closure as ``(state, cost, arcs crossed)``.
     ``by_column[col][state]`` is ``emit[state]`` restricted to one
-    column, in arc order.  ``minw[state]`` is the state's cheapest
-    emitting weight (``inf`` if it has none), and ``into_eps[state]``
-    says whether one of its emitting arcs enters a state in ``eps``."""
+    column, in entry order; ``minw[state]`` is its cheapest entry weight
+    (``inf`` if it has none)."""
 
     version: int
     max_ilabel: int
-    emit: tuple[tuple[tuple[int, float, int, int], ...], ...]  # (column, weight, next, id)
-    by_column: tuple[list[tuple[tuple[int, float, int, int], ...]], ...]
-    eps: dict[int, tuple[tuple[float, int, int], ...]]  # (weight, next, id), states with any
+    emit: tuple[tuple[tuple[int, float, int, tuple[Arc, ...]], ...], ...]
+    by_column: tuple[list[tuple[tuple[int, float, int, tuple[Arc, ...]], ...]], ...]
     minw: list[float]
-    into_eps: list[bool]
-    arcs: tuple[Arc, ...]
+    start: tuple[tuple[int, float, tuple[Arc, ...]], ...]
 
 
 _tables: weakref.WeakKeyDictionary[Fst, _Table] = weakref.WeakKeyDictionary()
+
+
+def _eps_closure(eps: dict, s: int, n: int) -> dict:
+    """Cheapest epsilon path from *s* to each other state it reaches, as
+    ``{state: (weight, arc count, arc ids, arcs)}`` in state order; the
+    tuple order is the tie rule.  Without a negative cycle no stored path
+    repeats a state, so a path of *n* arcs means there is one."""
+    best = {s: (0.0, 0, (), ())}
+    todo = [s]
+    while todo:
+        q = todo.pop()
+        v, k, ids, path = best[q]
+        for aid, a in eps.get(q, ()):
+            cand = (v + a.weight, k + 1, ids + (aid,), path + (a,))
+            if cand < best.get(a.nextstate, (math.inf,)):
+                if k + 1 >= n:
+                    raise FstError("non-emitting arcs did not reach a fixpoint (negative cycle?)")
+                best[a.nextstate] = cand
+                todo.append(a.nextstate)
+    return {f: best[f] for f in sorted(best) if f != s}
 
 
 def _table(graph: Fst) -> _Table:
     table = _tables.get(graph)
     if table is not None and table.version == graph.version:
         return table
-    arcs: list[Arc] = []
+    n = graph.num_states
+    arcs = [(s, a) for s in range(n) for a in graph.arcs(s)]  # index = arc id
+    eps: dict[int, list[tuple[int, Arc]]] = {}
+    for aid, (s, a) in enumerate(arcs):
+        if a.ilabel < 0:
+            raise ValidationError(f"state {s} has an arc with input label {a.ilabel} < 0")
+        if a.ilabel == EPSILON:
+            eps.setdefault(s, []).append((aid, a))
+    closure = {s: _eps_closure(eps, s, n) for s in eps}
     emit = []
-    eps = {}
-    for s in range(graph.num_states):
-        s_emit, s_eps = [], []
-        for a in graph.arcs(s):
-            if a.ilabel == EPSILON:
-                s_eps.append((a.weight, a.nextstate, len(arcs)))
-            else:
-                s_emit.append((a.ilabel - 1, a.weight, a.nextstate, len(arcs)))
-            arcs.append(a)
-        emit.append(tuple(s_emit))
-        if s_eps:
-            eps[s] = tuple(s_eps)
-    max_ilabel = max((a.ilabel for a in arcs), default=0)
-    by_column = tuple([()] * graph.num_states for _ in range(max_ilabel))
-    for s, s_emit in enumerate(emit):
-        for arc in s_emit:
-            by_column[arc[0]][s] += (arc,)
+    for s in range(n):
+        out = [a for a in graph.arcs(s) if a.ilabel != EPSILON]
+        entries = [(a.ilabel - 1, a.weight, a.nextstate, (a,)) for a in out]
+        for a in sorted(out, key=lambda a: a.nextstate):  # stable: arc order within one state
+            for f, (v, _, _, via) in closure.get(a.nextstate, {}).items():
+                entries.append((a.ilabel - 1, a.weight + v, f, (a,) + via))
+        emit.append(tuple(entries))
+    max_ilabel = max((a.ilabel for _, a in arcs), default=0)
+    by_column = tuple([()] * n for _ in range(max_ilabel))
+    for s, entries in enumerate(emit):
+        for e in entries:
+            by_column[e[0]][s] += (e,)
     table = _Table(
         version=graph.version,
         max_ilabel=max_ilabel,
         emit=tuple(emit),
         by_column=by_column,
-        eps=eps,
-        minw=[min((w for _, w, _, _ in s_emit), default=math.inf) for s_emit in emit],
-        into_eps=[any(ns in eps for _, _, ns, _ in s_emit) for s_emit in emit],
-        arcs=tuple(arcs),
+        minw=[min((w for _, w, _, _ in entries), default=math.inf) for entries in emit],
+        start=tuple((f, v, via) for f, (v, _, _, via) in closure.get(graph.start, {}).items()),
     )
     _tables[graph] = table
     return table
-
-
-def _eps_fixpoint(eps: dict, cost: list, back: dict, max_passes: int) -> None:
-    """Relax non-emitting arcs until no epsilon source improves; a sweep
-    after one that improved none would change nothing.  A visit guard
-    (pass cap) turns a negative-weight epsilon cycle into an error."""
-    for _ in range(max_passes):
-        changed = False
-        for s in sorted(eps.keys() & back.keys()):
-            c, trace = cost[s], back[s]
-            for w, ns, aid in eps[s]:
-                nc = c + w
-                if nc < cost[ns]:
-                    cost[ns] = nc
-                    back[ns] = (trace, aid, -1)
-                    if ns in eps:
-                        changed = True
-        if not changed:
-            return
-    raise FstError("non-emitting arcs did not reach a fixpoint (negative cycle?)")
 
 
 def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
@@ -219,26 +222,26 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     else:
         seconds = [math.inf] * n_frames
 
-    emit, by_column, eps = table.emit, table.by_column, table.eps
-    minw, into_eps = table.minw, table.into_eps
-    max_passes = graph.num_states + 8
+    emit, by_column, minw = table.emit, table.by_column, table.minw
     inf = math.inf
     beam, max_active = cfg.beam, cfg.max_active
     # cost[s] is the live token's cost or inf; back maps each reached state
-    # to its trace, (prev trace, arc id, frame or -1)
+    # to its trace, (prev trace, arcs crossed, frame or -1)
     cost, nxt = [inf] * graph.num_states, [inf] * graph.num_states
     cost[graph.start] = 0.0
     back: dict[int, tuple | None] = {graph.start: None}
-    _eps_fixpoint(eps, cost, back, max_passes)
+    for s, v, path in table.start:
+        cost[s] = v
+        back[s] = (None, path, -1)
     live = sorted(back)
     best = min(live, key=cost.__getitem__)
     histogram: list[int] = []
 
     for t, row in enumerate(rows):
-        # a column no arc reads has no view; the full arc list stands in
+        # a column no entry reads has no view; the full entry lists stand in
         h, second = cheapest[t], seconds[t]
         hot = by_column[h] if h < len(by_column) else emit
-        # a row with one finite cost reads only that column's arcs
+        # a row with one finite cost reads only that column's entries
         full = hot if second == inf else emit
         # the best token's candidates bound the cutoff from above; see the module doc
         c = cost[best]
@@ -251,19 +254,16 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         nback: dict[int, tuple] = {}
         for s in live:
             c, trace = cost[s], back[s]
-            # only arcs on the cheapest column can pass the bound; see the module doc
-            arcs_of = hot if c + minw[s] + second > bound and not into_eps[s] else full
-            for col, w, ns, aid in arcs_of[s]:
+            # only entries on the cheapest column can pass the bound; see the module doc
+            for col, w, ns, path in (hot if c + minw[s] + second > bound else full)[s]:
                 nc = c + w + row[col]
-                if (nc <= bound or ns in eps) and nc < nxt[ns]:
+                if nc <= bound and nc < nxt[ns]:
                     nxt[ns] = nc
-                    nback[ns] = (trace, aid, t)
+                    nback[ns] = (trace, path, t)
         for s in back:
             cost[s] = inf
         if not nback:
             raise DecodeError(t)
-        if eps:
-            _eps_fixpoint(eps, nxt, nback, max_passes)
         reached = sorted(nback)
         best = min(reached, key=nxt.__getitem__)
         cutoff = nxt[best] + beam
@@ -289,8 +289,8 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     steps = []
     node = back[best_state]
     while node is not None:
-        node, aid, frame = node
-        steps.append((table.arcs[aid], frame))
+        node, path, frame = node
+        steps += [(a, frame) for a in reversed(path)]
     steps.reverse()
     words = tuple(a.olabel for a, _ in steps if a.olabel != EPSILON)
     tokens = []

@@ -28,6 +28,22 @@ _MAX_CELLS = 1 << 28
 ROW_SUM_TOL = 1e-4
 
 
+def check_stochastic(v: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless every entry of the 2-D array
+    *v* is finite and in [0, 1] and every row sums to 1 +/- ROW_SUM_TOL."""
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("posterior matrix contains non-finite values")
+    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+        raise ValidationError("posterior entries must lie in [0, 1]")
+    if v.shape[0] > 0:
+        sums = v.sum(axis=1)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+        if bad.size:
+            raise ValidationError(
+                f"row {bad[0]} sums to {sums[bad[0]]:.6f}, expected 1 +/- {ROW_SUM_TOL}"
+            )
+
+
 @dataclass(frozen=True)
 class PosteriorMatrix:
     """T x V matrix of per-frame token probabilities, blank in column 0."""
@@ -40,17 +56,7 @@ class PosteriorMatrix:
             raise ValidationError(f"posterior matrix must be 2-D, got shape {v.shape}")
         if v.shape[1] < 2:
             raise ValidationError("vocab size must be >= 2 (blank plus one token)")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("posterior matrix contains non-finite values")
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-            raise ValidationError("posterior entries must lie in [0, 1]")
-        if v.shape[0] > 0:
-            sums = v.sum(axis=1)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-            if bad.size:
-                raise ValidationError(
-                    f"row {bad[0]} sums to {sums[bad[0]]:.6f}, expected 1 +/- {ROW_SUM_TOL}"
-                )
+        check_stochastic(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

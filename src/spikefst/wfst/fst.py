@@ -304,19 +304,25 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
             continue
         try:
             if len(parts) in (4, 5):
-                src, dst, il, ol = (int(x) for x in parts[:4])
-                w = float(parts[4]) if len(parts) == 5 else 0.0
-                ensure(max(src, dst))
-                out.add_arc(src, il, ol, w, dst)
+                ids = [int(x) for x in parts[:4]]
             elif len(parts) in (1, 2):
-                state = int(parts[0])
-                w = float(parts[1]) if len(parts) == 2 else 0.0
-                ensure(state)
-                out.set_final(state, w)
+                ids = [int(parts[0])]
             else:
                 raise ValueError("bad field count")
+            w = float(parts[len(ids)]) if len(parts) > len(ids) else 0.0
         except ValueError:
             raise DataFormatError(f"{path}: line {ln}: malformed FST line {line!r}") from None
+        if min(ids) < 0:
+            raise DataFormatError(f"{path}: line {ln}: negative state id or label in {line!r}")
+        if math.isnan(w):
+            raise DataFormatError(f"{path}: line {ln}: NaN weight in {line!r}")
+        if len(ids) == 4:
+            src, dst, il, ol = ids
+            ensure(max(src, dst))
+            out.add_arc(src, il, ol, w, dst)
+        else:
+            ensure(ids[0])
+            out.set_final(ids[0], w)
         if not start_seen:
             out.set_start(int(parts[0]))
             start_seen = True

@@ -4,8 +4,9 @@ The oracles here deliberately use different algorithm families from the
 production code: exhaustive path enumeration and string-indexed dynamic
 programs instead of subset constructions and token passing, plain
 recursion instead of the tabular edit-distance, groupby instead of the
-run-length scanner, and dict-stored tokens with no cutoff bound instead
-of the decoder's list-indexed costs.
+run-length scanner, dict-stored tokens with no cutoff bound instead of
+the decoder's list-indexed costs, and enumerated simple epsilon paths
+instead of the decoder's label-correcting epsilon closure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from spikefst.compress import CUSTOM_BLANK
 from spikefst.decoder import DecodeResult
 from spikefst.errors import DecodeError, FstError, ValidationError
 from spikefst.graph import Lexicon, build_grammar_fst, build_lexicon_fst, build_token_fst, parse_arpa
-from spikefst.wfst import EPSILON, Fst
+from spikefst.wfst import EPSILON, Arc, Fst
 
 
 # ----------------------------------------------------------------------
@@ -245,13 +246,16 @@ def viterbi_oracle(graph: Fst, values: np.ndarray, acoustic_scale: float = 1.0) 
     )
 
 
-def search_oracle(graph: Fst, frames, cfg):
-    """The dict-based token passing that ``decode`` replaced, kept as a
-    reference: every candidate is stored in a state -> (cost, trace) dict,
-    the epsilon fixpoint relaxes those dicts, and pruning filters them
-    after each frame.  Returns a ``DecodeResult`` with zero wall time and
-    raises the same errors as ``decode`` (``inf``-cost tokens aside: this
-    search carries them, ``decode`` drops them)."""
+def fixpoint_oracle(graph: Fst, frames, cfg):
+    """Dict-stored token passing that follows epsilon arcs at search time:
+    after each frame's emitting arcs, epsilon sources holding a token are
+    swept in sorted order until a sweep changes nothing, and pruning then
+    filters the dict.  This is how ``decode`` searched before it compiled
+    epsilon closures into its table; the two differ only in how ties
+    between equal-cost routes through epsilon arcs break, and in float
+    rounding when an epsilon weight is added, so on graphs from
+    ``build_tlg`` they give the same results.  Returns a ``DecodeResult``
+    with zero wall time; carries ``inf``-cost tokens."""
     values = frames.values
     source_map = getattr(frames, "source_map", None)
     arcs = [a for s in range(graph.num_states) for a in graph.arcs(s)]
@@ -286,7 +290,7 @@ def search_oracle(graph: Fst, frames, cfg):
                     nc = cost + w
                     entry = active.get(ns)
                     if entry is None or nc < entry[0]:
-                        active[ns] = (nc, (trace, a, -1))
+                        active[ns] = (nc, (trace, (a,), -1))
                         changed = True
             if not changed:
                 return
@@ -308,7 +312,7 @@ def search_oracle(graph: Fst, frames, cfg):
                 nc = cost + w + ac
                 entry = nxt.get(ns)
                 if entry is None or nc < entry[0]:
-                    nxt[ns] = (nc, (trace, a, t))
+                    nxt[ns] = (nc, (trace, (a,), t))
         if not nxt:
             raise DecodeError(t)
         eps_fixpoint(nxt)
@@ -321,6 +325,116 @@ def search_oracle(graph: Fst, frames, cfg):
             raise DecodeError(t)
         histogram.append(len(active))
 
+    return _oracle_result(graph, arcs, active, values.shape[0], source_map, histogram)
+
+
+def eps_paths_oracle(graph: Fst) -> dict[int, dict[int, tuple[float, tuple[int, ...]]]]:
+    """Every state's cheapest input-epsilon path to each other state it
+    reaches, ``{s: {f: (weight, arc ids)}}``, by enumerating every simple
+    epsilon path.  Weights are summed from the first arc on; among equal
+    weights the path with fewer arcs wins, then the one with lower arc ids
+    (the graph's arcs numbered in state order) in path order.  Raises
+    ``FstError`` if some epsilon cycle has negative weight."""
+    eps: dict[int, list[tuple[int, Arc]]] = {}
+    aid = 0
+    for s in range(graph.num_states):
+        for a in graph.arcs(s):
+            if a.ilabel == EPSILON:
+                eps.setdefault(s, []).append((aid, a))
+            aid += 1
+    out: dict[int, dict[int, tuple[float, tuple[int, ...]]]] = {}
+
+    def walk(on_path, weights, ids, best):
+        for i, a in eps.get(on_path[-1], ()):
+            if a.nextstate in on_path:
+                cycle = weights[on_path.index(a.nextstate):] + [a.weight]
+                if sum(cycle) < 0:
+                    raise FstError("non-emitting arcs did not reach a fixpoint (negative cycle?)")
+                continue
+            key = (sum(weights + [a.weight]), len(ids) + 1, ids + (i,))
+            if key < best.get(a.nextstate, (math.inf,)):
+                best[a.nextstate] = key
+            walk(on_path + [a.nextstate], weights + [a.weight], ids + (i,), best)
+
+    for s in eps:
+        best: dict = {}
+        walk([s], [], (), best)
+        out[s] = {f: (v, ids) for f, (v, _, ids) in best.items()}
+    return out
+
+
+def search_oracle(graph: Fst, frames, cfg):
+    """Dict-stored token passing with no cutoff bound, over the epsilon
+    contract of ``decoder.py`` computed from ``eps_paths_oracle``: each
+    live state, in sorted order, relaxes its emitting arcs in arc order,
+    then one continuation per emitting arc into an epsilon state s and
+    per state f that s reaches, ordered by s, then arc order, then f, at
+    cost ``c + (u + v) + acoustic``.  Candidates are stored in a
+    state -> (cost, trace) dict and pruned after each frame.  Returns a
+    ``DecodeResult`` with zero wall time and raises the same errors as
+    ``decode`` (``inf``-cost tokens aside: this search carries them,
+    ``decode`` drops them)."""
+    values = frames.values
+    source_map = getattr(frames, "source_map", None)
+    arcs = [a for s in range(graph.num_states) for a in graph.arcs(s)]
+    max_ilabel = max((a.ilabel for a in arcs), default=0)
+    if max_ilabel > values.shape[1]:
+        raise ValidationError(
+            f"graph consumes input label {max_ilabel} but posteriors have only "
+            f"{values.shape[1]} columns (label k reads column k-1)"
+        )
+    if graph.start < 0:
+        raise FstError("graph has no start state")
+    closure = eps_paths_oracle(graph)
+    moves = []  # per state: (column, weight, next, arc ids) in contract order
+    aid = 0
+    for s in range(graph.num_states):
+        direct, via = [], []
+        for a in graph.arcs(s):
+            if a.ilabel != EPSILON:
+                direct.append((a.ilabel - 1, a.weight, a.nextstate, (aid,)))
+                for f, (v, ids) in sorted(closure.get(a.nextstate, {}).items()):
+                    via.append((a.nextstate, len(via),
+                                (a.ilabel - 1, a.weight + v, f, (aid,) + ids)))
+            aid += 1
+        moves.append(direct + [m for _, _, m in sorted(via)])
+
+    with np.errstate(divide="ignore"):
+        rows = (cfg.acoustic_scale * np.where(values > 0.0, -np.log(values), math.inf)).tolist()
+    active = {graph.start: (0.0, None)}
+    for f, (v, ids) in closure.get(graph.start, {}).items():
+        active[f] = (v, (None, ids, -1))
+    histogram = []
+    for t, row in enumerate(rows):
+        nxt: dict = {}
+        for s in sorted(active):
+            cost, trace = active[s]
+            for col, w, ns, ids in moves[s]:
+                ac = row[col]
+                if ac == math.inf:
+                    continue
+                nc = cost + w + ac
+                entry = nxt.get(ns)
+                if entry is None or nc < entry[0]:
+                    nxt[ns] = (nc, (trace, ids, t))
+        if not nxt:
+            raise DecodeError(t)
+        cutoff = min(e[0] for e in nxt.values()) + cfg.beam
+        active = {s: e for s, e in nxt.items() if e[0] <= cutoff}
+        if len(active) > cfg.max_active:
+            kept = heapq.nsmallest(cfg.max_active, [(e[0], s) for s, e in active.items()])
+            active = {s: nxt[s] for _, s in kept}
+        if not active:
+            raise DecodeError(t)
+        histogram.append(len(active))
+    return _oracle_result(graph, arcs, active, values.shape[0], source_map, histogram)
+
+
+def _oracle_result(graph: Fst, arcs, active: dict, n_frames: int, source_map,
+                   histogram) -> DecodeResult:
+    """The best final token of *active*, ``{state: (cost, trace)}`` with
+    traces ``(prev, arc ids, frame or -1)``, as a ``DecodeResult`` with
+    zero wall time."""
     best_state, best_total = -1, math.inf
     for s in sorted(active):
         wf = graph.final_weight(s)
@@ -330,12 +444,12 @@ def search_oracle(graph: Fst, frames, cfg):
         if total < best_total:
             best_state, best_total = s, total
     if best_state < 0:
-        raise DecodeError(values.shape[0], "no final state reachable at end of input")
+        raise DecodeError(n_frames, "no final state reachable at end of input")
     steps = []
     node = active[best_state][1]
     while node is not None:
-        node, a, frame = node
-        steps.append((arcs[a], frame))
+        node, ids, frame = node
+        steps += [(arcs[i], frame) for i in reversed(ids)]
     steps.reverse()
     tokens = []
     for a, frame in steps:
@@ -346,7 +460,7 @@ def search_oracle(graph: Fst, frames, cfg):
         words=tuple(a.olabel for a, _ in steps if a.olabel != EPSILON),
         tokens=tuple(tokens),
         total_cost=best_total,
-        frames_processed=values.shape[0],
+        frames_processed=n_frames,
         wall_time_ms=0.0,
         tokens_alive_histogram=tuple(histogram),
         path_graph_costs=tuple(a.weight for a, _ in steps),
@@ -385,9 +499,9 @@ def random_search_case(rng: np.random.Generator, vocab: int = 4):
     only through epsilon arcs, non-negative epsilon cycles, and rows that
     are Dirichlet, two-way ties or one-hot (column 0 most often, as for
     inserted blanks).  Most graphs also carry an epsilon diamond whose
-    tie is decided by the order in which the epsilon fixpoint visits
-    states.  Returns ``(graph, PosteriorMatrix)``; many cases have no
-    surviving path."""
+    tie is decided by the order of a state's continuation entries (see
+    ``decoder.py``).  Returns ``(graph, PosteriorMatrix)``; many cases
+    have no surviving path."""
     n = int(rng.integers(2, 13))
     g = Fst()
     g.add_states(n)
@@ -412,8 +526,8 @@ def random_search_case(rng: np.random.Generator, vocab: int = 4):
         g.set_final(f, q())
     if rng.random() < 0.8:
         # a < x < b < y, one frame from s: x is entered cheaply only through
-        # a, and a-x-y ties b-y, so the word on y depends on whether x is
-        # in the fixpoint's first sweep
+        # a, and a-x-y ties b-y, so the word on y depends on whether the
+        # continuation through a comes before the one through b
         s = int(rng.integers(0, n))
         a, x, b, y = (g.add_state() for _ in range(4))
         il = 1 if rng.random() < 0.6 else int(rng.integers(1, vocab + 1))
@@ -448,10 +562,10 @@ def spiky_search_case(rng: np.random.Generator, vocab: int = 4):
     spreads the rest by a Dirichlet draw, so every other column costs
     more than -log(0.1) and, at small beams, most live states read only
     the peak column's arcs.  One more epsilon diamond is planted, like
-    ``random_search_case``'s, but with x entered on a non-blank column:
-    on a blank-peaked row that arc misses the bound, and the tie at y
-    goes to word 41 only if the arc into x is still expanded.  Returns
-    ``(graph, PosteriorMatrix)``."""
+    ``random_search_case``'s, but with x entered on a non-blank column,
+    so on a blank-peaked row the arc into x misses the bound while the
+    continuations through a and b, on the blank column, tie at y.
+    Returns ``(graph, PosteriorMatrix)``."""
     g, frames = random_search_case(rng, vocab)
     s = int(rng.integers(0, g.num_states))
     a, x, b, y = (g.add_state() for _ in range(4))

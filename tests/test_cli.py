@@ -236,3 +236,17 @@ class TestExitCodes:
         rc = main(["decode", "--graph-dir", str(graph_dir), "--input", str(bad_dir),
                    "--out", str(workdir / "bad.jsonl"), "--beam", "4"])
         assert rc == 3
+
+    @pytest.mark.parametrize("fst_text", [
+        "0 1 -1 0 0.5\n1\n",  # a negative input label
+        "0 1 1 0\n1 2 0 0 -1\n2 1 0 0 0.5\n1\n",  # an epsilon cycle of weight -0.5
+    ])
+    def test_bad_graph_is_two(self, tmp_path, graph_dir, posterior_dir, fst_text):
+        bad = tmp_path / "graph"
+        bad.mkdir()
+        for name in ("tokens.txt", "words.txt"):
+            (bad / name).write_text((graph_dir / name).read_text())
+        (bad / "tlg.fst.txt").write_text(fst_text)
+        rc = main(["decode", "--graph-dir", str(bad), "--input", str(posterior_dir),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2

@@ -5,6 +5,7 @@ from helpers import collapse_oracle, compress_oracle
 from spikefst import (
     CUSTOM_BLANK,
     CompressConfig,
+    CompressedPosteriors,
     DataFormatError,
     LabelSequence,
     PosteriorMatrix,
@@ -459,6 +460,17 @@ class TestDispatcher:
         c = compress(p, CompressConfig(mode="dense"))
         np.testing.assert_array_equal(c.values, p.values)
         assert c.source_map == (0, 1, 2)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[np.nan, 0.5], [1.5, -0.5]], "non-finite"),
+        ([[1.5, -0.5]], r"lie in \[0, 1\]"),
+        ([[0.5, 0.4]], "row 0 sums to"),
+    ])
+    def test_compressed_rows_checked_like_posterior_matrix(self, rows, match):
+        with pytest.raises(ValidationError, match=match):
+            CompressedPosteriors(np.array(rows), tuple(range(len(rows))), 1)
+        with pytest.raises(ValidationError, match=match):
+            PosteriorMatrix(np.array(rows))
 
     def test_nb_onehot_is_all_or_max(self):
         assert CompressConfig(mode="ioo_nb").label() == "ioo_nb/all"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    fixpoint_oracle,
     random_decodable_graph,
     random_posteriors,
     random_search_case,
@@ -15,6 +16,7 @@ from spikefst import (
     CompressConfig,
     DecodeError,
     DecoderConfig,
+    FstError,
     PosteriorMatrix,
     ValidationError,
     compress,
@@ -346,8 +348,118 @@ class TestSearchContract:
             search_oracle(g, p, WIDE)
 
 
+class TestEpsilonClosure:
+    """Input-epsilon arcs are compiled into the table: each emitting arc
+    gets one continuation per state its target reaches through epsilon
+    arcs, on the cheapest such path, and the start state's closure gives
+    the initial tokens."""
+
+    def test_negative_epsilon_cycle_raises_on_first_decode(self):
+        # The cycle 3 -> 4 -> 3 weighs -0.5, and no token can reach it.
+        g = one_word_graph()
+        g.add_states(2)
+        g.add_arc(3, 0, 0, -1.0, 4)
+        g.add_arc(4, 0, 0, 0.5, 3)
+        for _ in range(2):  # a failed compile is not cached
+            with pytest.raises(FstError) as exc:
+                decode(g, one_hot_rows([0, 1, 0]), WIDE)
+            assert str(exc.value) == "non-emitting arcs did not reach a fixpoint (negative cycle?)"
+
+    def test_equal_cost_epsilon_paths_fewer_arcs_then_lower_arc_ids(self):
+        # From 1, the epsilon paths 1-3-4 (arc ids 1, 4; word 30) and 1-2-4
+        # (arc ids 2, 3; word 20) both weigh 1.0.  Lower arc ids win, though
+        # the other path passes through the lower state; a one-arc path of
+        # the same weight (word 40), added last, beats both.
+        g = Fst()
+        g.add_states(5)
+        g.set_start(0)
+        g.add_arc(0, 1, 0, 0.0, 1)
+        g.add_arc(1, 0, 0, 0.5, 3)
+        g.add_arc(1, 0, 0, 0.5, 2)
+        g.add_arc(2, 0, 20, 0.5, 4)
+        g.add_arc(3, 0, 30, 0.5, 4)
+        g.set_final(4, 0.0)
+        p = one_hot_rows([0])
+        r = decode(g, p, WIDE)
+        assert r.words == (30,)
+        assert r.path_graph_costs == (0.0, 0.5, 0.5)
+        g.add_arc(1, 0, 40, 1.0, 4)
+        r = decode(g, p, WIDE)
+        assert r.words == (40,)
+        assert r.path_graph_costs == (0.0, 1.0)
+
+    def test_cheapest_epsilon_path_not_first_found(self):
+        # 1 -> 3 directly weighs 3.0 and is found first; 1 -> 2 -> 3 weighs 0.
+        g = Fst()
+        g.add_states(4)
+        g.set_start(0)
+        g.add_arc(0, 1, 0, 0.0, 1)
+        g.add_arc(1, 0, 10, 3.0, 3)
+        g.add_arc(1, 0, 0, 0.0, 2)
+        g.add_arc(2, 0, 20, 0.0, 3)
+        g.set_final(3, 0.0)
+        r = decode(g, one_hot_rows([0]), WIDE)
+        assert r.words == (20,)
+        assert r.total_cost == 0.0
+
+    def test_epsilon_weight_joins_the_arc_weight_before_the_acoustic_cost(self):
+        u, v = 0.1, 0.2
+        ac = float(-np.log(0.5))
+        assert (u + v) + ac != (u + ac) + v  # the two orders round apart here
+        g = Fst()
+        g.add_states(3)
+        g.set_start(0)
+        g.add_arc(0, 1, 0, u, 1)
+        g.add_arc(1, 0, 7, v, 2)
+        g.set_final(2, 0.0)
+        r = decode(g, PosteriorMatrix(np.full((1, 2), 0.5)), WIDE)
+        assert r.words == (7,)
+        assert r.total_cost == (u + v) + ac
+        assert r.path_graph_costs == (u, v)
+
+    def test_negative_epsilon_weight_counts_in_the_narrowing_gate(self):
+        # 0 -> 2 reads column 1, which costs -log(0.03) = 3.5, but the
+        # epsilon arc 2 -> 3 takes 5 off, so 0's continuation to 3 is the
+        # frame's cheapest candidate (-1.5).  0's cheapest entry weight is
+        # -5, so 0 keeps its full entry list and 3 is stored.
+        g = Fst()
+        g.add_states(4)
+        g.set_start(0)
+        g.add_arc(0, 1, 0, 0.0, 1)
+        g.add_arc(0, 2, 0, 0.0, 2)
+        g.add_arc(2, 0, 10, -5.0, 3)
+        g.set_final(3, 0.0)
+        r = decode(g, PosteriorMatrix([[0.97, 0.03]]), DecoderConfig(beam=3.0))
+        assert r.words == (10,)
+        assert r.total_cost == pytest.approx(-5.0 - math.log(0.03))
+
+    def test_start_closure_gives_initial_tokens(self):
+        # Only the start state's epsilon arc leads to an emitting arc.
+        g = Fst()
+        g.add_states(3)
+        g.set_start(0)
+        g.add_arc(0, 0, 5, 0.5, 1)
+        g.add_arc(1, 1, 0, 0.25, 2)
+        g.set_final(2, 0.0)
+        r = decode(g, one_hot_rows([0]), WIDE)
+        assert r.words == (5,)
+        assert r.tokens == ((0, 1),)
+        assert r.path_graph_costs == (0.5, 0.25)
+        assert r.total_cost == 0.75
+
+    def test_negative_input_label_rejected(self):
+        g = Fst()
+        g.add_states(2)
+        g.set_start(0)
+        g.add_arc(0, -1, 0, 0.0, 1)
+        g.set_final(1, 0.0)
+        with pytest.raises(ValidationError, match="input label -1"):
+            decode(g, one_hot_rows([0]), WIDE)
+
+
 class TestSearchOracle:
-    """``decode`` against the dict-stored token passing it replaced."""
+    """``decode`` against ``search_oracle``: dict-stored token passing
+    with no cutoff bound, over enumerated epsilon paths."""
 
     @staticmethod
     def check_cases(rng, make_case, beams):
@@ -381,6 +493,20 @@ class TestSearchOracle:
         # smaller beams, so most live states read only the peak column's arcs
         self.check_cases(np.random.default_rng(20261019), spiky_search_case,
                          (0.5, 1.0, 2.0, 3.0, 4.0, 8.0))
+
+
+class TestFixpointOracle:
+    """On graphs from ``build_tlg``, whose epsilon arcs are single
+    epsilon:word flush arcs, the compiled closure gives exactly what the
+    per-frame epsilon fixpoint gave."""
+
+    @pytest.mark.parametrize("graph", ["tlg", "tlg_pushed"])
+    def test_build_tlg_graph_results_unchanged(self, request, graph, clean_corpus):
+        tlg = request.getfixturevalue(graph)
+        cfg = DecoderConfig(beam=12.0)
+        for utt, _, mat in clean_corpus[:100]:
+            for frames in (mat, compress(mat, CompressConfig(mode="ioo_koo"))):
+                assert decode(tlg, frames, cfg).same_search(fixpoint_oracle(tlg, frames, cfg)), utt
 
 
 class TestGraphEdits:

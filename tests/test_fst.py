@@ -84,6 +84,20 @@ class TestStructure:
         with pytest.raises(DataFormatError, match="line 1"):
             read_fst_text(path)
 
+    @pytest.mark.parametrize("text, line, what", [
+        ("0 1 -1 0 0.5\n1\n", 1, "negative state id or label"),
+        ("0 1 1 -3\n1\n", 1, "negative state id or label"),
+        ("0 1 1 0\n1 -2 1 0\n1\n", 2, "negative state id or label"),
+        ("0 1 1 0\n-1 0.5\n", 2, "negative state id or label"),
+        ("0 1 1 0 nan\n1\n", 1, "NaN weight"),
+        ("0 1 1 0\n1 NaN\n", 2, "NaN weight"),
+    ])
+    def test_negative_id_or_nan_weight_is_a_data_error(self, tmp_path, text, line, what):
+        path = tmp_path / "bad.fst.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"line {line}: {what}"):
+            read_fst_text(path)
+
     def test_symbol_table_round_trip(self, tmp_path):
         t = SymbolTable()
         t.add_symbol("a")
