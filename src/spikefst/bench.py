@@ -91,11 +91,8 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
 
-    timings: dict[str, float] = {}
-    rows: list[BenchRow] = []
-    dense_frames = None
+    measured = []  # per mode: label, cer, mean frames, median seconds, failures
     for mode_cfg in modes:
-        label = mode_cfg.label()
         samples = []
         batch = None
         compressed = None
@@ -104,31 +101,25 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
             compressed = [(u, compress(p, mode_cfg)) for u, p in utts]
             batch = decode_batch(graph, compressed, cfg)
             samples.append(time.perf_counter() - t0)
-        median_s = statistics.median(samples)
-        timings[label] = median_s
 
         hyps = {u: " ".join(_word_syms(graph, r.words)) for u, r in batch.ok()}
         report = score_corpus({u: refs[u] for u in hyps}, hyps, unit=unit)
         mean_frames = (
             sum(c.frames for _, c in compressed) / len(compressed) if compressed else 0.0
         )
-        if mode_cfg.mode == "dense":
-            dense_frames = mean_frames
-        rows.append(BenchRow(
-            mode=label, cer=report.rate, mean_frames=mean_frames,
-            frame_reduction=0.0, speedup=0.0,
-            median_ms=median_s * 1000.0, failures=len(batch.failures),
-        ))
+        measured.append((mode_cfg.label(), report.rate, mean_frames,
+                         statistics.median(samples), len(batch.failures)))
 
-    dense_label = next(m.label() for m in modes if m.mode == "dense")
-    dense_median = timings[dense_label]
-    final_rows = []
-    for r in rows:
-        reduction = dense_frames / r.mean_frames if r.mean_frames else float("inf")
-        speedup = dense_median / timings[r.mode] if timings[r.mode] > 0 else float("inf")
-        final_rows.append(BenchRow(
-            mode=r.mode, cer=r.cer, mean_frames=r.mean_frames,
-            frame_reduction=reduction, speedup=speedup,
-            median_ms=r.median_ms, failures=r.failures,
-        ))
-    return BenchReport(final_rows, unit=unit, repeats=repeats)
+    _, _, dense_frames, dense_s, _ = next(
+        m for m, mode_cfg in zip(measured, modes) if mode_cfg.mode == "dense"
+    )
+    rows = [
+        BenchRow(
+            mode=label, cer=cer, mean_frames=frames,
+            frame_reduction=dense_frames / frames if frames else float("inf"),
+            speedup=dense_s / median_s if median_s > 0 else float("inf"),
+            median_ms=median_s * 1000.0, failures=failures,
+        )
+        for label, cer, frames, median_s, failures in measured
+    ]
+    return BenchReport(rows, unit=unit, repeats=repeats)

@@ -127,7 +127,7 @@ class Lexicon:
         if not self.entries:
             raise GraphError("lexicon has no entries")
         tokens = sorted({tok for _, pron in self.entries for tok in pron})
-        self.token_table = make_token_table(tokens, n_disambig=self.max_disambig())
+        self.token_table = make_token_table(tokens, n_disambig=max(self.disambig_indices()))
         self.word_table = SymbolTable()
         for word, pron in self.entries:
             if not pron:
@@ -156,17 +156,21 @@ class Lexicon:
             counts[pron] = counts.get(pron, 0) + 1
         return counts
 
-    def max_disambig(self) -> int:
-        """Largest auxiliary-symbol index needed to keep entries apart."""
+    def disambig_indices(self) -> list[int]:
+        """Per entry, the k of its trailing #k arc, or 0 for none: the c
+        entries that share a pronunciation get 1..c in entry order, and a
+        unique pronunciation that prefixes another gets 1."""
         counts = self.pron_counts()
         prefixes = {pron[:k] for pron in counts for k in range(1, len(pron))}
-        need = 0
-        for pron, c in counts.items():
-            if c > 1:
-                need = max(need, c)
-            elif pron in prefixes:
-                need = max(need, 1)
-        return need
+        seen: dict[tuple[str, ...], int] = {}
+        indices = []
+        for _, pron in self.entries:
+            if counts[pron] > 1:
+                seen[pron] = seen.get(pron, 0) + 1
+                indices.append(seen[pron])
+            else:
+                indices.append(1 if pron in prefixes else 0)
+        return indices
 
 
 def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
@@ -178,15 +182,14 @@ def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
     pronunciations are a hard error since the two words can never be told
     apart downstream.
     """
-    counts = lex.pron_counts()
     if not add_disambig:
-        dupes = [p for p, c in counts.items() if c > 1]
+        dupes = [p for p, c in lex.pron_counts().items() if c > 1]
         if dupes:
             raise GraphError(
                 f"homophone collision for pronunciation {' '.join(dupes[0])!r}; "
                 "build with disambiguation symbols"
             )
-    prefixes = {pron[:k] for pron in counts for k in range(1, len(pron))}
+    indices = lex.disambig_indices() if add_disambig else [0] * len(lex.entries)
 
     tt, wt = lex.token_table, lex.word_table
     l = Fst(tt, wt)
@@ -194,18 +197,10 @@ def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
     l.set_start(root)
     l.set_final(root, ONE)
 
-    next_index: dict[tuple[str, ...], int] = {}
-    for word, pron in lex.entries:
+    for (word, pron), disambig in zip(lex.entries, indices):
         for tok in pron:
             if tok not in tt:
                 raise GraphError(f"word {word!r} uses unknown token {tok!r}")
-        disambig = 0
-        if add_disambig:
-            if counts[pron] > 1:
-                disambig = next_index.get(pron, 0) + 1
-                next_index[pron] = disambig
-            elif pron in prefixes:
-                disambig = 1
         ids = [tt.find_id(tok) for tok in pron]
         word_id = wt.find_id(word)
         src = root

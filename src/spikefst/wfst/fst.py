@@ -134,6 +134,8 @@ class Fst:
 
     def set_final(self, state: int, weight: float = ONE) -> None:
         self._check_state(state)
+        if math.isnan(weight):
+            raise FstError(f"NaN final weight at state {state}")
         self.version += 1
         if weight == ZERO:
             self.finals.pop(state, None)
@@ -143,6 +145,8 @@ class Fst:
     def add_arc(self, src: int, ilabel: int, olabel: int, weight: float, dst: int) -> None:
         self._check_state(src)
         self._check_state(dst)
+        if math.isnan(weight):
+            raise FstError(f"NaN weight on arc {src} -> {dst}")
         self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
         self._ilabel_sorted = None
         self.version += 1

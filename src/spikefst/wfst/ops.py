@@ -4,6 +4,9 @@ Everything here is value-oriented: inputs are never mutated and results
 are freshly built machines.  Weight bookkeeping follows (min, +): any
 transformation that claims equivalence preserves, for every accepted
 (input, output) string pair, the minimum accepting-path weight.
+``_relax`` is the one shortest-distance search: epsilon removal,
+determinization's epsilon closure, weight pushing and the best path all
+run through it.
 """
 
 from __future__ import annotations
@@ -20,25 +23,34 @@ from .fst import EPSILON, ONE, ZERO, Arc, Fst, arcsort, trim, wplus, wtimes
 _QUANT = 10
 
 
-def _relax_epsilon(f: Fst, seed: dict[int, float]) -> dict[int, float]:
-    """Shortest distances from *seed* states through eps:eps arcs only."""
-    dist = dict(seed)
-    queue = deque(sorted(seed))
-    guard = 0
-    limit = 4 * (f.num_states + 1) * max(1, f.num_arcs)
+def _relax(seeds: dict, moves, limit: int, what: str) -> tuple[dict, dict]:
+    """Single-source shortest distances from *seeds* (key -> weight).
+
+    FIFO label-correcting relaxation in the tropical semiring (Mohri,
+    2002).  Keys are any hashable; ``moves(key)`` yields ``(next key,
+    weight, arc)``.  A key re-enters the queue each time its distance
+    improves by more than 1e-15, so negative weights are fine as long as
+    no cycle is negative.  Returns the distances and, for each key a move
+    reached, its ``(previous key, arc)``.  More than *limit* improvements
+    raise ``FstError(what)``.
+    """
+    dist = dict(seeds)
+    back: dict = {}
+    queue = deque(dist)
+    steps = 0
     while queue:
-        s = queue.popleft()
-        base = dist[s]
-        for a in f.arcs(s):
-            if a.ilabel == EPSILON and a.olabel == EPSILON:
-                nd = wtimes(base, a.weight)
-                if nd < dist.get(a.nextstate, ZERO) - 1e-15:
-                    dist[a.nextstate] = nd
-                    queue.append(a.nextstate)
-                    guard += 1
-                    if guard > limit:
-                        raise FstError("epsilon-closure did not converge (negative cycle?)")
-    return dist
+        key = queue.popleft()
+        base = dist[key]
+        for nxt, w, arc in moves(key):
+            nd = wtimes(base, w)
+            if nd < dist.get(nxt, ZERO) - 1e-15:
+                dist[nxt] = nd
+                back[nxt] = (key, arc)
+                queue.append(nxt)
+                steps += 1
+                if steps > limit:
+                    raise FstError(what)
+    return dist, back
 
 
 def rm_epsilon(f: Fst) -> Fst:
@@ -46,11 +58,20 @@ def rm_epsilon(f: Fst) -> Fst:
     weights reachable through them; string weights are preserved."""
     if f.start < 0:
         raise FstError("machine has no start state")
+    eps = [
+        [(a.nextstate, a.weight, a) for a in f.arcs(s)
+         if a.ilabel == EPSILON and a.olabel == EPSILON]
+        for s in range(f.num_states)
+    ]
+    limit = 4 * (f.num_states + 1) * max(1, f.num_arcs)
     out = Fst(f.isyms, f.osyms)
     out.add_states(f.num_states)
     out.set_start(f.start)
     for s in range(f.num_states):
-        closure = _relax_epsilon(f, {s: ONE})
+        closure, _ = _relax(
+            {s: ONE}, eps.__getitem__, limit,
+            "epsilon-closure did not converge (negative cycle?)",
+        )
         best_arc: dict[tuple[int, int, int], float] = {}
         final = ZERO
         for q, w in closure.items():
@@ -163,35 +184,22 @@ class _Elem(NamedTuple):
     out: tuple[int, ...]  # delayed output symbols
 
 
-def _close_elems(f: Fst, elems: list[_Elem], limit: int) -> list[_Elem]:
+def _close_elems(eps: list, elems: list[_Elem], limit: int) -> list[_Elem]:
     """Input-epsilon closure of weighted subset elements, accumulating any
-    epsilon-arc outputs into the delayed-output strings."""
-    best: dict[tuple[int, tuple[int, ...]], float] = {}
-    queue: deque[_Elem] = deque()
+    epsilon-arc outputs into the delayed-output strings.  ``eps[s]`` lists
+    ``(nextstate, weight, output)`` for the input-epsilon arcs of state s,
+    the output being ``()`` or a one-symbol tuple."""
+    seeds: dict[tuple[int, tuple[int, ...]], float] = {}
     for e in elems:
         key = (e.state, e.out)
-        if e.weight < best.get(key, ZERO):
-            best[key] = e.weight
-            queue.append(e)
-    steps = 0
-    while queue:
-        e = queue.popleft()
-        if best.get((e.state, e.out), ZERO) < e.weight:
-            continue
-        for a in f.arcs(e.state):
-            if a.ilabel != EPSILON:
-                continue
-            z = e.out + ((a.olabel,) if a.olabel != EPSILON else ())
-            w = wtimes(e.weight, a.weight)
-            key = (a.nextstate, z)
-            if w < best.get(key, ZERO) - 1e-15:
-                best[key] = w
-                queue.append(_Elem(a.nextstate, w, z))
-                steps += 1
-                if steps > limit:
-                    raise FstError(
-                        "determinize: epsilon closure diverged (cyclic epsilon output?)"
-                    )
+        if e.weight < seeds.get(key, ZERO):
+            seeds[key] = e.weight
+    best, _ = _relax(
+        seeds,
+        lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
+        limit,
+        "determinize: epsilon closure diverged (cyclic epsilon output?)",
+    )
     return [_Elem(s, w, z) for (s, z), w in best.items()]
 
 
@@ -213,9 +221,14 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
         raise FstError("machine has no start state")
     budget = max(64, state_budget_factor * max(1, f.num_states))
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
+    eps = [
+        [(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
+         for a in f.arcs(s) if a.ilabel == EPSILON]
+        for s in range(f.num_states)
+    ]
 
     out = Fst(f.isyms, f.osyms)
-    start_elems = _close_elems(f, [_Elem(f.start, ONE, ())], close_limit)
+    start_elems = _close_elems(eps, [_Elem(f.start, ONE, ())], close_limit)
     ids: dict[tuple, int] = {_subset_key(start_elems): out.add_state()}
     out.set_start(0)
     queue: deque[tuple[int, list[_Elem]]] = deque([(0, start_elems)])
@@ -233,7 +246,7 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
                     _Elem(a.nextstate, wtimes(e.weight, a.weight), z)
                 )
         for label in sorted(by_label):
-            cands = _close_elems(f, by_label[label], close_limit)
+            cands = _close_elems(eps, by_label[label], close_limit)
             w_min = min(e.weight for e in cands)
             lcp = _common_prefix([e.out for e in cands])
             emit = lcp[0] if lcp else EPSILON
@@ -380,35 +393,21 @@ def shortest_distance(f: Fst, reverse: bool = False) -> list[float]:
     state including its final weight (reverse).  Label-correcting, so
     negative arc weights are fine as long as there is no negative cycle."""
     n = f.num_states
-    dist = [ZERO] * n
-    queue: deque[int] = deque()
     if reverse:
-        incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        edges: list[list[tuple[int, float, Arc]]] = [[] for _ in range(n)]
         for s, a in f.all_arcs():
-            incoming[a.nextstate].append((s, a.weight))
-        for s, w in sorted(f.finals.items()):
-            dist[s] = w
-            queue.append(s)
-        edges = incoming
+            edges[a.nextstate].append((s, a.weight, a))
+        seeds = dict(sorted(f.finals.items()))
     else:
         if f.start < 0:
             raise FstError("machine has no start state")
-        dist[f.start] = ONE
-        queue.append(f.start)
-        edges = [[(a.nextstate, a.weight) for a in f.arcs(s)] for s in range(n)]
-    guard = 0
-    limit = 8 * (n + 1) * max(1, f.num_arcs)
-    while queue:
-        s = queue.popleft()
-        for t, w in edges[s]:
-            nd = wtimes(dist[s], w)
-            if nd < dist[t] - 1e-15:
-                dist[t] = nd
-                queue.append(t)
-                guard += 1
-                if guard > limit:
-                    raise FstError("shortest_distance did not converge (negative cycle?)")
-    return dist
+        edges = [[(a.nextstate, a.weight, a) for a in f.arcs(s)] for s in range(n)]
+        seeds = {f.start: ONE}
+    dist, _ = _relax(
+        seeds, edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
+        "shortest_distance did not converge (negative cycle?)",
+    )
+    return [dist.get(s, ZERO) for s in range(n)]
 
 
 def push_weights(f: Fst) -> Fst:
@@ -459,44 +458,29 @@ def shortest_path(f: Fst) -> BestPath:
     if f.start < 0:
         raise FstError("machine has no start state")
     n = f.num_states
-    dist = [ZERO] * n
-    back: list[tuple[int, Arc] | None] = [None] * n
-    dist[f.start] = ONE
-    queue = deque([f.start])
-    guard = 0
-    limit = 8 * (n + 1) * max(1, f.num_arcs)
-    while queue:
-        s = queue.popleft()
-        for a in f.arcs(s):
-            nd = wtimes(dist[s], a.weight)
-            if nd < dist[a.nextstate] - 1e-15:
-                dist[a.nextstate] = nd
-                back[a.nextstate] = (s, a)
-                queue.append(a.nextstate)
-                guard += 1
-                if guard > limit:
-                    raise FstError("shortest_path did not converge (negative cycle?)")
+    edges = [[(a.nextstate, a.weight, a) for a in f.arcs(s)] for s in range(n)]
+    dist, back = _relax(
+        {f.start: ONE}, edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
+        "shortest_path did not converge (negative cycle?)",
+    )
     best_state = -1
     best = ZERO
     for s in sorted(f.finals):
-        total = wtimes(dist[s], f.final_weight(s))
+        total = wtimes(dist.get(s, ZERO), f.final_weight(s))
         if total < best:
             best = total
             best_state = s
     if best_state < 0:
         raise FstError("shortest_path: no accepting path")
-    rev: list[tuple[int, Arc]] = []
+    rev: list[Arc] = []
     s = best_state
-    steps = 0
     while s != f.start:
-        entry = back[s]
-        if entry is None or steps > n:
+        if len(rev) > n:
             raise FstError("shortest_path: broken backpointer chain")
-        rev.append(entry)
-        s = entry[0]
-        steps += 1
+        s, a = back[s]
+        rev.append(a)
     rev.reverse()
-    ilabels = tuple(a.ilabel for _, a in rev if a.ilabel != EPSILON)
-    olabels = tuple(a.olabel for _, a in rev if a.olabel != EPSILON)
-    states = (f.start,) + tuple(a.nextstate for _, a in rev)
+    ilabels = tuple(a.ilabel for a in rev if a.ilabel != EPSILON)
+    olabels = tuple(a.olabel for a in rev if a.olabel != EPSILON)
+    states = (f.start,) + tuple(a.nextstate for a in rev)
     return BestPath(ilabels, olabels, best, states)

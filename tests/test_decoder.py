@@ -263,11 +263,13 @@ class TestSearchContract:
 
 
     def test_epsilon_target_above_the_bound_is_still_stored(self):
-        # 0 -> 2 costs 20, far above the frame's bound (0 + beam 12), but 2
-        # has an epsilon arc.  Stored, 2 is in the fixpoint's first sweep:
-        # 1 lowers it to 1, it then reaches 4 at 2 with word 10 before 3
-        # reaches 4 at the same cost with word 20.  Dropped, 2 would only
-        # be swept after 3, and the tie would go to word 20.
+        # 0 -> 2 costs 20, far above the frame's bound (the cheapest
+        # candidate, 0.69, plus beam 12), so that entry and its
+        # continuation 0 -> 2 -> 4 are dropped; 2 is still stored, at 1,
+        # by the continuation through 1.  0 -> 1 -> 2 -> 4 (word 10) and
+        # 0 -> 3 -> 4 (word 20) both cost 2.  Continuations are ordered by
+        # the epsilon state they pass through, so the one through 1 comes
+        # first and, replacement being strict, keeps the tie.
         g = Fst()
         g.add_states(5)
         g.set_start(0)
@@ -284,11 +286,11 @@ class TestSearchContract:
 
     def test_epsilon_target_keeps_the_full_view_on_a_spiky_row(self):
         # As above, but 0 -> 2 reads column 1, which costs -log(0.03) = 3.5,
-        # more than the beam of 3 above the cheapest candidate.  All of
-        # 0's arcs off the cheap column 0 miss the bound, but 0 -> 2 enters
-        # an epsilon state, so 0 reads its full arc list and 2 is stored;
-        # reading column 0 only, it would drop 2 and the tie would go to
-        # word 20.
+        # more than the beam of 3 above the cheapest candidate, so 0 reads
+        # only column 0's entries and skips 0 -> 2.  Its continuations
+        # through 1 and 3 are on column 0 too: 2 is stored by the one
+        # through 1, and 4 is reached at equal cost through 1 (word 10),
+        # then through 3 (word 20), so the tie goes to word 10 as above.
         g = Fst()
         g.add_states(5)
         g.set_start(0)

@@ -98,6 +98,15 @@ class TestStructure:
         with pytest.raises(DataFormatError, match=f"line {line}: {what}"):
             read_fst_text(path)
 
+    def test_nan_weight_is_rejected_when_built(self):
+        f = Fst()
+        f.add_states(2)
+        with pytest.raises(FstError, match="NaN weight on arc 0 -> 1"):
+            f.add_arc(0, 1, 5, math.nan, 1)
+        with pytest.raises(FstError, match="NaN final weight at state 1"):
+            f.set_final(1, math.nan)
+        assert f.num_arcs == 0 and not f.finals
+
     def test_symbol_table_round_trip(self, tmp_path):
         t = SymbolTable()
         t.add_symbol("a")
@@ -409,3 +418,40 @@ class TestShortestPath:
         d = shortest_distance(f, reverse=True)
         assert d[0] == pytest.approx(0.875)
         assert d[2] == pytest.approx(0.125)
+
+
+def two_cycle(there, back):
+    """0 -1:1-> 1, then a 2-cycle 1 -there-> 2 -back-> 1, each arc given as
+    (ilabel, olabel, weight); 2 is final."""
+    f = Fst()
+    f.add_states(3)
+    f.set_start(0)
+    f.add_arc(0, 1, 1, 0.0, 1)
+    f.add_arc(1, *there, 2)
+    f.add_arc(2, *back, 1)
+    f.set_final(2, 0.0)
+    return f
+
+
+NEG_EPS = ((EPSILON, EPSILON, -1.0), (EPSILON, EPSILON, 0.5))
+NEG = ((1, 1, -1.0), (1, 1, 0.5))
+
+
+class TestRelaxGuard:
+    """Each shortest-distance search gives up on a cycle it cannot close."""
+
+    @pytest.mark.parametrize("op, cycle, what", [
+        (rm_epsilon, NEG_EPS, "epsilon-closure did not converge"),
+        (shortest_distance, NEG, "shortest_distance did not converge"),
+        (lambda f: shortest_distance(f, reverse=True), NEG,
+         "shortest_distance did not converge"),
+        (shortest_path, NEG, "shortest_path did not converge"),
+        (push_weights, NEG, "shortest_distance did not converge"),
+        (determinize, ((EPSILON, 5, 0.0), (EPSILON, EPSILON, 0.0)),
+         "epsilon closure diverged"),
+        (determinize, NEG_EPS, "epsilon closure diverged"),
+    ], ids=["rm_epsilon", "distance", "distance_reverse", "shortest_path",
+            "push_weights", "determinize_growing_output", "determinize_negative"])
+    def test_cycle_raises(self, op, cycle, what):
+        with pytest.raises(FstError, match=what):
+            op(two_cycle(*cycle))
