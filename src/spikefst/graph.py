@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .wfst import (
     EPSILON,
     ONE,
     ZERO,
+    Arc,
     Fst,
     SymbolTable,
     arcsort,
@@ -414,28 +416,25 @@ def build_grammar_fst(model: NGramModel, word_table: SymbolTable) -> Fst:
 
 @dataclass
 class BuildReport:
-    """Per-stage state/arc counts, for the build manifest."""
+    """Per-stage state/arc counts and wall time, for the build manifest."""
 
     stages: list[dict] = field(default_factory=list)
     pushed: bool = False
 
-    def note(self, name: str, f: Fst) -> None:
-        self.stages.append({"stage": name, "states": f.num_states, "arcs": f.num_arcs})
+    def note(self, name: str, f: Fst, seconds: float) -> None:
+        self.stages.append({"stage": name, "states": f.num_states, "arcs": f.num_arcs,
+                            "seconds": seconds})
 
 
 def relabel_input_epsilon(f: Fst, labels: set[int]) -> Fst:
     """Rewrite the given input labels to epsilon (used to drop
     disambiguation symbols once they have done their job)."""
-    out = Fst(f.isyms, f.osyms)
-    out.add_states(f.num_states)
-    out.set_start(f.start)
-    for s in range(f.num_states):
-        for a in f.arcs(s):
-            il = EPSILON if a.ilabel in labels else a.ilabel
-            out.add_arc(s, il, a.olabel, a.weight, a.nextstate)
-    for s, w in f.finals.items():
-        out.set_final(s, w)
-    return out
+    arcs = [
+        [Arc(EPSILON, a.olabel, a.weight, a.nextstate) if a.ilabel in labels else a
+         for a in f.arcs(s)]
+        for s in range(f.num_states)
+    ]
+    return Fst._from_arcs(arcs, f.start, f.finals, f.isyms, f.osyms)
 
 
 def build_tlg(t: Fst, l: Fst, g: Fst, use_pushing: bool = False,
@@ -451,11 +450,12 @@ def build_tlg(t: Fst, l: Fst, g: Fst, use_pushing: bool = False,
     report.pushed = use_pushing
 
     def stage(name: str, fn, *args) -> Fst:
+        t0 = time.perf_counter()
         try:
             result = fn(*args)
         except Exception as exc:
             raise GraphError(f"graph build failed at stage {name}: {exc}") from exc
-        report.note(name, result)
+        report.note(name, result, time.perf_counter() - t0)
         return result
 
     lg = stage("compose_lg", compose, arcsort(l, "olabel"), g)
@@ -465,9 +465,7 @@ def build_tlg(t: Fst, l: Fst, g: Fst, use_pushing: bool = False,
         lg = stage("push", push_weights, trim(lg))
     lg = stage("minimize", minimize, lg)
     if l.isyms is not None:
-        lg = relabel_input_epsilon(lg, disambig_ids(l.isyms))
-        report.note("rm_disambig", lg)
+        lg = stage("rm_disambig", relabel_input_epsilon, lg, disambig_ids(l.isyms))
+    # compose trims its result, so the machine is already trim here.
     tlg = stage("compose_tlg", compose, t, arcsort(lg, "ilabel"))
-    tlg = arcsort(trim(tlg), "ilabel")
-    report.note("final", tlg)
-    return tlg
+    return stage("final", arcsort, tlg, "ilabel")

@@ -3,14 +3,17 @@
 Weights are plain floats with (min, +) algebra: ZERO is +inf (no path),
 ONE is 0.0 (free move), path weight is the sum of arc weights plus the
 final weight, and the best path is the minimum.  Label 0 is epsilon on
-both tapes.  Machines are append-only while being built and treated as
-immutable afterwards; every algorithm in :mod:`spikefst.wfst.ops`
-returns a new machine.
+both tapes.  ``add_state``, ``add_arc`` and ``set_final`` are the public
+path for building a machine one piece at a time.  The algorithms here and
+in :mod:`spikefst.wfst.ops` instead build each result whole, as per-state
+arc lists handed to one validated constructor, ``Fst._from_arcs``; they
+never mutate their inputs, and every one returns a new machine.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -115,6 +118,30 @@ class Fst:
         # tell when they are stale.
         self.version: int = 0
 
+    @classmethod
+    def _from_arcs(cls, arcs: list[list[Arc]], start: int, finals: dict[int, float],
+                   isyms: SymbolTable | None = None,
+                   osyms: SymbolTable | None = None) -> "Fst":
+        """A whole machine from per-state arc lists, which it takes over.
+
+        Checks in one pass what ``set_start``, ``add_arc`` and
+        ``set_final`` check one call at a time, raising the same errors;
+        like ``set_final``, a final weight of ZERO leaves a state non-final.
+        """
+        out = cls(isyms, osyms)
+        out._arcs = arcs
+        out._check_state(start)
+        n = len(arcs)
+        for src, row in enumerate(arcs):
+            for a in row:
+                if not 0 <= a.nextstate < n or a.weight != a.weight:  # NaN != NaN
+                    out._check_arc(src, a.weight, a.nextstate)
+        for s, w in finals.items():
+            out._check_final(s, w)
+        out.start = start
+        out.finals = {s: w for s, w in finals.items() if w != ZERO}
+        return out
+
     # -- construction ---------------------------------------------------
 
     def add_state(self) -> int:
@@ -133,9 +160,7 @@ class Fst:
         self.start = state
 
     def set_final(self, state: int, weight: float = ONE) -> None:
-        self._check_state(state)
-        if math.isnan(weight):
-            raise FstError(f"NaN final weight at state {state}")
+        self._check_final(state, weight)
         self.version += 1
         if weight == ZERO:
             self.finals.pop(state, None)
@@ -144,9 +169,7 @@ class Fst:
 
     def add_arc(self, src: int, ilabel: int, olabel: int, weight: float, dst: int) -> None:
         self._check_state(src)
-        self._check_state(dst)
-        if math.isnan(weight):
-            raise FstError(f"NaN weight on arc {src} -> {dst}")
+        self._check_arc(src, weight, dst)
         self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
         self._ilabel_sorted = None
         self.version += 1
@@ -154,6 +177,16 @@ class Fst:
     def _check_state(self, state: int) -> None:
         if not (0 <= state < len(self._arcs)):
             raise FstError(f"state {state} out of range [0, {len(self._arcs)})")
+
+    def _check_arc(self, src: int, weight: float, dst: int) -> None:
+        self._check_state(dst)
+        if math.isnan(weight):
+            raise FstError(f"NaN weight on arc {src} -> {dst}")
+
+    def _check_final(self, state: int, weight: float) -> None:
+        self._check_state(state)
+        if math.isnan(weight):
+            raise FstError(f"NaN final weight at state {state}")
 
     # -- inspection -----------------------------------------------------
 
@@ -209,10 +242,8 @@ def arcsort(f: Fst, by: str = "ilabel") -> Fst:
     if by not in ("ilabel", "olabel"):
         raise FstError(f"arcsort key must be 'ilabel' or 'olabel', got {by!r}")
     out = f.copy()
-    if by == "ilabel":
-        key = lambda a: (a.ilabel, a.olabel, a.weight, a.nextstate)
-    else:
-        key = lambda a: (a.olabel, a.ilabel, a.weight, a.nextstate)
+    # An Arc compares as (ilabel, olabel, weight, nextstate).
+    key = None if by == "ilabel" else itemgetter(1, 0, 2, 3)
     out._arcs = [sorted(arcs, key=key) for arcs in out._arcs]
     out._ilabel_sorted = by == "ilabel"
     return out
@@ -223,17 +254,19 @@ def trim(f: Fst) -> Fst:
     co-accessible); an empty-language machine keeps a lone start state."""
     if f.start < 0:
         raise FstError("machine has no start state")
+    arcs = f._arcs
     fwd = {f.start}
     stack = [f.start]
     while stack:
         s = stack.pop()
-        for a in f.arcs(s):
+        for a in arcs[s]:
             if a.nextstate not in fwd:
                 fwd.add(a.nextstate)
                 stack.append(a.nextstate)
-    rev: dict[int, list[int]] = {s: [] for s in range(f.num_states)}
-    for s, a in f.all_arcs():
-        rev[a.nextstate].append(s)
+    rev: list[list[int]] = [[] for _ in arcs]
+    for s, row in enumerate(arcs):
+        for a in row:
+            rev[a.nextstate].append(s)
     bwd = set(f.finals)
     stack = list(f.finals)
     while stack:
@@ -243,22 +276,17 @@ def trim(f: Fst) -> Fst:
                 bwd.add(prev)
                 stack.append(prev)
     live = fwd & bwd
-    out = Fst(f.isyms, f.osyms)
     if f.start not in live:
-        out.add_state()
-        out.set_start(0)
-        return out
+        return Fst._from_arcs([[]], 0, {}, f.isyms, f.osyms)
     order = sorted(live)
     remap = {s: i for i, s in enumerate(order)}
-    out.add_states(len(order))
-    out.set_start(remap[f.start])
-    for s in order:
-        for a in f.arcs(s):
-            if a.nextstate in live:
-                out.add_arc(remap[s], a.ilabel, a.olabel, a.weight, remap[a.nextstate])
-        if f.is_final(s):
-            out.set_final(remap[s], f.final_weight(s))
-    return out
+    out_arcs = [
+        [Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
+         for a in arcs[s] if a.nextstate in live]
+        for s in order
+    ]
+    finals = {remap[s]: f.finals[s] for s in order if s in f.finals}
+    return Fst._from_arcs(out_arcs, remap[f.start], finals, f.isyms, f.osyms)
 
 
 # ----------------------------------------------------------------------
@@ -272,18 +300,18 @@ def write_fst_text(f: Fst, path) -> None:
         raise FstError("cannot serialize a machine with no start state")
     lines: list[str] = []
     finals = sorted(f.finals)
-    if f.arcs(f.start):
+    if f._arcs[f.start]:
         ordered = [f.start] + [s for s in range(f.num_states) if s != f.start]
         for s in ordered:
-            for a in f.arcs(s):
+            for a in f._arcs[s]:
                 lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
     elif f.is_final(f.start):
         # The start state is identified by the first line, so its final
         # line must lead when it has no arcs.
         lines.append(f"{f.start} {f.final_weight(f.start):.9g}")
         finals = [s for s in finals if s != f.start]
-        for s in range(f.num_states):
-            for a in f.arcs(s):
+        for s, row in enumerate(f._arcs):
+            for a in row:
                 lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
     elif f.num_arcs or f.finals:
         raise FstError("start state has no arcs and is not final: trim before writing")
@@ -294,21 +322,21 @@ def write_fst_text(f: Fst, path) -> None:
 
 def read_fst_text(path, isyms: SymbolTable | None = None,
                   osyms: SymbolTable | None = None) -> Fst:
-    out = Fst(isyms, osyms)
+    arcs: list[list[Arc]] = []
+    finals: dict[int, float] = {}
+    start = -1
 
-    def ensure(state: int) -> int:
-        while out.num_states <= state:
-            out.add_state()
-        return state
+    def ensure(state: int) -> None:
+        while len(arcs) <= state:
+            arcs.append([])
 
-    start_seen = False
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
         try:
             if len(parts) in (4, 5):
-                ids = [int(x) for x in parts[:4]]
+                ids = list(map(int, parts[:4]))
             elif len(parts) in (1, 2):
                 ids = [int(parts[0])]
             else:
@@ -323,15 +351,13 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
         if len(ids) == 4:
             src, dst, il, ol = ids
             ensure(max(src, dst))
-            out.add_arc(src, il, ol, w, dst)
+            arcs[src].append(Arc(il, ol, w, dst))
         else:
             ensure(ids[0])
-            out.set_final(ids[0], w)
-        if not start_seen:
-            out.set_start(int(parts[0]))
-            start_seen = True
-    if not start_seen:
+            finals[ids[0]] = w
+        if start < 0:
+            start = ids[0]
+    if start < 0:
         # An empty file denotes the empty-language machine.
-        out.add_state()
-        out.set_start(0)
-    return out
+        arcs, start = [[]], 0
+    return Fst._from_arcs(arcs, start, finals, isyms, osyms)

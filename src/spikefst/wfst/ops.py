@@ -1,7 +1,8 @@
 """Algorithms over tropical-weight transducers.
 
-Everything here is value-oriented: inputs are never mutated and results
-are freshly built machines.  Weight bookkeeping follows (min, +): any
+Everything here is value-oriented: inputs are never mutated, and each
+result is built whole, as per-state arc lists handed to
+``Fst._from_arcs``.  Weight bookkeeping follows (min, +): any
 transformation that claims equivalence preserves, for every accepted
 (input, output) string pair, the minimum accepting-path weight.
 ``_relax`` is the one shortest-distance search: epsilon removal,
@@ -59,14 +60,13 @@ def rm_epsilon(f: Fst) -> Fst:
     if f.start < 0:
         raise FstError("machine has no start state")
     eps = [
-        [(a.nextstate, a.weight, a) for a in f.arcs(s)
+        [(a.nextstate, a.weight, a) for a in row
          if a.ilabel == EPSILON and a.olabel == EPSILON]
-        for s in range(f.num_states)
+        for row in f._arcs
     ]
     limit = 4 * (f.num_states + 1) * max(1, f.num_arcs)
-    out = Fst(f.isyms, f.osyms)
-    out.add_states(f.num_states)
-    out.set_start(f.start)
+    arcs: list[list[Arc]] = []
+    finals: dict[int, float] = {}
     for s in range(f.num_states):
         closure, _ = _relax(
             {s: ONE}, eps.__getitem__, limit,
@@ -75,7 +75,7 @@ def rm_epsilon(f: Fst) -> Fst:
         best_arc: dict[tuple[int, int, int], float] = {}
         final = ZERO
         for q, w in closure.items():
-            for a in f.arcs(q):
+            for a in f._arcs[q]:
                 if a.ilabel == EPSILON and a.olabel == EPSILON:
                     continue
                 key = (a.ilabel, a.olabel, a.nextstate)
@@ -83,11 +83,10 @@ def rm_epsilon(f: Fst) -> Fst:
                 if cand < best_arc.get(key, ZERO):
                     best_arc[key] = cand
             final = wplus(final, wtimes(w, f.final_weight(q)))
-        for (il, ol, dst), w in sorted(best_arc.items()):
-            out.add_arc(s, il, ol, w, dst)
+        arcs.append([Arc(il, ol, w, dst) for (il, ol, dst), w in sorted(best_arc.items())])
         if final != ZERO:
-            out.set_final(s, final)
-    return trim(out)
+            finals[s] = final
+    return trim(Fst._from_arcs(arcs, f.start, finals, f.isyms, f.osyms))
 
 
 # ----------------------------------------------------------------------
@@ -117,22 +116,22 @@ def compose(a: Fst, b: Fst) -> Fst:
         grouped = b_by_label[state]
         if grouped is None:
             grouped = {}
-            for arc in b.arcs(state):
+            for arc in b._arcs[state]:
                 grouped.setdefault(arc.ilabel, []).append(arc)
             b_by_label[state] = grouped
         return grouped
 
-    out = Fst(a.isyms, b.osyms)
     key0 = (a.start, b.start, 0)
-    ids: dict[tuple[int, int, int], int] = {key0: out.add_state()}
-    out.set_start(0)
+    ids: dict[tuple[int, int, int], int] = {key0: 0}
+    arcs: list[list[Arc]] = [[]]
+    finals: dict[int, float] = {}
     queue = deque([key0])
 
     def state_of(key: tuple[int, int, int]) -> int:
         sid = ids.get(key)
         if sid is None:
-            sid = out.add_state()
-            ids[key] = sid
+            sid = ids[key] = len(arcs)
+            arcs.append([])
             queue.append(key)
         return sid
 
@@ -140,38 +139,39 @@ def compose(a: Fst, b: Fst) -> Fst:
         key = queue.popleft()
         sa, sb, filt = key
         src = ids[key]
+        row = arcs[src]
         grouped = b_arcs(sb)
-        for arc_a in a.arcs(sa):
+        for arc_a in a._arcs[sa]:
             if arc_a.olabel != EPSILON:
                 for arc_b in grouped.get(arc_a.olabel, ()):
-                    out.add_arc(
-                        src, arc_a.ilabel, arc_b.olabel,
+                    row.append(Arc(
+                        arc_a.ilabel, arc_b.olabel,
                         wtimes(arc_a.weight, arc_b.weight),
                         state_of((arc_a.nextstate, arc_b.nextstate, 0)),
-                    )
+                    ))
             else:
                 if filt != 2:  # a moves alone
-                    out.add_arc(
-                        src, arc_a.ilabel, EPSILON, arc_a.weight,
+                    row.append(Arc(
+                        arc_a.ilabel, EPSILON, arc_a.weight,
                         state_of((arc_a.nextstate, sb, 1)),
-                    )
+                    ))
                 if filt == 0:  # simultaneous epsilon pairing
                     for arc_b in grouped.get(EPSILON, ()):
-                        out.add_arc(
-                            src, arc_a.ilabel, arc_b.olabel,
+                        row.append(Arc(
+                            arc_a.ilabel, arc_b.olabel,
                             wtimes(arc_a.weight, arc_b.weight),
                             state_of((arc_a.nextstate, arc_b.nextstate, 0)),
-                        )
+                        ))
         if filt != 1:  # b moves alone
             for arc_b in grouped.get(EPSILON, ()):
-                out.add_arc(
-                    src, EPSILON, arc_b.olabel, arc_b.weight,
+                row.append(Arc(
+                    EPSILON, arc_b.olabel, arc_b.weight,
                     state_of((sa, arc_b.nextstate, 2)),
-                )
+                ))
         wf = wtimes(a.final_weight(sa), b.final_weight(sb))
         if wf != ZERO:
-            out.set_final(src, wf)
-    return trim(out)
+            finals[src] = wf
+    return trim(Fst._from_arcs(arcs, 0, finals, a.isyms, b.osyms))
 
 
 # ----------------------------------------------------------------------
@@ -188,12 +188,16 @@ def _close_elems(eps: list, elems: list[_Elem], limit: int) -> list[_Elem]:
     """Input-epsilon closure of weighted subset elements, accumulating any
     epsilon-arc outputs into the delayed-output strings.  ``eps[s]`` lists
     ``(nextstate, weight, output)`` for the input-epsilon arcs of state s,
-    the output being ``()`` or a one-symbol tuple."""
+    the output being ``()`` or a one-symbol tuple.  Elements are merged by
+    (state, output) at their minimum weight, in first-seen order."""
     seeds: dict[tuple[int, tuple[int, ...]], float] = {}
     for e in elems:
         key = (e.state, e.out)
         if e.weight < seeds.get(key, ZERO):
             seeds[key] = e.weight
+    if not any(eps[s] for s, _ in seeds):
+        # Nothing to close: exactly what the relaxation returns with no move.
+        return [_Elem(s, w, z) for (s, z), w in seeds.items()]
     best, _ = _relax(
         seeds,
         lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
@@ -223,22 +227,22 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
     eps = [
         [(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
-         for a in f.arcs(s) if a.ilabel == EPSILON]
-        for s in range(f.num_states)
+         for a in row if a.ilabel == EPSILON]
+        for row in f._arcs
     ]
 
-    out = Fst(f.isyms, f.osyms)
     start_elems = _close_elems(eps, [_Elem(f.start, ONE, ())], close_limit)
-    ids: dict[tuple, int] = {_subset_key(start_elems): out.add_state()}
-    out.set_start(0)
+    ids: dict[tuple, int] = {_subset_key(start_elems): 0}
+    arcs: list[list[Arc]] = [[]]
+    finals: dict[int, float] = {}
     queue: deque[tuple[int, list[_Elem]]] = deque([(0, start_elems)])
 
     while queue:
         src, elems = queue.popleft()
-        _set_subset_final(f, out, src, elems)
+        _set_subset_final(f, arcs, finals, src, elems)
         by_label: dict[int, list[_Elem]] = {}
         for e in elems:
-            for a in f.arcs(e.state):
+            for a in f._arcs[e.state]:
                 if a.ilabel == EPSILON:
                     continue
                 z = e.out + ((a.olabel,) if a.olabel != EPSILON else ())
@@ -257,16 +261,16 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
             key = _subset_key(nxt)
             dst = ids.get(key)
             if dst is None:
-                dst = out.add_state()
-                if out.num_states > budget:
+                dst = ids[key] = len(arcs)
+                arcs.append([])
+                if len(arcs) > budget:
                     raise FstError(
                         f"determinize: state budget {budget} exceeded; "
                         "machine is likely not determinizable"
                     )
-                ids[key] = dst
                 queue.append((dst, nxt))
-            out.add_arc(src, label, emit, w_min, dst)
-    return out
+            arcs[src].append(Arc(label, emit, w_min, dst))
+    return Fst._from_arcs(arcs, 0, finals, f.isyms, f.osyms)
 
 
 def _common_prefix(strings: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -279,7 +283,8 @@ def _common_prefix(strings: list[tuple[int, ...]]) -> tuple[int, ...]:
     return first
 
 
-def _set_subset_final(f: Fst, out: Fst, state: int, elems: list[_Elem]) -> None:
+def _set_subset_final(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
+                      state: int, elems: list[_Elem]) -> None:
     """Final weight for a subset; delayed outputs still pending at a final
     element are flushed through a chain of input-epsilon emission arcs."""
     plain = ZERO
@@ -293,14 +298,15 @@ def _set_subset_final(f: Fst, out: Fst, state: int, elems: list[_Elem]) -> None:
         else:
             plain = wplus(plain, wf)
     if plain != ZERO:
-        out.set_final(state, plain)
+        finals[state] = plain
     for z in sorted(pending):
         src = state
         for i, sym in enumerate(z):
-            nxt = out.add_state()
-            out.add_arc(src, EPSILON, sym, pending[z] if i == 0 else ONE, nxt)
+            nxt = len(arcs)
+            arcs.append([])
+            arcs[src].append(Arc(EPSILON, sym, pending[z] if i == 0 else ONE, nxt))
             src = nxt
-        out.set_final(src, ONE)
+        finals[src] = ONE
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +324,9 @@ def minimize(f: Fst) -> Fst:
     if f.start < 0:
         raise FstError("machine has no start state")
     g = trim(f)
-    for s in range(g.num_states):
+    for s, row in enumerate(g._arcs):
         seen = set()
-        for a in g.arcs(s):
+        for a in row:
             if a.ilabel in seen:
                 raise FstError(
                     f"minimize: state {s} has duplicate input label {a.ilabel}; "
@@ -343,7 +349,7 @@ def minimize(f: Fst) -> Fst:
                 block[s],
                 tuple(sorted(
                     (a.ilabel, a.olabel, round(a.weight, _QUANT), block[a.nextstate])
-                    for a in g.arcs(s)
+                    for a in g._arcs[s]
                 )),
             )
             sigs.append(sig)
@@ -363,25 +369,26 @@ def minimize(f: Fst) -> Fst:
         if cls not in class_rep:
             class_rep[cls] = len(order)
             order.append(s)
-        for a in g.arcs(s):
+        for a in g._arcs[s]:
             if block[a.nextstate] not in seen_cls:
                 seen_cls.add(block[a.nextstate])
                 queue.append(a.nextstate)
 
-    out = Fst(g.isyms, g.osyms)
-    out.add_states(len(order))
-    out.set_start(0)
+    arcs: list[list[Arc]] = []
+    finals: dict[int, float] = {}
     for new_id, rep in enumerate(order):
         emitted = set()
-        for a in g.arcs(rep):
+        row = []
+        for a in g._arcs[rep]:
             key = (a.ilabel, a.olabel, a.weight, block[a.nextstate])
             if key in emitted:
                 continue
             emitted.add(key)
-            out.add_arc(new_id, a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]])
+            row.append(Arc(a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]]))
+        arcs.append(row)
         if g.is_final(rep):
-            out.set_final(new_id, g.final_weight(rep))
-    return out
+            finals[new_id] = g.final_weight(rep)
+    return Fst._from_arcs(arcs, 0, finals, g.isyms, g.osyms)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +408,7 @@ def shortest_distance(f: Fst, reverse: bool = False) -> list[float]:
     else:
         if f.start < 0:
             raise FstError("machine has no start state")
-        edges = [[(a.nextstate, a.weight, a) for a in f.arcs(s)] for s in range(n)]
+        edges = [[(a.nextstate, a.weight, a) for a in row] for row in f._arcs]
         seeds = {f.start: ONE}
     dist, _ = _relax(
         seeds, edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
@@ -426,18 +433,19 @@ def push_weights(f: Fst) -> Fst:
         raise FstError(
             f"push_weights: state {dead[0]} cannot reach a final state; trim first"
         )
-    out = Fst(f.isyms, f.osyms)
-    out.add_states(f.num_states)
-    out.set_start(f.start)
     head = dist[f.start]
-    for s in range(f.num_states):
+    arcs: list[list[Arc]] = []
+    finals: dict[int, float] = {}
+    for s, row in enumerate(f._arcs):
         lead = head if s == f.start else ONE
-        for a in f.arcs(s):
-            w = wtimes(lead, a.weight + dist[a.nextstate] - dist[s])
-            out.add_arc(s, a.ilabel, a.olabel, w, a.nextstate)
+        arcs.append([
+            Arc(a.ilabel, a.olabel, wtimes(lead, a.weight + dist[a.nextstate] - dist[s]),
+                a.nextstate)
+            for a in row
+        ])
         if f.is_final(s):
-            out.set_final(s, wtimes(lead, f.final_weight(s) - dist[s]))
-    return out
+            finals[s] = wtimes(lead, f.final_weight(s) - dist[s])
+    return Fst._from_arcs(arcs, f.start, finals, f.isyms, f.osyms)
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +466,7 @@ def shortest_path(f: Fst) -> BestPath:
     if f.start < 0:
         raise FstError("machine has no start state")
     n = f.num_states
-    edges = [[(a.nextstate, a.weight, a) for a in f.arcs(s)] for s in range(n)]
+    edges = [[(a.nextstate, a.weight, a) for a in row] for row in f._arcs]
     dist, back = _relax(
         {f.start: ONE}, edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
         "shortest_path did not converge (negative cycle?)",

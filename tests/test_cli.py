@@ -50,8 +50,13 @@ class TestBuildGraph:
         assert (graph_dir / "words.txt").exists()
         manifest = json.loads((graph_dir / "manifest.json").read_text())
         assert manifest["pushed"] is False
-        stages = [s["stage"] for s in manifest["stages"]]
-        assert stages[:3] == ["compose_lg", "rmepsilon", "determinize"]
+        assert [(s["stage"], s["states"], s["arcs"]) for s in manifest["stages"]] == [
+            ("compose_lg", 124, 479), ("rmepsilon", 123, 453), ("determinize", 257, 670),
+            ("minimize", 257, 670), ("rm_disambig", 257, 670), ("compose_tlg", 776, 3260),
+            ("final", 776, 3260),
+        ]
+        for s in manifest["stages"]:
+            assert isinstance(s["seconds"], float) and s["seconds"] >= 0.0
 
     def test_push_flag_changes_only_weights(self, workdir, graph_dir):
         out = workdir / "graph_pushed"

@@ -262,7 +262,7 @@ class TestSearchContract:
         assert batch.results[1].frames_processed == 0
 
 
-    def test_epsilon_target_above_the_bound_is_still_stored(self):
+    def test_continuation_tie_goes_to_lower_epsilon_state_past_an_over_bound_entry(self):
         # 0 -> 2 costs 20, far above the frame's bound (the cheapest
         # candidate, 0.69, plus beam 12), so that entry and its
         # continuation 0 -> 2 -> 4 are dropped; 2 is still stored, at 1,
@@ -284,7 +284,7 @@ class TestSearchContract:
         assert r.words == (10,)
         assert r.path_graph_costs == (0.0, 1.0, 1.0)
 
-    def test_epsilon_target_keeps_the_full_view_on_a_spiky_row(self):
+    def test_continuation_tie_goes_to_lower_epsilon_state_on_a_narrowed_row(self):
         # As above, but 0 -> 2 reads column 1, which costs -log(0.03) = 3.5,
         # more than the beam of 3 above the cheapest candidate, so 0 reads
         # only column 0's entries and skips 0 -> 2.  Its continuations

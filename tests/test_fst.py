@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spikefst.wfst import (
     EPSILON,
     ONE,
     ZERO,
+    Arc,
     Fst,
     SymbolTable,
     arcsort,
@@ -107,6 +109,46 @@ class TestStructure:
             f.set_final(1, math.nan)
         assert f.num_arcs == 0 and not f.finals
 
+    @pytest.mark.parametrize("arcs, start, finals", [
+        ([[Arc(1, 1, 0.0, 2)], []], 0, {}),
+        ([[Arc(1, 1, 0.0, -1)], []], 0, {}),
+        ([[], [Arc(1, 1, math.nan, 0)]], 0, {}),
+        ([[], []], 0, {1: math.nan}),
+        ([[], []], 0, {2: 0.0}),
+        ([[], []], 2, {}),
+    ], ids=["arc_past_end", "arc_negative", "nan_arc", "nan_final", "final_past_end",
+            "start_past_end"])
+    def test_whole_machine_constructor_checks_like_the_mutators(self, arcs, start, finals):
+        f = Fst()
+        f.add_states(len(arcs))
+        with pytest.raises(FstError) as incremental:
+            f.set_start(start)
+            for src, row in enumerate(arcs):
+                for a in row:
+                    f.add_arc(src, a.ilabel, a.olabel, a.weight, a.nextstate)
+            for s, w in finals.items():
+                f.set_final(s, w)
+        with pytest.raises(FstError, match=f"^{re.escape(str(incremental.value))}$"):
+            Fst._from_arcs(arcs, start, finals)
+
+    def test_read_gives_the_same_machine_for_out_of_order_state_ids(self, tmp_path):
+        path = tmp_path / "m.fst.txt"
+        path.write_text("2 4 1 1 0.5\n0 1 2 2\n4 0 3 3 0.25\n4 1.5\n3 inf\n"
+                        "1 2 1 0 1\n0 5 4 4 2\n1 0.5\n")
+        g = read_fst_text(path)
+        f = Fst()
+        f.add_states(6)
+        f.set_start(2)
+        f.add_arc(2, 1, 1, 0.5, 4)
+        f.add_arc(0, 2, 2, 0.0, 1)
+        f.add_arc(4, 3, 3, 0.25, 0)
+        f.add_arc(1, 1, 0, 1.0, 2)
+        f.add_arc(0, 4, 4, 2.0, 5)
+        f.set_final(4, 1.5)
+        f.set_final(1, 0.5)
+        assert (g.num_states, g.start, g.finals) == (f.num_states, f.start, f.finals)
+        assert [g.arcs(s) for s in range(6)] == [f.arcs(s) for s in range(6)]
+
     def test_symbol_table_round_trip(self, tmp_path):
         t = SymbolTable()
         t.add_symbol("a")
@@ -201,6 +243,12 @@ class TestCompose:
             got = enum_weight_map(ab, 20, 60)
             assert maps_match(expected, got), f"trial {trial}"
 
+    def test_nan_weight_from_opposite_infinities_raises(self):
+        a = chain([(1, 2, math.inf)])
+        b = chain([(2, 3, -math.inf)])
+        with pytest.raises(FstError, match="NaN weight on arc 0 -> 1"):
+            compose(a, b)
+
     def test_symbol_table_mismatch(self):
         ta, tb = SymbolTable(), SymbolTable()
         ta.add_symbol("x")
@@ -226,6 +274,34 @@ class TestDeterminize:
         assert len(d.arcs(0)) == 1
         assert d.arcs(0)[0].weight == pytest.approx(0.3)
         assert enum_weight_map(d)[((1,), (1,))] == pytest.approx(0.3)
+
+    def test_epsilon_free_subsets_skip_the_closure_exactly(self):
+        from spikefst.wfst.ops import _close_elems, _Elem, _relax
+
+        # Only state 1 has an input-epsilon arc (to 0, output 3).
+        eps = [[], [(0, 0.5, (3,))], []]
+
+        def full_closure(elems):
+            seeds = {}
+            for e in elems:
+                seeds[e.state, e.out] = min(seeds.get((e.state, e.out), ZERO), e.weight)
+            best, _ = _relax(
+                seeds, lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
+                100, "diverged",
+            )
+            return [_Elem(s, w, z) for (s, z), w in best.items()]
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            elems = [
+                _Elem(int(rng.choice([0, 2])), float(rng.integers(0, 4)) / 2,
+                      tuple(int(x) for x in rng.integers(1, 3, int(rng.integers(0, 2)))))
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            assert _close_elems(eps, elems, 100) == full_closure(elems)
+        closed = [_Elem(1, 1.0, ()), _Elem(2, 0.0, ())]
+        assert _close_elems(eps, closed, 100) == full_closure(closed) == [
+            _Elem(1, 1.0, ()), _Elem(2, 0.0, ()), _Elem(0, 1.5, (3,))]
 
     def test_already_deterministic_language_equal(self):
         f = chain([(1, 1, 0.25), (2, 2, 0.5)], final_weight=0.125)

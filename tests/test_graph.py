@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from helpers import collapse_oracle, enum_weight_map
+from helpers import ToyLang, collapse_oracle, enum_weight_map
 from spikefst.errors import ArpaError, DataFormatError, GraphError
 from spikefst.graph import (
     BOS,
@@ -17,9 +18,19 @@ from spikefst.graph import (
     make_token_table,
     parse_arpa,
 )
-from spikefst.wfst import Fst, compose, determinize, shortest_path
+from spikefst.wfst import Fst, compose, determinize, shortest_path, write_fst_text
 
 LN10 = math.log(10.0)
+
+# First 16 hex digits of sha256 of the AT&T text of build_tlg's graph, by
+# (ToyLang seed, use_pushing).  Any change to an algorithm's output order
+# or weights shows here.
+TLG_SHA256 = {
+    (7, False): "2063f6c6a8c980b0",
+    (7, True): "5fee3bbe80a140e0",
+    (3, False): "a64ae4d100433bdd",
+    (3, True): "ccf7557cd2cfa6bf",
+}
 
 
 def linear_acceptor(ids, isyms=None) -> Fst:
@@ -277,6 +288,14 @@ class TestBuildTlg:
             (s, a.ilabel, a.olabel, a.nextstate) for s, a in tlg_pushed.all_arcs()
         )
         assert skeleton == skeleton_p
+
+    @pytest.mark.parametrize("seed, pushed", sorted(TLG_SHA256))
+    def test_graph_bytes_are_pinned(self, tmp_path, seed, pushed):
+        lang = ToyLang(seed=seed)
+        path = tmp_path / "tlg.fst.txt"
+        write_fst_text(build_tlg(lang.token_fst, lang.lexicon_fst, lang.grammar_fst,
+                                 use_pushing=pushed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TLG_SHA256[seed, pushed]
 
     def test_stage_failure_names_stage(self, lang):
         broken = Fst(lang.lexicon.token_table, lang.lexicon.word_table)
