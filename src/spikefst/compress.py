@@ -41,7 +41,6 @@ from .posterior import (
     PosteriorMatrix,
     argmax_labels,
     atomic_write,
-    check_stochastic,
     load_posteriors,
     save_posteriors,
 )
@@ -54,36 +53,23 @@ _CTC_MODES = ("ioo", "ioo_koo", "ioo_nb")
 
 
 @dataclass(frozen=True)
-class CompressedPosteriors:
-    """Compressed frame sequence plus per-row provenance.
+class CompressedPosteriors(PosteriorMatrix):
+    """A compressed frame sequence: a :class:`PosteriorMatrix` whose rows
+    (kept frames and inserted one-hot blanks) carry their provenance.
 
-    ``source_map[i]`` is the input frame the i-th output row came from,
-    or ``CUSTOM_BLANK`` for inserted blank rows.  ``nonblank_count`` is
-    the number of non-inserted (content) rows in the output.
+    ``source_map[i]`` is the input frame the i-th row came from, or
+    ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count`` is
+    the number of non-inserted (content) rows.
     """
 
-    values: np.ndarray
     source_map: tuple[int, ...]
     nonblank_count: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValidationError(f"compressed matrix must be 2-D, got {v.shape}")
-        if len(self.source_map) != v.shape[0]:
+        super().__post_init__()
+        if len(self.source_map) != self.frames:
             raise ValidationError("source_map length must match row count")
-        check_stochastic(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
         object.__setattr__(self, "source_map", tuple(map(int, self.source_map)))
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -337,7 +323,7 @@ def save_compressed(c: CompressedPosteriors, path) -> None:
     a '<path>.map' provenance sidecar, each through a temporary file that
     is renamed into place."""
     path = Path(path)
-    atomic_write(path, lambda tmp: save_posteriors(PosteriorMatrix(c.values), tmp, "binary"))
+    atomic_write(path, lambda tmp: save_posteriors(c, tmp, "binary"))
     atomic_write(Path(str(path) + ".map"), lambda tmp: save_source_map(c, tmp))
 
 

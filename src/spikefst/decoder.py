@@ -189,8 +189,9 @@ def _table(graph: Fst) -> _Table:
 
 
 def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
-    """Best-path search of *frames* (a PosteriorMatrix or
-    CompressedPosteriors) through *graph*.
+    """Best-path search of *frames*, a :class:`PosteriorMatrix`
+    compressed or not, through *graph*.  A compressed one's source map
+    turns each emission's row back into its source frame.
 
     Raises :class:`DecodeError` naming the frame if every token is pruned
     away, or frame T if no final state is reachable at the end.  A zero
@@ -217,10 +218,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         acoustic = cfg.acoustic_scale * -np.log(np.fmax(values, 0.0))
     rows = acoustic.tolist()
     cheapest = acoustic.argmin(axis=1).tolist()
-    if vocab > 1:
-        seconds = np.sort(acoustic, axis=1)[:, 1].tolist()
-    else:
-        seconds = [math.inf] * n_frames
+    seconds = np.sort(acoustic, axis=1)[:, 1].tolist()
 
     emit, by_column, minw = table.emit, table.by_column, table.minw
     inf = math.inf

@@ -199,7 +199,11 @@ def _load_text(path: Path) -> PosteriorMatrix:
             raise DataFormatError(
                 f"{path}: line {t + 2}: expected {vocab} values, got {len(parts)}"
             )
-        values[t] = [float(x) for x in parts]
+        try:
+            values[t] = [float(x) for x in parts]
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {t + 2}: non-numeric value in {lines[t + 1]!r}") from None
     return PosteriorMatrix(values)
 
 
@@ -219,7 +223,12 @@ def load_labels(path, token_table=None) -> list[LabelSequence]:
                     raise DataFormatError(f"{path}: line {ln}: unknown token {part!r}")
                 toks.append(token_table.find_id(part) - 1)
             else:
-                toks.append(int(part))
+                try:
+                    toks.append(int(part))
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {ln}: token {part!r} is not an integer "
+                        "(symbols need a token table)") from None
         out.append(LabelSequence(tuple(toks)))
     return out
 

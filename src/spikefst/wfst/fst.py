@@ -91,7 +91,18 @@ class SymbolTable:
             parts = line.split()
             if len(parts) != 2:
                 raise DataFormatError(f"{path}: line {ln}: expected 'symbol<TAB>id'")
-            sym, key = parts[0], int(parts[1])
+            sym = parts[0]
+            try:
+                key = int(parts[1])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {ln}: id {parts[1]!r} is not an integer") from None
+            if sym in table._sym2id:
+                raise DataFormatError(
+                    f"{path}: line {ln}: symbol {sym!r} already bound to id {table._sym2id[sym]}")
+            if key in table._id2sym:
+                raise DataFormatError(
+                    f"{path}: line {ln}: id {key} already bound to {table._id2sym[key]!r}")
             table._sym2id[sym] = key
             table._id2sym[key] = sym
         if 0 not in table._id2sym:
@@ -113,7 +124,6 @@ class Fst:
         self.finals: dict[int, float] = {}
         self.isyms = isyms
         self.osyms = osyms
-        self._ilabel_sorted: bool | None = None
         # Bumped by every mutator, so caches derived from the machine can
         # tell when they are stale.
         self.version: int = 0
@@ -171,7 +181,6 @@ class Fst:
         self._check_state(src)
         self._check_arc(src, weight, dst)
         self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
-        self._ilabel_sorted = None
         self.version += 1
 
     def _check_state(self, state: int) -> None:
@@ -213,15 +222,6 @@ class Fst:
     def is_final(self, state: int) -> bool:
         return state in self.finals
 
-    @property
-    def ilabel_sorted(self) -> bool:
-        if self._ilabel_sorted is None:
-            self._ilabel_sorted = all(
-                all(arcs[i].ilabel <= arcs[i + 1].ilabel for i in range(len(arcs) - 1))
-                for arcs in self._arcs
-            )
-        return self._ilabel_sorted
-
     def __repr__(self) -> str:
         return (
             f"Fst(states={self.num_states}, arcs={self.num_arcs}, "
@@ -233,7 +233,6 @@ class Fst:
         out._arcs = [list(arcs) for arcs in self._arcs]
         out.start = self.start
         out.finals = dict(self.finals)
-        out._ilabel_sorted = self._ilabel_sorted
         return out
 
 
@@ -245,7 +244,6 @@ def arcsort(f: Fst, by: str = "ilabel") -> Fst:
     # An Arc compares as (ilabel, olabel, weight, nextstate).
     key = None if by == "ilabel" else itemgetter(1, 0, 2, 3)
     out._arcs = [sorted(arcs, key=key) for arcs in out._arcs]
-    out._ilabel_sorted = by == "ilabel"
     return out
 
 

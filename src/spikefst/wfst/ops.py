@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import FstError
-from .fst import EPSILON, ONE, ZERO, Arc, Fst, arcsort, trim, wplus, wtimes
+from .fst import EPSILON, ONE, ZERO, Arc, Fst, trim, wplus, wtimes
 
 # Residual-weight granularity used only when hashing subset/partition
 # keys; stored weights stay exact.
@@ -107,8 +107,6 @@ def compose(a: Fst, b: Fst) -> Fst:
         raise FstError("compose requires start states on both machines")
     if a.osyms is not None and b.isyms is not None and a.osyms != b.isyms:
         raise FstError("compose: output symbols of a do not match input symbols of b")
-    if not b.ilabel_sorted:
-        b = arcsort(b, "ilabel")
 
     b_by_label: list[dict[int, list[Arc]] | None] = [None] * b.num_states
 
@@ -252,11 +250,13 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
         for label in sorted(by_label):
             cands = _close_elems(eps, by_label[label], close_limit)
             w_min = min(e.weight for e in cands)
-            lcp = _common_prefix([e.out for e in cands])
-            emit = lcp[0] if lcp else EPSILON
-            strip = 1 if lcp else 0
+            # the arc emits the first output symbol, if every element shares it
+            head = cands[0].out[:1]
+            if any(e.out[:1] != head for e in cands):
+                head = ()
+            emit = head[0] if head else EPSILON
             nxt = [
-                _Elem(e.state, e.weight - w_min, e.out[strip:]) for e in cands
+                _Elem(e.state, e.weight - w_min, e.out[len(head):]) for e in cands
             ]
             key = _subset_key(nxt)
             dst = ids.get(key)
@@ -271,16 +271,6 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
                 queue.append((dst, nxt))
             arcs[src].append(Arc(label, emit, w_min, dst))
     return Fst._from_arcs(arcs, 0, finals, f.isyms, f.osyms)
-
-
-def _common_prefix(strings: list[tuple[int, ...]]) -> tuple[int, ...]:
-    if not strings:
-        return ()
-    first = min(strings, key=len)
-    for i, sym in enumerate(first):
-        if any(s[i] != sym for s in strings):
-            return first[:i]
-    return first
 
 
 def _set_subset_final(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
@@ -377,15 +367,8 @@ def minimize(f: Fst) -> Fst:
     arcs: list[list[Arc]] = []
     finals: dict[int, float] = {}
     for new_id, rep in enumerate(order):
-        emitted = set()
-        row = []
-        for a in g._arcs[rep]:
-            key = (a.ilabel, a.olabel, a.weight, block[a.nextstate])
-            if key in emitted:
-                continue
-            emitted.add(key)
-            row.append(Arc(a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]]))
-        arcs.append(row)
+        arcs.append([Arc(a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]])
+                     for a in g._arcs[rep]])
         if g.is_final(rep):
             finals[new_id] = g.final_weight(rep)
     return Fst._from_arcs(arcs, 0, finals, g.isyms, g.osyms)

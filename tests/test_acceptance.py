@@ -227,21 +227,24 @@ def test_c07_pushed_graph_equivalence(lang, tlg, tlg_pushed, clean_corpus):
             mismatches += 1
     assert mismatches == 0, f"{mismatches} transcript mismatches pushed vs unpushed"
 
-    def run(graph) -> float:
-        t0 = time.perf_counter()
-        for _, frames in compressed:
-            decode(graph, frames, BEAM)
-        return time.perf_counter() - t0
-
     import statistics
 
-    # Interleave the runs, so a slow stretch of the machine lands on both sides.
-    plain_runs, pushed_runs = [], []
-    for _ in range(5):
-        plain_runs.append(run(tlg))
-        pushed_runs.append(run(tlg_pushed))
-    plain = statistics.median(plain_runs)
-    pushed = statistics.median(pushed_runs)
+    # A run decodes every utterance on both graphs back to back, the first
+    # graph alternating, and sums each side's CPU time.  A slow stretch of
+    # the machine then lands on both sides alike, and time it spends on
+    # other processes counts against neither.
+    def run() -> list[float]:
+        spent = [0.0, 0.0]  # unpushed, pushed
+        for i, (_, frames) in enumerate(compressed):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                t0 = time.process_time()
+                decode((tlg, tlg_pushed)[side], frames, BEAM)
+                spent[side] += time.process_time() - t0
+        return spent
+
+    runs = [run() for _ in range(5)]
+    plain = statistics.median(r[0] for r in runs)
+    pushed = statistics.median(r[1] for r in runs)
     assert pushed <= plain * 1.10, f"pushed {pushed:.3f}s vs unpushed {plain:.3f}s"
     ok(7, f"transcripts identical on {len(compressed)} utterances; "
           f"pushed decode {pushed:.3f}s vs unpushed {plain:.3f}s (beam {BEAM.beam})")

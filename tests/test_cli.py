@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,15 @@ class TestExitCodes:
                    "--hyps", str(workdir / "refs.txt")])
         assert rc == 2
 
+    def test_non_numeric_label_without_tokens_is_two(self, tmp_path, caplog):
+        labels = tmp_path / "l.txt"
+        labels.write_text("a b\n")
+        rc = main(["synth", "--labels", str(labels), "--vocab-size", "4",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert any("l.txt: line 1: token 'a' is not an integer" in r.message
+                   for r in caplog.records)
+
     def test_decode_failure_is_three(self, workdir, graph_dir, posterior_dir):
         from spikefst import PosteriorMatrix, save_posteriors
 
@@ -255,3 +266,43 @@ class TestExitCodes:
         rc = main(["decode", "--graph-dir", str(bad), "--input", str(posterior_dir),
                    "--out", str(tmp_path / "out.jsonl")])
         assert rc == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_walkthrough() -> tuple[dict[str, str], list[list[str]]]:
+    """The README's ``mkdir demo`` block as the files its heredocs write
+    and the argument lists of its ``spikefst`` commands."""
+    block = README.read_text().split("```sh\nmkdir demo", 1)[1].split("```", 1)[0]
+    files: dict[str, str] = {}
+    commands: list[list[str]] = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("cat > "):
+            body = []
+            for inner in lines:
+                if inner == "EOF":
+                    break
+                body.append(inner)
+            files[line.split()[2]] = "\n".join(body) + "\n"
+        elif line.startswith("spikefst "):
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            commands.append(shlex.split(line)[1:])
+    return files, commands
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    files, commands = readme_walkthrough()
+    assert sorted(files) == ["labels.txt", "lexicon.txt", "lm.arpa", "refs.txt"]
+    assert [c[0] for c in commands] == [
+        "build-graph", "synth", "compress", "decode", "score", "bench", "sweep"]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        if argv[0] == "score":
+            assert json.loads(capsys.readouterr().out)["rate"] == 0.0

@@ -395,7 +395,7 @@ class TestSerialization:
         save_compressed(c, path)
         (tmp_path / "utt.spkf.map").unlink()
         back = load_compressed(path)
-        assert isinstance(back, PosteriorMatrix)
+        assert type(back) is PosteriorMatrix
 
 
     @pytest.mark.parametrize("mode", MODES)

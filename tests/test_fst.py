@@ -159,6 +159,22 @@ class TestStructure:
         assert u == t
         assert u.find_symbol(7) == "b" and u.find_id("a") == 1
 
+    def test_symbol_table_rejects_non_integer_id(self, tmp_path):
+        path = tmp_path / "syms.txt"
+        path.write_text("<eps> 0\na x\n")
+        with pytest.raises(DataFormatError, match=r"syms\.txt: line 2: id 'x' is not an integer"):
+            SymbolTable.from_file(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("<eps> 0\na 1\nb 1\n", "line 3: id 1 already bound to 'a'"),
+        ("<eps> 0\na 1\na 2\n", "line 3: symbol 'a' already bound to id 1"),
+    ], ids=["repeated id", "repeated symbol"])
+    def test_symbol_table_rejects_repeated_symbol_or_id(self, tmp_path, text, match):
+        path = tmp_path / "syms.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            SymbolTable.from_file(path)
+
     def test_arcsort_binary_search_matches_scan(self):
         rng = np.random.default_rng(1)
         f = Fst()
@@ -168,11 +184,11 @@ class TestStructure:
         for il in labels:
             f.add_arc(0, il, il, 0.0, 1)
         g = arcsort(f, "ilabel")
-        assert g.ilabel_sorted
         import bisect
 
         arcs = g.arcs(0)
         ilabels = [a.ilabel for a in arcs]
+        assert ilabels == sorted(ilabels)
         for probe in range(10):
             i = bisect.bisect_left(ilabels, probe)
             via_bisect = {a for a in arcs[i:] if a.ilabel == probe}

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spikefst import (
     softmax,
     synth_posteriors,
 )
+from spikefst.posterior import atomic_write
 
 
 class TestSoftmax:
@@ -114,6 +116,12 @@ class TestPosteriorIO:
         with pytest.raises(DataFormatError, match="magic"):
             load_posteriors(path, "binary")
 
+    def test_text_non_numeric_value_names_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n0.5 0.5\n0.5 x\n")
+        with pytest.raises(DataFormatError, match=r"m\.txt: line 3: non-numeric"):
+            load_posteriors(path, "text")
+
     def test_dimension_overflow(self, tmp_path):
         import struct
 
@@ -121,6 +129,28 @@ class TestPosteriorIO:
         path.write_bytes(struct.pack("<4sIII", b"SPKF", 1, 2**20, 2**20))
         with pytest.raises(DataFormatError, match="overflow"):
             load_posteriors(path, "binary")
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def write_then_fail(tmp):
+        Path(tmp).write_bytes(b"partial")
+        raise OSError("disk gone")
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.spkf"
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write(target, self.write_then_fail)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_existing_target(self, tmp_path):
+        target = tmp_path / "out.spkf"
+        save_posteriors(PosteriorMatrix(np.full((3, 4), 0.25)), target, "binary")
+        before = target.read_bytes()
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write(target, self.write_then_fail)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.spkf"]
 
 
 class TestSynth:
