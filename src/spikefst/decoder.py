@@ -48,10 +48,32 @@ entry off column ``h`` then costs at least that much and could not be
 stored, and the view keeps entry order, so the same candidates are
 stored in the same order.
 
+A blank row carries only position.  A row is *pure blank* when its
+acoustic cost is 0 on column 0 and ``inf`` on every other column, as an
+``ioo`` inserted blank is; the decision reads the row's values, never a
+source map.  A pure-blank row followed by a row that is not is folded
+into that row: the two take one search step over the table's
+through-blank entries.  For each state ``s``, each of its column-0
+entries ``s -> m`` of weight ``wb`` and each entry of ``m`` on column
+``x`` of weight ``wx``, in that order, ``s`` has one through-blank entry
+on column ``x`` of weight ``wb + wx`` (so costs equal the unfolded
+search's up to float order).  A folded step reads only those, since the
+blank row must be consumed by a blank arc, and no prune happens between
+the two rows; the bound, the per-column views and ``minw`` work as on
+any step, over the through-blank entries and the second row's costs.
+A trailing pure-blank row, and each but the last of a run of them, keep
+an ordinary step.  Traceback reports a folded step's blank arcs at the
+blank row, so an inserted blank still maps to source frame -1.
+``frames_processed`` is the row count, ``tokens_alive_histogram`` has one
+entry per search step, and a :class:`DecodeError` at a folded step
+names its second row.
+
 Decoding is deterministic: live states are expanded in sorted order,
 each through its entries in table order, and a token is replaced only
 by a strictly cheaper one, so equal-cost ties keep the path through the
-lower-numbered predecessor state, then through its earlier entry.
+lower-numbered predecessor state, then through its earlier entry.  On a
+folded step that is the lower ``s``, then its earlier blank entry, then
+``m``'s earlier entry.
 """
 
 from __future__ import annotations
@@ -61,6 +83,7 @@ import math
 import time
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,21 +132,39 @@ class DecodeResult:
         )
 
 
+class _Entries(NamedTuple):
+    """One set of search entries: ``emit[state]`` holds the state's
+    entries, ``by_column[col][state]`` the same restricted to one column
+    in entry order, and ``minw[state]`` its cheapest entry weight
+    (``inf`` if it has none)."""
+
+    emit: tuple[tuple[tuple, ...], ...]
+    by_column: tuple[list[tuple[tuple, ...]], ...]
+    minw: list[float]
+
+    @classmethod
+    def of(cls, emit: list, max_ilabel: int) -> "_Entries":
+        by_column = tuple([()] * len(emit) for _ in range(max_ilabel))
+        for s, entries in enumerate(emit):
+            for e in entries:
+                by_column[e[0]][s] += (e,)
+        minw = [min((e[1] for e in entries), default=math.inf) for entries in emit]
+        return cls(tuple(emit), by_column, minw)
+
+
 @dataclass(frozen=True)
 class _Table:
     """Search-time view of one version of a graph, epsilon arcs compiled
-    away (see the module doc).  ``emit[state]`` holds its entries
-    ``(column, weight, next, arcs crossed)``, and ``start`` the start
-    state's epsilon closure as ``(state, cost, arcs crossed)``.
-    ``by_column[col][state]`` is ``emit[state]`` restricted to one
-    column, in entry order; ``minw[state]`` is its cheapest entry weight
-    (``inf`` if it has none)."""
+    away (see the module doc).  ``direct`` holds the entries
+    ``(column, weight, next, arcs crossed)`` of an ordinary step and
+    ``thru`` the through-blank entries ``(column, weight, next, (blank
+    arcs, arcs))`` of a folded step; ``start`` is the start state's
+    epsilon closure as ``(state, cost, arcs crossed)``."""
 
     version: int
     max_ilabel: int
-    emit: tuple[tuple[tuple[int, float, int, tuple[Arc, ...]], ...], ...]
-    by_column: tuple[list[tuple[tuple[int, float, int, tuple[Arc, ...]], ...]], ...]
-    minw: list[float]
+    direct: _Entries
+    thru: _Entries
     start: tuple[tuple[int, float, tuple[Arc, ...]], ...]
 
 
@@ -172,16 +213,17 @@ def _table(graph: Fst) -> _Table:
                 entries.append((a.ilabel - 1, a.weight + v, f, (a,) + via))
         emit.append(tuple(entries))
     max_ilabel = max((a.ilabel for _, a in arcs), default=0)
-    by_column = tuple([()] * n for _ in range(max_ilabel))
-    for s, entries in enumerate(emit):
-        for e in entries:
-            by_column[e[0]][s] += (e,)
+    direct = _Entries.of(emit, max_ilabel)
+    # one through-blank entry per blank entry s -> m and per entry of m
+    thru = [tuple((x, wb + wx, f, (bpath, xpath))
+                  for col, wb, m, bpath in entries if col == 0
+                  for x, wx, f, xpath in emit[m])
+            for entries in emit]
     table = _Table(
         version=graph.version,
         max_ilabel=max_ilabel,
-        emit=tuple(emit),
-        by_column=by_column,
-        minw=[min((w for _, w, _, _ in entries), default=math.inf) for entries in emit],
+        direct=direct,
+        thru=_Entries.of(thru, max_ilabel),
         start=tuple((f, v, via) for f, (v, _, _, via) in closure.get(graph.start, {}).items()),
     )
     _tables[graph] = table
@@ -194,11 +236,11 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     turns each emission's row back into its source frame.
 
     Raises :class:`DecodeError` naming the frame if every token is pruned
-    away, or frame T if no final state is reachable at the end.  A zero
-    probability under a required arc is an infinite cost, not an error;
-    tokens of infinite cost are not carried, so a graph whose every path
-    crosses an infinite-weight arc fails at the frame where the last
-    finite token dies.
+    away (a folded step's second row), or frame T if no final state is
+    reachable at the end.  A zero probability under a required arc is an
+    infinite cost, not an error; tokens of infinite cost are not carried,
+    so a graph whose every path crosses an infinite-weight arc fails at
+    the frame where the last finite token dies.
     """
     t0 = time.perf_counter()
     values = frames.values
@@ -218,13 +260,17 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         acoustic = cfg.acoustic_scale * -np.log(np.fmax(values, 0.0))
     rows = acoustic.tolist()
     cheapest = acoustic.argmin(axis=1).tolist()
-    seconds = np.sort(acoustic, axis=1)[:, 1].tolist()
+    seconds = np.sort(acoustic, axis=1)[:, 1]
+    # row t is folded into row t + 1 when it is pure blank and row t + 1 is not
+    pure = (acoustic[:, 0] == 0.0) & (seconds == np.inf)
+    lead = (pure[:-1] & ~pure[1:]).tolist() + [False]
+    seconds = seconds.tolist()
 
-    emit, by_column, minw = table.emit, table.by_column, table.minw
     inf = math.inf
     beam, max_active = cfg.beam, cfg.max_active
     # cost[s] is the live token's cost or inf; back maps each reached state
-    # to its trace, (prev trace, arcs crossed, frame or -1)
+    # to its trace, (prev trace, arcs crossed, frame or -1); a folded step's
+    # prev trace is the blank row's (trace, blank arcs, t - 1)
     cost, nxt = [inf] * graph.num_states, [inf] * graph.num_states
     cost[graph.start] = 0.0
     back: dict[int, tuple | None] = {graph.start: None}
@@ -236,6 +282,10 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     histogram: list[int] = []
 
     for t, row in enumerate(rows):
+        if lead[t]:
+            continue
+        folded = t > 0 and lead[t - 1]
+        emit, by_column, minw = table.thru if folded else table.direct
         # a column no entry reads has no view; the full entry lists stand in
         h, second = cheapest[t], seconds[t]
         hot = by_column[h] if h < len(by_column) else emit
@@ -257,7 +307,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
                 nc = c + w + row[col]
                 if nc <= bound and nc < nxt[ns]:
                     nxt[ns] = nc
-                    nback[ns] = (trace, path, t)
+                    nback[ns] = ((trace, path[0], t - 1), path[1], t) if folded else (trace, path, t)
         for s in back:
             cost[s] = inf
         if not nback:

@@ -188,6 +188,8 @@ def _load_text(path: Path) -> PosteriorMatrix:
         frames, vocab = (int(x) for x in lines[0].split())
     except ValueError:
         raise DataFormatError(f"{path}: line 1: expected 'T V' header") from None
+    if frames < 0 or vocab < 0:
+        raise DataFormatError(f"{path}: line 1: negative dimension in header {lines[0]!r}")
     if frames * vocab > _MAX_CELLS:
         raise DataFormatError(f"{path}: dimension overflow ({frames} x {vocab})")
     if len(lines) < frames + 1:

@@ -369,11 +369,15 @@ def search_oracle(graph: Fst, frames, cfg):
     live state, in sorted order, relaxes its emitting arcs in arc order,
     then one continuation per emitting arc into an epsilon state s and
     per state f that s reaches, ordered by s, then arc order, then f, at
-    cost ``c + (u + v) + acoustic``.  Candidates are stored in a
-    state -> (cost, trace) dict and pruned after each frame.  Returns a
-    ``DecodeResult`` with zero wall time and raises the same errors as
-    ``decode`` (``inf``-cost tokens aside: this search carries them,
-    ``decode`` drops them)."""
+    cost ``c + (u + v) + acoustic``.  A pure-blank row (cost 0 on column
+    0, ``inf`` elsewhere) followed by a row that is not is no step of its
+    own: the next row's step takes, per live state, each blank move
+    ``s -> m`` in move order and then each move of ``m``, at cost
+    ``c + (wb + w) + acoustic``, with no prune in between.  Candidates are
+    stored in a state -> (cost, trace) dict and pruned after each step.
+    Returns a ``DecodeResult`` with zero wall time and raises the same
+    errors as ``decode`` (``inf``-cost tokens aside: this search carries
+    them, ``decode`` drops them)."""
     values = frames.values
     source_map = getattr(frames, "source_map", None)
     arcs = [a for s in range(graph.num_states) for a in graph.arcs(s)]
@@ -401,22 +405,33 @@ def search_oracle(graph: Fst, frames, cfg):
 
     with np.errstate(divide="ignore"):
         rows = (cfg.acoustic_scale * np.where(values > 0.0, -np.log(values), math.inf)).tolist()
+    pure = [row[0] == 0.0 and all(c == math.inf for c in row[1:]) for row in rows]
     active = {graph.start: (0.0, None)}
     for f, (v, ids) in closure.get(graph.start, {}).items():
         active[f] = (v, (None, ids, -1))
     histogram = []
     for t, row in enumerate(rows):
+        if pure[t] and t + 1 < len(rows) and not pure[t + 1]:
+            continue  # searched together with row t + 1
+        folded = t > 0 and pure[t - 1] and not pure[t]
         nxt: dict = {}
         for s in sorted(active):
             cost, trace = active[s]
-            for col, w, ns, ids in moves[s]:
+            if folded:
+                # a blank move s -> m on row t - 1, then a move of m on row t
+                cands = [(col, bw + w, ns, ids, (trace, bids, t - 1))
+                         for bcol, bw, m, bids in moves[s] if bcol == 0
+                         for col, w, ns, ids in moves[m]]
+            else:
+                cands = [(col, w, ns, ids, trace) for col, w, ns, ids in moves[s]]
+            for col, w, ns, ids, prev in cands:
                 ac = row[col]
                 if ac == math.inf:
                     continue
                 nc = cost + w + ac
                 entry = nxt.get(ns)
                 if entry is None or nc < entry[0]:
-                    nxt[ns] = (nc, (trace, ids, t))
+                    nxt[ns] = (nc, (prev, ids, t))
         if not nxt:
             raise DecodeError(t)
         cutoff = min(e[0] for e in nxt.values()) + cfg.beam

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import (
     fixpoint_oracle,
+    make_corpus,
     random_decodable_graph,
     random_posteriors,
     random_search_case,
@@ -13,15 +15,21 @@ from helpers import (
     viterbi_oracle,
 )
 from spikefst import (
+    CUSTOM_BLANK,
     CompressConfig,
+    CompressedPosteriors,
     DecodeError,
     DecoderConfig,
     FstError,
     PosteriorMatrix,
+    SynthConfig,
     ValidationError,
     compress,
     decode,
     decode_batch,
+    load_compressed,
+    load_posteriors,
+    save_compressed,
     sweep_params,
 )
 from spikefst.wfst import Arc, Fst
@@ -70,6 +78,12 @@ class TestDecodeBasics:
         p = one_hot_rows([1, 1, 1])  # after A the graph only accepts blanks
         with pytest.raises(DecodeError, match="frame 1"):
             decode(g, p, WIDE)
+
+    def test_collapse_at_a_folded_step_names_its_second_row(self):
+        # row 2 is a blank folded into row 3; state 2, reached on row 1, has
+        # no blank arc, so the search dies on row 2 but names row 3
+        with pytest.raises(DecodeError, match="frame 3"):
+            decode(one_word_graph(), one_hot_rows([1, 0, 0, 1]), WIDE)
 
     def test_empty_frames_need_reachable_final(self):
         g = one_word_graph()
@@ -145,6 +159,33 @@ class TestViterbiOracle:
                     decode(g, comp, WIDE)
                 hopeless += 1
         assert finite >= 15 and hopeless >= 15
+
+    def test_folded_steps_match_exhaustive_dp(self):
+        # Each inserted blank row is folded into the next row's step (see
+        # decoder.py); at beam inf the fold must still find the best path.
+        rng = np.random.default_rng(1212)
+        modes = (
+            CompressConfig(mode="ioo"),
+            CompressConfig(mode="ioo_koo", koo_strategy="max"),
+            CompressConfig(mode="ioo_koo", koo_strategy="min"),
+            CompressConfig(mode="ioo", blanks_per_region=2),
+            CompressConfig(mode="ioo_koo", koo_strategy="min", blanks_per_region=2),
+        )
+        finite = folded = 0
+        for trial in range(250):
+            g = random_decodable_graph(rng, max_states=30, vocab=3)
+            comp = compress(random_posteriors(rng, int(rng.integers(1, 16)), 3),
+                            modes[trial % len(modes)])
+            expected = viterbi_oracle(g, comp.values)
+            if not math.isfinite(expected):
+                with pytest.raises(DecodeError):
+                    decode(g, comp, WIDE)
+                continue
+            r = decode(g, comp, WIDE)
+            assert r.total_cost == pytest.approx(expected, abs=1e-6), f"trial {trial}"
+            finite += 1
+            folded += r.frames_processed - len(r.tokens_alive_histogram)
+        assert finite >= 100 and folded >= 200
 
     def test_acoustic_scale_respected(self):
         rng = np.random.default_rng(7)
@@ -500,15 +541,25 @@ class TestSearchOracle:
 class TestFixpointOracle:
     """On graphs from ``build_tlg``, whose epsilon arcs are single
     epsilon:word flush arcs, the compiled closure gives exactly what the
-    per-frame epsilon fixpoint gave."""
+    per-frame epsilon fixpoint gave.  On compressed rows each inserted
+    blank is folded into the next step, which the fixpoint search does
+    not do: the best path stays the same and its cost the same up to
+    float order, the live-token histogram does not, and
+    ``search_oracle`` checks the whole result."""
 
     @pytest.mark.parametrize("graph", ["tlg", "tlg_pushed"])
     def test_build_tlg_graph_results_unchanged(self, request, graph, clean_corpus):
         tlg = request.getfixturevalue(graph)
         cfg = DecoderConfig(beam=12.0)
         for utt, _, mat in clean_corpus[:100]:
-            for frames in (mat, compress(mat, CompressConfig(mode="ioo_koo"))):
-                assert decode(tlg, frames, cfg).same_search(fixpoint_oracle(tlg, frames, cfg)), utt
+            assert decode(tlg, mat, cfg).same_search(fixpoint_oracle(tlg, mat, cfg)), utt
+            comp = compress(mat, CompressConfig(mode="ioo_koo"))
+            got, old = decode(tlg, comp, cfg), fixpoint_oracle(tlg, comp, cfg)
+            assert (got.words, got.tokens, got.path_graph_costs) == (
+                old.words, old.tokens, old.path_graph_costs), utt
+            # the fold adds a blank entry's weight to the next entry's first
+            assert got.total_cost == pytest.approx(old.total_cost, rel=0, abs=1e-9), utt
+            assert got.same_search(search_oracle(tlg, comp, cfg)), utt
 
 
 class TestGraphEdits:
@@ -568,6 +619,27 @@ class TestCompressedParity:
         # ambiguities (e.g. "ti no" vs "tino") the language model re-segments
         assert truth_hits >= 0.9 * len(sample)
 
+    def test_parity_frontier(self, lang, tlg):
+        # Exact search, on short utterances and blank runs to keep it cheap.
+        # Insert-Only-One keeps every transcript even on flat posteriors;
+        # Keep-Only-One drops frames that can carry the deciding evidence,
+        # so at low peak some transcript changes.  The second is documented
+        # behaviour, not a bound.
+        exact = DecoderConfig(beam=math.inf, max_active=10**9)
+        koo_mismatches = {}
+        for peak, noise in ((0.95, 0.04), (0.8, 0.1), (0.51, 0.4)):
+            synth = SynthConfig(vocab_size=lang.vocab_size, peak=peak, noise=noise,
+                                blank_run=(1, 3))
+            koo_mismatches[peak] = 0
+            corpus = make_corpus(lang, np.random.default_rng(11), 40, synth, lo=1, hi=3)
+            for utt, _, mat in corpus:
+                dense = decode(tlg, mat, exact).words
+                ioo = decode(tlg, compress(mat, CompressConfig(mode="ioo")), exact).words
+                assert ioo == dense, (peak, utt)
+                koo = decode(tlg, compress(mat, CompressConfig(mode="ioo_koo")), exact).words
+                koo_mismatches[peak] += koo != dense
+        assert koo_mismatches[0.51] > 0, koo_mismatches
+
     def test_compressed_frame_loop_bound(self, tlg, clean_corpus):
         cfg = DecoderConfig(beam=12.0)
         for utt, words, mat in clean_corpus[:20]:
@@ -585,6 +657,45 @@ class TestCompressedParity:
                 continue  # inserted blank
             # emitting a real token at a kept frame: source row argmax agrees
             assert int(np.argmax(mat.values[src])) == token - 1
+
+
+class TestBlankFold:
+    """Which rows are folded is read from the row values alone: a source
+    map neither causes nor prevents a fold."""
+
+    @staticmethod
+    def steps(source_map):
+        """Search steps when each inserted blank followed by a kept row is
+        folded into it."""
+        pairs = zip(source_map, source_map[1:])
+        return len(source_map) - sum(a == CUSTOM_BLANK != b for a, b in pairs)
+
+    def test_sidecar_marking_a_content_row_blank_folds_nothing_more(self, tlg, clean_corpus,
+                                                                    tmp_path):
+        _, _, mat = clean_corpus[3]
+        comp = compress(mat, CompressConfig(mode="ioo_koo"))
+        smap = list(comp.source_map)
+        k = next(i for i, src in enumerate(smap) if src != CUSTOM_BLANK)
+        smap[k] = CUSTOM_BLANK
+        path = tmp_path / "u.spkf"
+        save_compressed(CompressedPosteriors(comp.values, smap, comp.nonblank_count), path)
+        marked, plain = load_compressed(path), load_posteriors(path)
+        assert marked.source_map[k] == CUSTOM_BLANK and marked.values[k].max() < 1.0
+        cfg = DecoderConfig(beam=12.0)
+        ref = decode(tlg, plain, cfg)
+        assert len(ref.tokens_alive_histogram) == self.steps(comp.source_map) < comp.frames
+        # the plain matrix reports rows; the marked one reads them through its map
+        ref = replace(ref, tokens=tuple((marked.source_map[t], tok) for t, tok in ref.tokens))
+        assert decode(tlg, marked, cfg).same_search(ref)
+
+    def test_exact_one_hot_blank_rows_fold_without_a_source_map(self, tlg, clean_corpus):
+        _, _, mat = clean_corpus[3]
+        comp = compress(mat, CompressConfig(mode="ioo_koo"))
+        cfg = DecoderConfig(beam=12.0)
+        dense = decode(tlg, PosteriorMatrix(comp.values), cfg)
+        assert len(dense.tokens_alive_histogram) == self.steps(comp.source_map) < comp.frames
+        wrapped = CompressedPosteriors(comp.values, range(comp.frames), comp.nonblank_count)
+        assert dense.same_search(decode(tlg, wrapped, cfg))
 
 
 class TestBatch:

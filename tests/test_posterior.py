@@ -122,6 +122,13 @@ class TestPosteriorIO:
         with pytest.raises(DataFormatError, match=r"m\.txt: line 3: non-numeric"):
             load_posteriors(path, "text")
 
+    @pytest.mark.parametrize("header", ["-1 3", "2 -3"])
+    def test_text_negative_dimension_names_line_one(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n0.5 0.5 0.0\n0.5 0.5 0.0\n")
+        with pytest.raises(DataFormatError, match=r"m\.txt: line 1: negative dimension"):
+            load_posteriors(path, "text")
+
     def test_dimension_overflow(self, tmp_path):
         import struct
 
