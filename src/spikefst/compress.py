@@ -129,10 +129,12 @@ def segment_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     fuse two non-adjacent runs of the same token into one.
     """
     labels = np.asarray(labels)
-    # labels are >= 0, so the -1 sentinels open the first run and close the last
-    edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
-    starts, ends = edges[:-1], edges[1:]
-    return labels[starts], starts, ends
+    if labels.shape[0] == 0:
+        none = np.empty(0, np.intp)
+        return labels[none], none, none
+    inner = np.flatnonzero(labels[1:] != labels[:-1]) + 1  # every start but the first
+    starts = np.concatenate(([0], inner))
+    return labels[starts], starts, np.concatenate((inner, [labels.shape[0]]))
 
 
 def koo_select(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max") -> np.ndarray:
@@ -147,20 +149,23 @@ def koo_select(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max") 
         raise ValidationError(f"unknown strategy {strategy!r}")
     lengths = np.asarray(ends) - starts
     offsets = np.cumsum(lengths) - lengths  # each run's first slot in the flat layout
-    slots = np.arange(lengths.sum())
-    frames = slots + np.repeat(starts - offsets, lengths)
+    frames = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
     probs = p.values[frames, np.repeat(tokens, lengths)]
-    best = np.repeat(extreme.reduceat(probs, offsets), lengths)
-    first = np.minimum.reduceat(np.where(probs == best, slots, slots.size), offsets)
-    return frames[first]
+    hits = np.flatnonzero(probs == np.repeat(extreme.reduceat(probs, offsets), lengths))
+    # every run holds a hit, so its first hit is the first at or after its offset
+    return frames[hits[np.searchsorted(hits, offsets)]]
 
 
 def _take(values: np.ndarray, rows: np.ndarray, nonblank: int) -> CompressedPosteriors:
     """Gather *rows* of *values* in one step.  Row ``CUSTOM_BLANK`` (-1)
-    reads the custom blank appended after the last frame, so *rows* is
-    also the source map."""
-    table = np.vstack((values, custom_blank(values.shape[1])))
-    return CompressedPosteriors(table[rows], rows.tolist(), nonblank)
+    reads the custom blank, so *rows* is also the source map."""
+    blank = custom_blank(values.shape[1])
+    if values.shape[0]:
+        out = values.take(rows, axis=0, mode="clip")  # clip reads row 0 for CUSTOM_BLANK
+    else:  # no frames, so every row is an inserted blank
+        out = np.empty((rows.size, blank.size))
+    out[rows == CUSTOM_BLANK] = blank
+    return CompressedPosteriors(out, rows.tolist(), nonblank)
 
 
 def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
@@ -196,7 +201,8 @@ def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosterior
     keep[starts[~content & (starts > 0)]] = True  # one head per later blank run
     frames = np.flatnonzero(keep)
     rows = np.concatenate(([CUSTOM_BLANK], np.where(labels[frames] == BLANK_ID, CUSTOM_BLANK, frames)))
-    rows = np.repeat(rows, np.where(rows == CUSTOM_BLANK, cfg.blanks_per_region, 1))
+    if cfg.blanks_per_region > 1:
+        rows = np.repeat(rows, np.where(rows == CUSTOM_BLANK, cfg.blanks_per_region, 1))
     values = p.values
     if cfg.mode == "ioo_nb":
         hot = labels != BLANK_ID
@@ -293,10 +299,11 @@ def save_source_map(c: CompressedPosteriors, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_source_map(path) -> tuple[tuple[int, ...], int | None]:
-    """Read a sidecar.  Returns the source map and the content-row count,
-    which is None when the file has no '# nonblank' line."""
-    out, nonblank = [], None
+def load_source_map(path) -> tuple[tuple[int, ...], int | None, list[int]]:
+    """Read a sidecar.  Returns the source map, the content-row count
+    (None when the file has no '# nonblank' line) and the line number of
+    each row."""
+    out, nonblank, lines = [], None, []
     for no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
@@ -308,14 +315,14 @@ def load_source_map(path) -> tuple[tuple[int, ...], int | None]:
                     f"{path}: line {no}: expected '# nonblank N' as the first line, got {line!r}")
             nonblank = int(head[2])
             continue
-        try:
-            out.append(CUSTOM_BLANK if line == "B" else int(line))
-        except ValueError:
+        if line != "B" and not line.isdecimal():  # a sign, so a negative frame, fails too
             raise DataFormatError(
-                f"{path}: line {no}: expected a frame index or 'B', got {line!r}") from None
+                f"{path}: line {no}: expected a frame index or 'B', got {line!r}")
+        out.append(CUSTOM_BLANK if line == "B" else int(line))
+        lines.append(no)
     if nonblank is not None and nonblank > len(out):
         raise DataFormatError(f"{path}: {nonblank} content rows but only {len(out)} rows")
-    return tuple(out), nonblank
+    return tuple(out), nonblank, lines
 
 
 def save_compressed(c: CompressedPosteriors, path) -> None:
@@ -329,7 +336,8 @@ def save_compressed(c: CompressedPosteriors, path) -> None:
 
 def load_compressed(path):
     """Load a compressed corpus file; without its sidecar the provenance is
-    gone and a plain :class:`PosteriorMatrix` is returned instead.
+    gone and a plain :class:`PosteriorMatrix` is returned instead.  A row
+    the sidecar marks 'B' must hold the inserted blank exactly.
 
     A sidecar with no '# nonblank' line (written before the count was
     stored) gets the content-row count rebuilt as "kept row with a
@@ -341,7 +349,13 @@ def load_compressed(path):
     sidecar = Path(str(path) + ".map")
     if not sidecar.exists():
         return mat
-    smap, nonblank = load_source_map(sidecar)
+    smap, nonblank, lines = load_source_map(sidecar)
+    marked = np.flatnonzero(np.asarray(smap, dtype=np.int64)[:mat.frames] == CUSTOM_BLANK)
+    wrong = marked[np.any(mat.values[marked] != custom_blank(mat.vocab_size), axis=1)]
+    if wrong.size:
+        raise DataFormatError(
+            f"{sidecar}: line {lines[wrong[0]]}: row {wrong[0]} is marked 'B' but its "
+            "values are not the inserted blank")
     if nonblank is None:
         labels = argmax_labels(mat)
         nonblank = sum(

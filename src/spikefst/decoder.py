@@ -62,8 +62,12 @@ blank row must be consumed by a blank arc, and no prune happens between
 the two rows; the bound, the per-column views and ``minw`` work as on
 any step, over the through-blank entries and the second row's costs.
 A trailing pure-blank row, and each but the last of a run of them, keep
-an ordinary step.  Traceback reports a folded step's blank arcs at the
-blank row, so an inserted blank still maps to source frame -1.
+an ordinary step.  Every step stores the same flat trace ``(prev trace,
+arcs crossed, t)``; on a folded step the arcs crossed are the entry's
+``(blank arcs, arcs)`` pair.  Traceback knows a step at ``t`` is folded
+from the same per-row flags the search read (row ``t - 1`` leads into
+row ``t``), splits the pair and reports the blank arcs at the blank row,
+so an inserted blank still maps to source frame -1.
 ``frames_processed`` is the row count, ``tokens_alive_histogram`` has one
 entry per search step, and a :class:`DecodeError` at a folded step
 names its second row.
@@ -256,11 +260,15 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         raise FstError("graph has no start state")
 
     # fmax sends every entry that is not positive (NaN too) to 0, cost inf
+    acoustic = np.fmax(values, 0.0)
     with np.errstate(divide="ignore"):
-        acoustic = cfg.acoustic_scale * -np.log(np.fmax(values, 0.0))
+        np.log(acoustic, out=acoustic)
+    np.negative(acoustic, out=acoustic)
+    if cfg.acoustic_scale != 1.0:  # a scale of 1.0 is exact, so skip the pass
+        acoustic *= cfg.acoustic_scale
     rows = acoustic.tolist()
     cheapest = acoustic.argmin(axis=1).tolist()
-    seconds = np.sort(acoustic, axis=1)[:, 1]
+    seconds = np.partition(acoustic, 1, axis=1)[:, 1]
     # row t is folded into row t + 1 when it is pure blank and row t + 1 is not
     pure = (acoustic[:, 0] == 0.0) & (seconds == np.inf)
     lead = (pure[:-1] & ~pure[1:]).tolist() + [False]
@@ -270,7 +278,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     beam, max_active = cfg.beam, cfg.max_active
     # cost[s] is the live token's cost or inf; back maps each reached state
     # to its trace, (prev trace, arcs crossed, frame or -1); a folded step's
-    # prev trace is the blank row's (trace, blank arcs, t - 1)
+    # arcs crossed are the entry's (blank arcs, arcs) pair, split at traceback
     cost, nxt = [inf] * graph.num_states, [inf] * graph.num_states
     cost[graph.start] = 0.0
     back: dict[int, tuple | None] = {graph.start: None}
@@ -307,7 +315,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
                 nc = c + w + row[col]
                 if nc <= bound and nc < nxt[ns]:
                     nxt[ns] = nc
-                    nback[ns] = ((trace, path[0], t - 1), path[1], t) if folded else (trace, path, t)
+                    nback[ns] = (trace, path, t)
         for s in back:
             cost[s] = inf
         if not nback:
@@ -323,8 +331,9 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
 
     best_state = -1
     best_total = ZERO
+    finals = graph.finals
     for s in live:
-        wf = graph.final_weight(s)
+        wf = finals.get(s, ZERO)
         if wf == ZERO:
             continue
         total = cost[s] + wf
@@ -338,6 +347,10 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     node = back[best_state]
     while node is not None:
         node, path, frame = node
+        if frame > 0 and lead[frame - 1]:  # folded: arcs of row frame, then the blank row's
+            bpath, path = path
+            steps += [(a, frame) for a in reversed(path)]
+            path, frame = bpath, frame - 1
         steps += [(a, frame) for a in reversed(path)]
     steps.reverse()
     words = tuple(a.olabel for a, _ in steps if a.olabel != EPSILON)

@@ -31,16 +31,18 @@ ROW_SUM_TOL = 1e-4
 def check_stochastic(v: np.ndarray) -> None:
     """Raise :class:`ValidationError` unless every entry of the 2-D array
     *v* is finite and in [0, 1] and every row sums to 1 +/- ROW_SUM_TOL."""
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("posterior matrix contains non-finite values")
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+    # a NaN fails both comparisons, so only a bad entry leaves the fast path
+    if v.size and not (v.min() >= -1e-12 and v.max() <= 1.0 + 1e-12):
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("posterior matrix contains non-finite values")
         raise ValidationError("posterior entries must lie in [0, 1]")
     if v.shape[0] > 0:
         sums = v.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        if bad.size:
+        off = np.abs(sums - 1.0)
+        if off.max() > ROW_SUM_TOL:
+            bad = np.flatnonzero(off > ROW_SUM_TOL)[0]
             raise ValidationError(
-                f"row {bad[0]} sums to {sums[bad[0]]:.6f}, expected 1 +/- {ROW_SUM_TOL}"
+                f"row {bad} sums to {sums[bad]:.6f}, expected 1 +/- {ROW_SUM_TOL}"
             )
 
 

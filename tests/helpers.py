@@ -7,6 +7,11 @@ recursion instead of the tabular edit-distance, groupby instead of the
 run-length scanner, dict-stored tokens with no cutoff bound instead of
 the decoder's list-indexed costs, and enumerated simple epsilon paths
 instead of the decoder's label-correcting epsilon closure.
+
+``stochastic_oracle``, ``segment_blocks_oracle`` and ``koo_select_oracle``
+are different: they keep earlier, plainer versions of fast paths in the
+package, so that a rewrite can be held to the same arrays and the same
+error messages.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from spikefst.compress import CUSTOM_BLANK
 from spikefst.decoder import DecodeResult
 from spikefst.errors import DecodeError, FstError, ValidationError
 from spikefst.graph import Lexicon, build_grammar_fst, build_lexicon_fst, build_token_fst, parse_arpa
+from spikefst.posterior import ROW_SUM_TOL
 from spikefst.wfst import EPSILON, Arc, Fst
 
 
@@ -52,6 +58,44 @@ def recursive_levenshtein(a, b) -> int:
         return 1 + min(rec(i + 1, j), rec(i, j + 1), rec(i + 1, j + 1))
 
     return rec(0, 0)
+
+
+def stochastic_oracle(v: np.ndarray) -> None:
+    """``check_stochastic`` as three full scans: finiteness, entry range,
+    then row sums."""
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("posterior matrix contains non-finite values")
+    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+        raise ValidationError("posterior entries must lie in [0, 1]")
+    if v.shape[0] > 0:
+        sums = v.sum(axis=1)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+        if bad.size:
+            raise ValidationError(
+                f"row {bad[0]} sums to {sums[bad[0]]:.6f}, expected 1 +/- {ROW_SUM_TOL}"
+            )
+
+
+def segment_blocks_oracle(labels):
+    """``segment_blocks`` through ``np.diff`` with -1 sentinels at both ends."""
+    labels = np.asarray(labels)
+    edges = np.flatnonzero(np.diff(labels, prepend=-1, append=-1))
+    starts, ends = edges[:-1], edges[1:]
+    return labels[starts], starts, ends
+
+
+def koo_select_oracle(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max"):
+    """``koo_select`` with two ``reduceat`` passes: each run's extreme, then
+    the lowest slot that holds it."""
+    extreme = {"max": np.maximum, "min": np.minimum}[strategy]
+    lengths = np.asarray(ends) - starts
+    offsets = np.cumsum(lengths) - lengths
+    slots = np.arange(lengths.sum())
+    frames = slots + np.repeat(starts - offsets, lengths)
+    probs = p.values[frames, np.repeat(tokens, lengths)]
+    best = np.repeat(extreme.reduceat(probs, offsets), lengths)
+    first = np.minimum.reduceat(np.where(probs == best, slots, slots.size), offsets)
+    return frames[first]
 
 
 def compress_oracle(p: PosteriorMatrix, cfg) -> tuple[np.ndarray, tuple[int, ...], int]:

@@ -28,3 +28,17 @@ def test_record_shape(path):
         assert isinstance(run["correct"], bool), f"run {i}"
         assert run["metrics"] and all(
             isinstance(v, (int, float)) for v in run["metrics"].values()), f"run {i}"
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
+def test_claim_names_a_benchmark_metric_with_runs_on_both_sides(path):
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    if claim is None:
+        return
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert claim["metric"] in {m["name"] for m in bench["end_to_end"]}, claim
+    assert claim["workload"] in {w["name"] for w in bench["workloads"]}, claim
+    sides = {run["side"] for run in record["runs"]
+             if run["workload"] == claim["workload"] and claim["metric"] in run["metrics"]}
+    assert sides == {"parent", "change"}, f"claimed workload has runs on {sorted(sides)}"

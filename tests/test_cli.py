@@ -240,6 +240,21 @@ class TestExitCodes:
         assert any("l.txt: line 1: token 'a' is not an integer" in r.message
                    for r in caplog.records)
 
+    def test_sidecar_with_a_negative_frame_is_two(self, workdir, graph_dir, posterior_dir,
+                                                  tmp_path, caplog):
+        comp_dir = tmp_path / "comp"
+        assert main(["compress", "--input", str(posterior_dir), "--out", str(comp_dir),
+                     "--mode", "ioo_koo"]) == 0
+        sidecar = sorted(comp_dir.glob("*.map"))[0]
+        lines = sidecar.read_text().splitlines()
+        lines[2] = "-7"
+        sidecar.write_text("\n".join(lines) + "\n")
+        rc = main(["decode", "--graph-dir", str(graph_dir), "--input", str(comp_dir),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert any(f"{sidecar.name}: line 3: expected a frame index or 'B', got '-7'" in r.message
+                   for r in caplog.records)
+
     def test_decode_failure_is_three(self, workdir, graph_dir, posterior_dir):
         from spikefst import PosteriorMatrix, save_posteriors
 

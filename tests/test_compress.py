@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from helpers import collapse_oracle, compress_oracle
+from helpers import collapse_oracle, compress_oracle, koo_select_oracle, segment_blocks_oracle
 from spikefst import (
     CUSTOM_BLANK,
     CompressConfig,
@@ -21,6 +23,8 @@ from spikefst import (
     compress_ctc,
     custom_blank,
     koo_select,
+    load_compressed,
+    save_compressed,
     segment_blocks,
     synth_posteriors,
 )
@@ -453,6 +457,30 @@ class TestSerialization:
             with pytest.raises(DataFormatError, match="line"):
                 load_compressed(path)
 
+    @pytest.mark.parametrize("row", ["-7", "-1", "+7"])
+    def test_signed_frame_is_a_data_error(self, tmp_path, row):
+        c = compress(matrix_from_argmax([BLK, A, BLK, B]), CompressConfig(mode="ioo_koo"))
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        sidecar = tmp_path / "utt.spkf.map"
+        lines = sidecar.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.isdigit())
+        lines[k] = row
+        sidecar.write_text("\n".join(lines) + "\n")
+        where = rf"utt\.spkf\.map: line {k + 1}: .*{re.escape(repr(row))}"
+        with pytest.raises(DataFormatError, match=where):
+            load_compressed(path)
+
+    def test_blank_mark_on_a_content_row_is_a_data_error(self, tmp_path):
+        c = compress(matrix_from_argmax([BLK, A, BLK, B]), CompressConfig(mode="ioo_koo"))
+        assert c.source_map == (CUSTOM_BLANK, 1, CUSTOM_BLANK, 3)
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        sidecar = tmp_path / "utt.spkf.map"
+        sidecar.write_text(sidecar.read_text().replace("\n3\n", "\nB\n"))
+        with pytest.raises(DataFormatError, match=r"utt\.spkf\.map: line 5: row 3 is marked 'B'"):
+            load_compressed(path)
+
 
 class TestDispatcher:
     def test_dense_is_identity(self):
@@ -541,3 +569,70 @@ class TestCompressOracle:
                 assert got.values.tobytes() == values.tobytes(), where
                 assert got.source_map == source_map, where
                 assert got.nonblank_count == nonblank, where
+
+
+def same_arrays(got, want) -> bool:
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def label_cases(rng):
+    """Label sequences for the run split: the edge shapes, then random
+    ones over a small alphabet so that runs of every length occur."""
+    yield from ([], [BLK], [A], [BLK] * 7, [B] * 4, [A, BLK] * 6, [A, B] * 5)
+    for _ in range(200):
+        yield rng.integers(0, int(rng.integers(1, 5)), size=int(rng.integers(0, 40))).tolist()
+
+
+def tied_matrix(rng, labels, vocab=4):
+    """Rows with argmax *labels* and peaks rounded to one decimal, so that
+    frames of one run tie often."""
+    peaks = rng.uniform(0.5, 1.0, size=len(labels)).round(1)
+    rows = np.repeat(((1.0 - peaks) / (vocab - 1))[:, None], vocab, axis=1)
+    rows[np.arange(len(labels)), labels] = peaks
+    return PosteriorMatrix(rows.reshape(len(labels), vocab))
+
+
+class TestRunSplitOracles:
+    def test_segment_blocks_same_arrays_as_diff_oracle(self):
+        for labels in label_cases(np.random.default_rng(31)):
+            labels = np.array(labels, dtype=np.intp)
+            assert same_arrays(segment_blocks(labels), segment_blocks_oracle(labels)), labels
+
+    @pytest.mark.parametrize("strategy", ["max", "min"])
+    def test_koo_select_same_frames_as_two_reduceat_oracle(self, strategy):
+        rng = np.random.default_rng(32)
+        for labels in label_cases(rng):
+            p = tied_matrix(rng, labels)
+            tokens, starts, ends = segment_blocks(argmax_labels(p))
+            content = tokens != BLK
+            for run in ((tokens, starts, ends),
+                        (tokens[content], starts[content], ends[content])):
+                got = koo_select(p, *run, strategy)
+                assert same_arrays([got], [koo_select_oracle(p, *run, strategy)]), labels
+
+
+def perfbench_style_matrices():
+    """Spiky matrices shaped like the benchmark's: 11 columns, spikes of 1-2
+    frames, and short (3-8) or long (8-16) blank runs."""
+    rng = np.random.default_rng(33)
+    for blank_run in ((3, 8), (8, 16)):
+        cfg = SynthConfig(vocab_size=11, spike_len=(1, 2), blank_run=blank_run,
+                          peak=0.95, noise=0.04)
+        for seed in range(2):
+            tokens = rng.integers(1, 11, size=int(rng.integers(6, 20)))
+            yield synth_posteriors(LabelSequence(tuple(tokens)), cfg, seed=seed)
+
+
+class TestSavedBytes:
+    def test_every_mode_writes_the_per_run_oracles_bytes(self, tmp_path):
+        mats = list(perfbench_style_matrices())
+        for cfg in oracle_configs():
+            for i, p in enumerate(mats):
+                save_compressed(compress(p, cfg), tmp_path / "got.spkf")
+                values, source_map, nonblank = compress_oracle(p, cfg)
+                save_compressed(CompressedPosteriors(values, source_map, nonblank),
+                                tmp_path / "want.spkf")
+                for suffix in ("", ".map"):
+                    got = (tmp_path / f"got.spkf{suffix}").read_bytes()
+                    assert got == (tmp_path / f"want.spkf{suffix}").read_bytes(), (cfg, i)

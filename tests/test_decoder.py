@@ -18,6 +18,7 @@ from spikefst import (
     CUSTOM_BLANK,
     CompressConfig,
     CompressedPosteriors,
+    DataFormatError,
     DecodeError,
     DecoderConfig,
     FstError,
@@ -28,7 +29,6 @@ from spikefst import (
     decode,
     decode_batch,
     load_compressed,
-    load_posteriors,
     save_compressed,
     sweep_params,
 )
@@ -677,10 +677,14 @@ class TestBlankFold:
         smap = list(comp.source_map)
         k = next(i for i, src in enumerate(smap) if src != CUSTOM_BLANK)
         smap[k] = CUSTOM_BLANK
-        path = tmp_path / "u.spkf"
-        save_compressed(CompressedPosteriors(comp.values, smap, comp.nonblank_count), path)
-        marked, plain = load_compressed(path), load_posteriors(path)
+        marked = CompressedPosteriors(comp.values, smap, comp.nonblank_count)
+        plain = PosteriorMatrix(comp.values)
         assert marked.source_map[k] == CUSTOM_BLANK and marked.values[k].max() < 1.0
+        # such a sidecar is refused on load (row k is on line k + 2, after the count line)
+        path = tmp_path / "u.spkf"
+        save_compressed(marked, path)
+        with pytest.raises(DataFormatError, match=rf"u\.spkf\.map: line {k + 2}: row {k} is "):
+            load_compressed(path)
         cfg = DecoderConfig(beam=12.0)
         ref = decode(tlg, plain, cfg)
         assert len(ref.tokens_alive_histogram) == self.steps(comp.source_map) < comp.frames

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import collapse_oracle
+from helpers import collapse_oracle, stochastic_oracle
 from spikefst import (
     DataFormatError,
     LabelSequence,
@@ -18,7 +18,7 @@ from spikefst import (
     softmax,
     synth_posteriors,
 )
-from spikefst.posterior import atomic_write
+from spikefst.posterior import ROW_SUM_TOL, atomic_write, check_stochastic
 
 
 class TestSoftmax:
@@ -210,3 +210,58 @@ class TestValidation:
     def test_needs_blank_plus_token(self):
         with pytest.raises(ValidationError):
             PosteriorMatrix(np.ones((2, 1)))
+
+
+def outcome(check, v):
+    """The message of the ValidationError *check* raises on *v*, or None."""
+    try:
+        check(v)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def stochastic_cases(rng):
+    """Matrices on both sides of every bound ``check_stochastic`` applies."""
+    lo, hi = -1e-12, 1.0 + 1e-12
+    yield np.empty((0, 4))
+    for t in (1, 3):
+        yield np.empty((t, 0))
+    for _ in range(120):
+        t, v = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        m = rng.dirichlet(np.ones(v), size=t)
+        i, j = int(rng.integers(0, t)), int(rng.integers(0, v))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:  # a non-finite entry, alone or beside an out-of-range one
+            m[i, j] = (np.nan, np.inf, -np.inf)[int(rng.integers(0, 3))]
+            if rng.random() < 0.5:
+                m[int(rng.integers(0, t)), int(rng.integers(0, v))] = 2.0
+        elif kind == 1:  # an entry at or just below the lower bound, its mass moved
+            x = lo if rng.random() < 0.5 else np.nextafter(lo, -np.inf)
+            m[i, (j + 1) % v] += m[i, j] - x
+            m[i, j] = x
+        elif kind == 2:  # a one-hot row whose peak sits at or just past the upper bound
+            m[i] = 0.0
+            m[i, j] = hi if rng.random() < 0.5 else np.nextafter(hi, np.inf)
+        else:  # a row sum near 1 +/- ROW_SUM_TOL, nudged by a few ulps either way
+            target = 1.0 + ROW_SUM_TOL * (1 if kind == 3 else -1)
+            m[i, 0] += target - m[i].sum()
+            for _ in range(int(rng.integers(1, 4))):
+                m[i, 0] = np.nextafter(m[i, 0], np.inf * int(rng.choice((-1, 1))))
+        yield m
+
+
+class TestCheckStochastic:
+    def test_same_errors_as_three_scan_oracle(self):
+        seen = set()
+        for m in stochastic_cases(np.random.default_rng(13)):
+            got = outcome(check_stochastic, m)
+            assert got == outcome(stochastic_oracle, m), m
+            seen.add(None if got is None else got[:14])
+        # accepted, non-finite, out of range and a bad row sum all occur
+        assert {None, "posterior matr", "posterior entr", "row 0 sums to "} <= seen
+
+    def test_empty_shapes(self):
+        assert outcome(check_stochastic, np.empty((0, 5))) is None
+        with pytest.raises(ValidationError, match=r"^row 0 sums to 0\.000000"):
+            check_stochastic(np.empty((3, 0)))
