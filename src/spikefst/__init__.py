@@ -6,7 +6,7 @@ blank rows, token runs keep one representative frame), then run
 frame-synchronous Viterbi beam search over far fewer frames.
 """
 
-from .bench import BenchReport, BenchRow, bench
+from .bench import BenchReport, BenchRow, SweepPoint, bench, score_batch, sweep_params, word_syms
 from .compress import (
     CUSTOM_BLANK,
     CompressConfig,
@@ -28,10 +28,8 @@ from .decoder import (
     BatchResult,
     DecodeResult,
     DecoderConfig,
-    SweepPoint,
     decode,
     decode_batch,
-    sweep_params,
 )
 from .errors import (
     ArpaError,

@@ -1,10 +1,12 @@
-"""Dense-vs-compressed benchmark harness.
+"""Corpus evaluation: the dense-vs-compressed benchmark and the
+decoder-parameter sweep, both scoring a decoded batch through
+:func:`score_batch`.
 
-For each compression mode: compress the corpus, decode it, score it, and
-time the compress+decode span (graph building and file I/O stay outside
-the clock).  Wall times are medians over repeats to resist scheduler
-noise; speedups are ratios of medians against the dense baseline, which
-is therefore pinned at exactly 1.00.
+For each compression mode the benchmark compresses the corpus, decodes
+it, scores it, and times the compress+decode span (graph building and
+file I/O stay outside the clock).  Wall times are medians over repeats
+to resist scheduler noise; speedups are ratios of medians against the
+dense baseline, which is therefore pinned at exactly 1.00.
 """
 
 from __future__ import annotations
@@ -12,14 +14,37 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .compress import CompressConfig, compress
-from .decoder import DecoderConfig, decode_batch, _word_syms
+from .decoder import BatchResult, DecoderConfig, decode_batch
 from .errors import ValidationError
-from .scoring import score_corpus
+from .scoring import ScoreReport, score_corpus
+from .wfst import Fst
+
+
+def word_syms(graph: Fst, word_ids) -> list[str]:
+    """Output symbols of *word_ids*, or their decimal ids when *graph*
+    has no output symbol table."""
+    if graph.osyms is not None:
+        return [graph.osyms.find_symbol(w) for w in word_ids]
+    return [str(w) for w in word_ids]
+
+
+def score_batch(graph: Fst, batch: BatchResult, refs: dict[str, str],
+                unit: str = "word") -> ScoreReport:
+    """Score the decoded utterances of *batch* against *refs*, which maps
+    utt id to reference text; failed utterances are left out.  Raises
+    :class:`ValidationError` naming the batch's utterances *refs* lacks."""
+    missing = [u for u in batch.utt_ids if u not in refs]
+    if missing:
+        raise ValidationError(
+            f"refs have no transcript for {len(missing)} utterance(s): {missing[:5]}")
+    hyps = {u: " ".join(word_syms(graph, r.words)) for u, r in batch.ok()}
+    return score_corpus({u: refs[u] for u in hyps}, hyps, unit=unit)
 
 
 @dataclass(frozen=True)
@@ -54,22 +79,7 @@ class BenchReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "unit": self.unit,
-                "repeats": self.repeats,
-                "rows": [
-                    {
-                        "mode": r.mode,
-                        "cer": r.cer,
-                        "mean_frames": r.mean_frames,
-                        "frame_reduction": r.frame_reduction,
-                        "speedup": r.speedup,
-                        "median_ms": r.median_ms,
-                        "failures": r.failures,
-                    }
-                    for r in self.rows
-                ],
-            },
+            {"unit": self.unit, "repeats": self.repeats, "rows": [asdict(r) for r in self.rows]},
             indent=2,
         )
 
@@ -94,16 +104,13 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
     measured = []  # per mode: label, cer, mean frames, median seconds, failures
     for mode_cfg in modes:
         samples = []
-        batch = None
-        compressed = None
         for _ in range(repeats):
             t0 = time.perf_counter()
             compressed = [(u, compress(p, mode_cfg)) for u, p in utts]
             batch = decode_batch(graph, compressed, cfg)
             samples.append(time.perf_counter() - t0)
 
-        hyps = {u: " ".join(_word_syms(graph, r.words)) for u, r in batch.ok()}
-        report = score_corpus({u: refs[u] for u in hyps}, hyps, unit=unit)
+        report = score_batch(graph, batch, refs, unit)
         mean_frames = (
             sum(c.frames for _, c in compressed) / len(compressed) if compressed else 0.0
         )
@@ -123,3 +130,40 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
         for label, cer, frames, median_s, failures in measured
     ]
     return BenchReport(rows, unit=unit, repeats=repeats)
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    beam: float
+    max_active: int
+    cer: float
+    mean_wall_ms: float
+    speedup_vs_first: float
+    max_live_tokens: int
+    failures: int
+
+
+def sweep_params(graph: Fst, utts, refs: dict[str, str], grid,
+                 unit: str = "word") -> list[SweepPoint]:
+    """Decode the corpus at every config in *grid* and report CER, timing,
+    and the live-token peak per point.  *refs* maps utt id to reference
+    text; the speedup column is relative to the first grid point."""
+    grid = list(grid)
+    if not grid:
+        raise ValidationError("sweep grid is empty")
+    utts = list(utts)
+    points: list[SweepPoint] = []
+    for cfg in grid:
+        batch = decode_batch(graph, utts, cfg)
+        report = score_batch(graph, batch, refs, unit)
+        mean_ms = batch.wall_time_ms / max(1, len(utts))
+        base_ms = points[0].mean_wall_ms if points else mean_ms
+        max_live = max((max(r.tokens_alive_histogram, default=0) for _, r in batch.ok()),
+                       default=0)
+        points.append(SweepPoint(
+            beam=cfg.beam, max_active=cfg.max_active,
+            cer=report.rate, mean_wall_ms=mean_ms,
+            speedup_vs_first=base_ms / mean_ms if mean_ms > 0 else math.inf,
+            max_live_tokens=max_live, failures=len(batch.failures),
+        ))
+    return points

@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import bench
+from .bench import bench, sweep_params, word_syms
 from .compress import CompressConfig, compress, load_compressed, save_compressed
-from .decoder import DecoderConfig, decode_batch, sweep_params, _word_syms
+from .decoder import DecoderConfig, decode_batch
 from .errors import DecodeError, SpikefstError, ValidationError
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
 from .posterior import SynthConfig, atomic_write, load_labels, load_posteriors, save_posteriors, synth_posteriors
@@ -188,7 +188,7 @@ def cmd_decode(args) -> int:
     for utt, res in zip(batch.utt_ids, batch.results):
         if res is None:
             continue
-        syms = _word_syms(graph, res.words)
+        syms = word_syms(graph, res.words)
         record = {
             "utt": utt,
             "words": syms,

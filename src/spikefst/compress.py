@@ -302,8 +302,8 @@ def save_source_map(c: CompressedPosteriors, path) -> None:
 def load_source_map(path) -> tuple[tuple[int, ...], int | None, list[int]]:
     """Read a sidecar.  Returns the source map, the content-row count
     (None when the file has no '# nonblank' line) and the line number of
-    each row."""
-    out, nonblank, lines = [], None, []
+    each row.  Frame indices must strictly increase."""
+    out, nonblank, lines, last = [], None, [], -1
     for no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
@@ -315,10 +315,17 @@ def load_source_map(path) -> tuple[tuple[int, ...], int | None, list[int]]:
                     f"{path}: line {no}: expected '# nonblank N' as the first line, got {line!r}")
             nonblank = int(head[2])
             continue
-        if line != "B" and not line.isdecimal():  # a sign, so a negative frame, fails too
+        if line == "B":
+            out.append(CUSTOM_BLANK)
+        elif not line.isdecimal():  # a sign, so a negative frame, fails too
             raise DataFormatError(
                 f"{path}: line {no}: expected a frame index or 'B', got {line!r}")
-        out.append(CUSTOM_BLANK if line == "B" else int(line))
+        elif int(line) <= last:
+            raise DataFormatError(
+                f"{path}: line {no}: frame indices must strictly increase, got {line} after {last}")
+        else:
+            last = int(line)
+            out.append(last)
         lines.append(no)
     if nonblank is not None and nonblank > len(out):
         raise DataFormatError(f"{path}: {nonblank} content rows but only {len(out)} rows")
@@ -350,7 +357,9 @@ def load_compressed(path):
     if not sidecar.exists():
         return mat
     smap, nonblank, lines = load_source_map(sidecar)
-    marked = np.flatnonzero(np.asarray(smap, dtype=np.int64)[:mat.frames] == CUSTOM_BLANK)
+    if len(smap) != mat.frames:
+        raise DataFormatError(f"{sidecar}: {len(smap)} rows but {path} has {mat.frames}")
+    marked = np.flatnonzero(np.asarray(smap, dtype=np.int64) == CUSTOM_BLANK)
     wrong = marked[np.any(mat.values[marked] != custom_blank(mat.vocab_size), axis=1)]
     if wrong.size:
         raise DataFormatError(

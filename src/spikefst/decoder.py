@@ -39,14 +39,15 @@ candidate above the bound could never survive pruning and is dropped
 instead of stored.
 
 Each row's cheapest column ``h`` and second-cheapest cost are found
-once per call.  A row with one finite cost (an inserted blank, an
-``ioo_nb`` one-hot row) reads the table's per-column view of the
-entries, so only the entries on column ``h`` are expanded.  On any other
-row a live state ``s`` reads that view too when ``cost[s] + minw[s] +
+once per call.  A live state ``s`` reads the table's per-column view of
+its entries, only those on column ``h``, when ``cost[s] + minw[s] +
 second > bound``, ``minw[s]`` being its cheapest entry weight: every
 entry off column ``h`` then costs at least that much and could not be
 stored, and the view keeps entry order, so the same candidates are
-stored in the same order.
+stored in the same order.  On a row with one finite cost (an inserted
+blank, an ``ioo_nb`` one-hot row) ``second`` is ``inf``, so every state
+reads the view while the bound is finite, and when it is ``inf`` no
+off-column candidate, itself of cost ``inf``, is ever stored.
 
 A blank row carries only position.  A row is *pure blank* when its
 acoustic cost is 0 on column 0 and ``inf`` on every other column, as an
@@ -86,15 +87,13 @@ import heapq
 import math
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .compress import CUSTOM_BLANK, CompressedPosteriors
 from .errors import DecodeError, FstError, ValidationError
-from .posterior import PosteriorMatrix
-from .scoring import score_corpus
 from .wfst import EPSILON, ZERO, Arc, Fst
 
 
@@ -126,14 +125,7 @@ class DecodeResult:
 
     def same_search(self, other: "DecodeResult") -> bool:
         """Equality ignoring wall time (search output is deterministic)."""
-        return (
-            self.words == other.words
-            and self.tokens == other.tokens
-            and self.total_cost == other.total_cost
-            and self.frames_processed == other.frames_processed
-            and self.tokens_alive_histogram == other.tokens_alive_histogram
-            and self.path_graph_costs == other.path_graph_costs
-        )
+        return replace(self, wall_time_ms=0.0) == replace(other, wall_time_ms=0.0)
 
 
 class _Entries(NamedTuple):
@@ -297,12 +289,10 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         # a column no entry reads has no view; the full entry lists stand in
         h, second = cheapest[t], seconds[t]
         hot = by_column[h] if h < len(by_column) else emit
-        # a row with one finite cost reads only that column's entries
-        full = hot if second == inf else emit
         # the best token's candidates bound the cutoff from above; see the module doc
         c = cost[best]
         bound = inf
-        for col, w, _, _ in full[best]:
+        for col, w, _, _ in emit[best]:
             nc = c + w + row[col]
             if nc < bound:
                 bound = nc
@@ -311,7 +301,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         for s in live:
             c, trace = cost[s], back[s]
             # only entries on the cheapest column can pass the bound; see the module doc
-            for col, w, ns, path in (hot if c + minw[s] + second > bound else full)[s]:
+            for col, w, ns, path in (hot if c + minw[s] + second > bound else emit)[s]:
                 nc = c + w + row[col]
                 if nc <= bound and nc < nxt[ns]:
                     nxt[ns] = nc
@@ -403,55 +393,3 @@ def decode_batch(graph: Fst, utts, cfg: DecoderConfig, jobs: int = 1) -> BatchRe
             batch.failures.append((utt_id, str(exc)))
     batch.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return batch
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    beam: float
-    max_active: int
-    cer: float
-    mean_wall_ms: float
-    speedup_vs_first: float
-    max_live_tokens: int
-    failures: int
-
-
-def sweep_params(graph: Fst, utts, refs: dict[str, str], grid,
-                 unit: str = "word") -> list[SweepPoint]:
-    """Decode the corpus at every config in *grid* and report CER, timing,
-    and the live-token peak per point.  *refs* maps utt id to reference
-    text; the speedup column is relative to the first grid point."""
-    grid = list(grid)
-    if not grid:
-        raise ValidationError("sweep grid is empty")
-    utts = list(utts)
-    points: list[SweepPoint] = []
-    base_ms: float | None = None
-    for cfg in grid:
-        batch = decode_batch(graph, utts, cfg)
-        hyps = {
-            u: " ".join(_word_syms(graph, r.words))
-            for u, r in batch.ok()
-        }
-        pairs_refs = {u: refs[u] for u in hyps}
-        report = score_corpus(pairs_refs, hyps, unit=unit)
-        mean_ms = batch.wall_time_ms / max(1, len(utts))
-        if base_ms is None:
-            base_ms = mean_ms
-        max_live = max(
-            (max(r.tokens_alive_histogram, default=0) for r in batch.results if r),
-            default=0,
-        )
-        points.append(SweepPoint(
-            beam=cfg.beam, max_active=cfg.max_active,
-            cer=report.rate, mean_wall_ms=mean_ms,
-            speedup_vs_first=base_ms / mean_ms if mean_ms > 0 else math.inf,
-            max_live_tokens=max_live, failures=len(batch.failures),
-        ))
-    return points
-
-
-def _word_syms(graph: Fst, word_ids) -> list[str]:
-    if graph.osyms is not None:
-        return [graph.osyms.find_symbol(w) for w in word_ids]
-    return [str(w) for w in word_ids]

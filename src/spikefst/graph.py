@@ -55,13 +55,16 @@ def make_token_table(tokens: list[str], n_disambig: int = 0) -> SymbolTable:
     """<eps>=0, <blk>=1, real tokens from 2, then #1..#n disambiguators.
 
     Graph input id i corresponds to posterior column i-1 (blank is column
-    0), which is the contract the decoder relies on.
+    0), which is the contract the decoder relies on.  A real token may not
+    start with '#', which marks a disambiguator.
     """
     table = SymbolTable()
     table.add_symbol(BLANK_SYM, 1)
     for tok in tokens:
         if tok in table:
             raise GraphError(f"duplicate token symbol {tok!r}")
+        if tok.startswith("#"):
+            raise GraphError(f"token symbol {tok!r} starts with '#', reserved for disambiguators")
         table.add_symbol(tok)
     for k in range(1, n_disambig + 1):
         table.add_symbol(f"#{k}")

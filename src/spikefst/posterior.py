@@ -148,7 +148,7 @@ def save_posteriors(p: PosteriorMatrix, path, format: str = "binary") -> None:
             lines.append(" ".join(f"{x:.9g}" for x in row))
         path.write_text("\n".join(lines) + "\n")
     else:
-        raise ValueError(f"unknown posterior format {format!r}")
+        raise ValidationError(f"unknown posterior format {format!r}")
 
 
 def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
@@ -157,7 +157,7 @@ def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
         return _load_binary(path)
     if format == "text":
         return _load_text(path)
-    raise ValueError(f"unknown posterior format {format!r}")
+    raise ValidationError(f"unknown posterior format {format!r}")
 
 
 def _load_binary(path: Path) -> PosteriorMatrix:

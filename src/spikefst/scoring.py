@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -100,22 +101,17 @@ def score_corpus(refs: dict[str, str], hyps: dict[str, str], unit: str = "word")
 
 
 def read_trans_file(path) -> dict[str, str]:
-    """Read "utt_id<TAB>tokenized text" lines (also tolerates space-split)."""
-    from pathlib import Path
-
-    from .errors import DataFormatError
-
+    """Read "utt_id<TAB>tokenized text" lines (also tolerates space-split).
+    An utterance id may appear on one line only."""
     out: dict[str, str] = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 1) if "\t" in line else line.split(None, 1)
-        if len(parts) == 1:
-            out[parts[0].strip()] = ""
-        elif len(parts) == 2:
-            out[parts[0].strip()] = parts[1].strip()
-        else:
-            raise DataFormatError(f"{path}: line {ln}: expected 'utt_id<TAB>text'")
-        if not parts[0].strip():
+        utt = parts[0].strip()
+        if not utt:
             raise DataFormatError(f"{path}: line {ln}: empty utterance id")
+        if utt in out:
+            raise DataFormatError(f"{path}: line {ln}: utterance id {utt!r} repeated")
+        out[utt] = parts[1].strip() if len(parts) == 2 else ""
     return out

@@ -38,8 +38,7 @@ from spikefst import (
     score_corpus,
     synth_posteriors,
 )
-from spikefst.bench import bench
-from spikefst.decoder import _word_syms
+from spikefst.bench import bench, word_syms
 from spikefst.wfst import determinize, minimize, push_weights, rm_epsilon, trim
 
 BEAM = DecoderConfig(beam=12.0)
@@ -53,7 +52,7 @@ def corpus_cer(lang, graph, corpus, mode_cfg, cfg=BEAM) -> float:
     utts = [(u, compress(m, mode_cfg)) for u, _, m in corpus]
     refs = {u: " ".join(w) for u, w, _ in corpus}
     batch = decode_batch(graph, utts, cfg)
-    hyps = {u: " ".join(_word_syms(graph, r.words)) for u, r in batch.ok()}
+    hyps = {u: " ".join(word_syms(graph, r.words)) for u, r in batch.ok()}
     return score_corpus({u: refs[u] for u in hyps}, hyps).rate
 
 

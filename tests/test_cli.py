@@ -141,7 +141,7 @@ class TestPipeline:
         assert rc == 0
 
         from spikefst import CompressConfig, DecoderConfig, compress, decode, load_posteriors
-        from spikefst.decoder import _word_syms
+        from spikefst.bench import word_syms
         from spikefst.wfst import SymbolTable, read_fst_text
 
         tokens = SymbolTable.from_file(graph_dir / "tokens.txt")
@@ -152,7 +152,7 @@ class TestPipeline:
             mat = load_posteriors(posterior_dir / f"{rec['utt']}.spkf", "binary")
             comp = compress(mat, CompressConfig(mode="ioo_koo"))
             expect = decode(graph, comp, DecoderConfig(beam=12.0))
-            assert rec["words"] == _word_syms(graph, expect.words)
+            assert rec["words"] == word_syms(graph, expect.words)
             assert rec["cost"] == pytest.approx(expect.total_cost)
             assert rec["frames"] == expect.frames_processed
 
@@ -254,6 +254,24 @@ class TestExitCodes:
         assert rc == 2
         assert any(f"{sidecar.name}: line 3: expected a frame index or 'B', got '-7'" in r.message
                    for r in caplog.records)
+
+    @pytest.mark.parametrize("command", [
+        ["bench", "--modes", "dense,ioo_koo", "--repeats", "1"],
+        ["sweep", "--beams", "12"],
+    ])
+    def test_refs_missing_an_utterance_is_two(self, workdir, graph_dir, posterior_dir,
+                                              tmp_path, caplog, command):
+        refs = tmp_path / "refs.txt"
+        kept = [l for l in (workdir / "refs.txt").read_text().splitlines()
+                if not l.startswith("utt00003\t")]
+        refs.write_text("\n".join(kept) + "\n")
+        out = ["--out-dir", str(tmp_path / "bench")] if command[0] == "bench" else []
+        rc = main(command[:1] + ["--graph-dir", str(graph_dir), "--input", str(posterior_dir),
+                                 "--refs", str(refs)] + out + command[1:])
+        assert rc == 2
+        assert any("refs have no transcript for 1 utterance(s): ['utt00003']" in r.message
+                   for r in caplog.records)
+        assert not (tmp_path / "bench").exists()
 
     def test_decode_failure_is_three(self, workdir, graph_dir, posterior_dir):
         from spikefst import PosteriorMatrix, save_posteriors

@@ -471,6 +471,31 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match=where):
             load_compressed(path)
 
+    @pytest.mark.parametrize("rows, bad", [
+        (["B", "999", "B", "0", "B"], r"line 5: .*got 0 after 999"),
+        (["B", "1", "B", "1", "B"], r"line 5: .*got 1 after 1"),
+    ])
+    def test_frames_not_increasing_are_a_data_error(self, tmp_path, rows, bad):
+        c = compress(matrix_from_argmax([BLK, A, BLK, B, BLK]), CompressConfig(mode="ioo_koo"))
+        assert c.source_map == (CUSTOM_BLANK, 1, CUSTOM_BLANK, 3, CUSTOM_BLANK)
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        sidecar = tmp_path / "utt.spkf.map"
+        sidecar.write_text("\n".join(["# nonblank 2", *rows]) + "\n")
+        with pytest.raises(DataFormatError, match=rf"utt\.spkf\.map: {bad}"):
+            load_compressed(path)
+
+    @pytest.mark.parametrize("rows", [["B", "1", "B", "3"], ["B", "1", "B", "3", "B", "7"]])
+    def test_row_count_must_match_the_matrix(self, tmp_path, rows):
+        c = compress(matrix_from_argmax([BLK, A, BLK, B, BLK]), CompressConfig(mode="ioo_koo"))
+        path = tmp_path / "utt.spkf"
+        save_compressed(c, path)
+        sidecar = tmp_path / "utt.spkf.map"
+        sidecar.write_text("\n".join(["# nonblank 2", *rows]) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=rf"utt\.spkf\.map: {len(rows)} rows but .*utt\.spkf has 5"):
+            load_compressed(path)
+
     def test_blank_mark_on_a_content_row_is_a_data_error(self, tmp_path):
         c = compress(matrix_from_argmax([BLK, A, BLK, B]), CompressConfig(mode="ioo_koo"))
         assert c.source_map == (CUSTOM_BLANK, 1, CUSTOM_BLANK, 3)

@@ -752,8 +752,7 @@ def sweep_corpus(lang, clean_corpus):
 
 class TestSweep:
     def test_single_point_matches_batch(self, tlg, sweep_corpus, lang):
-        from spikefst import score_corpus
-        from spikefst.decoder import _word_syms
+        from spikefst import score_corpus, word_syms
 
         utts, refs = sweep_corpus
         cfg = DecoderConfig(beam=12.0)
@@ -761,7 +760,7 @@ class TestSweep:
         assert len(points) == 1
         assert points[0].speedup_vs_first == pytest.approx(1.0)
         batch = decode_batch(tlg, utts, cfg)
-        hyps = {u: " ".join(_word_syms(tlg, r.words)) for u, r in batch.ok()}
+        hyps = {u: " ".join(word_syms(tlg, r.words)) for u, r in batch.ok()}
         direct = score_corpus({u: refs[u] for u in hyps}, hyps)
         assert points[0].cer == pytest.approx(direct.rate)
 
@@ -784,3 +783,10 @@ class TestSweep:
         utts, refs = sweep_corpus
         with pytest.raises(ValidationError, match="empty"):
             sweep_params(tlg, utts, refs, [])
+
+    def test_refs_lacking_an_utterance_named(self, tlg, sweep_corpus):
+        utts, refs = sweep_corpus
+        gone = utts[3][0]
+        partial = {u: text for u, text in refs.items() if u != gone}
+        with pytest.raises(ValidationError, match=rf"1 utterance\(s\): \['{gone}'\]"):
+            sweep_params(tlg, utts, partial, [DecoderConfig(beam=12.0)])

@@ -130,6 +130,12 @@ class TestLexiconFst:
         with pytest.raises(GraphError, match="empty pronunciation"):
             Lexicon([("bad", ())])
 
+    def test_token_starting_with_hash_rejected(self):
+        with pytest.raises(GraphError, match="'#a' starts with '#'"):
+            Lexicon([("x", ("#a", "b")), ("y", ("b",))])
+        with pytest.raises(GraphError, match="'#1' starts with '#'"):
+            make_token_table(["a", "#1"])
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "lexicon.txt"
         path.write_text("ka\tk a\nse\ts e\n")

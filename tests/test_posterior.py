@@ -129,6 +129,14 @@ class TestPosteriorIO:
         with pytest.raises(DataFormatError, match=r"m\.txt: line 1: negative dimension"):
             load_posteriors(path, "text")
 
+    def test_unknown_format_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "m.spkf"
+        with pytest.raises(ValidationError, match="unknown posterior format 'csv'"):
+            save_posteriors(PosteriorMatrix(np.full((1, 2), 0.5)), path, "csv")
+        assert not path.exists()
+        with pytest.raises(ValidationError, match="unknown posterior format 'csv'"):
+            load_posteriors(path, "csv")
+
     def test_dimension_overflow(self, tmp_path):
         import struct
 

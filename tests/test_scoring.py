@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import recursive_levenshtein
-from spikefst import ValidationError, levenshtein, score_corpus
+from spikefst import DataFormatError, ValidationError, levenshtein, score_corpus
 from spikefst.scoring import read_trans_file
 
 
@@ -96,3 +96,9 @@ class TestTransFile:
         path = tmp_path / "refs.txt"
         path.write_text("utt1\n")
         assert read_trans_file(path) == {"utt1": ""}
+
+    def test_repeated_utterance_id_names_line(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text("utt1\tka se\nutt2\tmu\nutt1 ka\n")
+        with pytest.raises(DataFormatError, match=r"refs\.txt: line 3: utterance id 'utt1' repeated"):
+            read_trans_file(path)
