@@ -34,15 +34,20 @@ def word_syms(graph: Fst, word_ids) -> list[str]:
     return [str(w) for w in word_ids]
 
 
+def _check_refs(utt_ids, refs: dict[str, str]) -> None:
+    """Raise :class:`ValidationError` naming the utterances *refs* lacks."""
+    missing = [u for u in utt_ids if u not in refs]
+    if missing:
+        raise ValidationError(
+            f"refs have no transcript for {len(missing)} utterance(s): {missing[:5]}")
+
+
 def score_batch(graph: Fst, batch: BatchResult, refs: dict[str, str],
                 unit: str = "word") -> ScoreReport:
     """Score the decoded utterances of *batch* against *refs*, which maps
     utt id to reference text; failed utterances are left out.  Raises
     :class:`ValidationError` naming the batch's utterances *refs* lacks."""
-    missing = [u for u in batch.utt_ids if u not in refs]
-    if missing:
-        raise ValidationError(
-            f"refs have no transcript for {len(missing)} utterance(s): {missing[:5]}")
+    _check_refs(batch.utt_ids, refs)
     hyps = {u: " ".join(word_syms(graph, r.words)) for u, r in batch.ok()}
     return score_corpus({u: refs[u] for u in hyps}, hyps, unit=unit)
 
@@ -94,12 +99,14 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
           cfg: DecoderConfig, repeats: int = 5, unit: str = "word") -> BenchReport:
     """Run every mode over (utt_id, PosteriorMatrix) pairs and report
     Table-style rows.  The dense mode must be present as the baseline.
-    Failed utterances are counted per mode and excluded from scoring."""
+    Failed utterances are counted per mode and excluded from scoring.
+    Refs lacking an utterance are refused before any mode runs."""
     utts = list(utts)
     if not any(m.mode == "dense" for m in modes):
         raise ValidationError("bench requires the dense mode as its baseline")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    _check_refs([u for u, _ in utts], refs)
 
     measured = []  # per mode: label, cer, mean frames, median seconds, failures
     for mode_cfg in modes:
@@ -152,6 +159,7 @@ def sweep_params(graph: Fst, utts, refs: dict[str, str], grid,
     if not grid:
         raise ValidationError("sweep grid is empty")
     utts = list(utts)
+    _check_refs([u for u, _ in utts], refs)
     points: list[SweepPoint] = []
     for cfg in grid:
         batch = decode_batch(graph, utts, cfg)

@@ -276,6 +276,10 @@ def trim(f: Fst) -> Fst:
     live = fwd & bwd
     if f.start not in live:
         return Fst._from_arcs([[]], 0, {}, f.isyms, f.osyms)
+    if len(live) == len(arcs):
+        # Nothing to drop: every arc stays as it is.
+        return Fst._from_arcs([list(row) for row in arcs], f.start,
+                              dict(sorted(f.finals.items())), f.isyms, f.osyms)
     order = sorted(live)
     remap = {s: i for i, s in enumerate(order)}
     out_arcs = [
@@ -320,41 +324,42 @@ def write_fst_text(f: Fst, path) -> None:
 
 def read_fst_text(path, isyms: SymbolTable | None = None,
                   osyms: SymbolTable | None = None) -> Fst:
+    """Read arc lines "src dst ilabel olabel [weight]" and final lines
+    "state [weight]" (weights default to ONE); the first line's src is
+    the start state.  A malformed line, a negative id or label, or a NaN
+    weight raises ``DataFormatError`` naming the line."""
     arcs: list[list[Arc]] = []
     finals: dict[int, float] = {}
     start = -1
-
-    def ensure(state: int) -> None:
-        while len(arcs) <= state:
-            arcs.append([])
-
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         parts = line.split()
-        if not parts:
+        n = len(parts)
+        if not n:
             continue
         try:
-            if len(parts) in (4, 5):
-                ids = list(map(int, parts[:4]))
-            elif len(parts) in (1, 2):
-                ids = [int(parts[0])]
+            if n == 4 or n == 5:
+                src, dst, il, ol = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+                w = float(parts[4]) if n == 5 else ONE
+            elif n == 1 or n == 2:
+                src = dst = il = ol = int(parts[0])  # a final line has one id
+                w = float(parts[1]) if n == 2 else ONE
             else:
                 raise ValueError("bad field count")
-            w = float(parts[len(ids)]) if len(parts) > len(ids) else 0.0
         except ValueError:
             raise DataFormatError(f"{path}: line {ln}: malformed FST line {line!r}") from None
-        if min(ids) < 0:
+        if src < 0 or dst < 0 or il < 0 or ol < 0:
             raise DataFormatError(f"{path}: line {ln}: negative state id or label in {line!r}")
-        if math.isnan(w):
+        if w != w:  # NaN
             raise DataFormatError(f"{path}: line {ln}: NaN weight in {line!r}")
-        if len(ids) == 4:
-            src, dst, il, ol = ids
-            ensure(max(src, dst))
+        if start < 0:
+            start = src
+        top = src if src > dst else dst
+        if top >= len(arcs):
+            arcs.extend([] for _ in range(top + 1 - len(arcs)))
+        if n > 2:
             arcs[src].append(Arc(il, ol, w, dst))
         else:
-            ensure(ids[0])
-            finals[ids[0]] = w
-        if start < 0:
-            start = ids[0]
+            finals[src] = w
     if start < 0:
         # An empty file denotes the empty-language machine.
         arcs, start = [[]], 0

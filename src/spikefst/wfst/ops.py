@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ..errors import FstError
 from .fst import EPSILON, ONE, ZERO, Arc, Fst, trim, wplus, wtimes
@@ -176,37 +175,35 @@ def compose(a: Fst, b: Fst) -> Fst:
 # Determinization
 # ----------------------------------------------------------------------
 
-class _Elem(NamedTuple):
-    state: int
-    weight: float
-    out: tuple[int, ...]  # delayed output symbols
+# A subset element is a plain ``(state, weight, out)`` tuple: a state of
+# the input machine, its residual weight, and the output symbols it still
+# owes (delayed output).
 
 
-def _close_elems(eps: list, elems: list[_Elem], limit: int) -> list[_Elem]:
+def _close_elems(eps: list, elems: list[tuple], limit: int) -> list[tuple]:
     """Input-epsilon closure of weighted subset elements, accumulating any
     epsilon-arc outputs into the delayed-output strings.  ``eps[s]`` lists
     ``(nextstate, weight, output)`` for the input-epsilon arcs of state s,
     the output being ``()`` or a one-symbol tuple.  Elements are merged by
     (state, output) at their minimum weight, in first-seen order."""
     seeds: dict[tuple[int, tuple[int, ...]], float] = {}
-    for e in elems:
-        key = (e.state, e.out)
-        if e.weight < seeds.get(key, ZERO):
-            seeds[key] = e.weight
+    for s, w, z in elems:
+        if w < seeds.get((s, z), ZERO):
+            seeds[s, z] = w
     if not any(eps[s] for s, _ in seeds):
         # Nothing to close: exactly what the relaxation returns with no move.
-        return [_Elem(s, w, z) for (s, z), w in seeds.items()]
+        return [(s, w, z) for (s, z), w in seeds.items()]
     best, _ = _relax(
         seeds,
         lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
         limit,
         "determinize: epsilon closure diverged (cyclic epsilon output?)",
     )
-    return [_Elem(s, w, z) for (s, z), w in best.items()]
+    return [(s, w, z) for (s, z), w in best.items()]
 
 
-def _subset_key(elems: list[_Elem]) -> tuple:
-    return tuple(sorted((e.state, e.out, round(e.weight, _QUANT)) for e in elems))
+def _subset_key(elems: list[tuple]) -> tuple:
+    return tuple(sorted((s, z, round(w, _QUANT)) for s, w, z in elems))
 
 
 def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
@@ -223,41 +220,46 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
         raise FstError("machine has no start state")
     budget = max(64, state_budget_factor * max(1, f.num_states))
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
-    eps = [
-        [(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
-         for a in row if a.ilabel == EPSILON]
-        for row in f._arcs
-    ]
+    eps = []
+    moves = []  # per state: (ilabel, nextstate, weight, output) of each emitting arc
+    for row in f._arcs:
+        eps.append([(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
+                    for a in row if a.ilabel == EPSILON])
+        moves.append([(a.ilabel, a.nextstate, a.weight,
+                       () if a.olabel == EPSILON else (a.olabel,))
+                      for a in row if a.ilabel != EPSILON])
 
-    start_elems = _close_elems(eps, [_Elem(f.start, ONE, ())], close_limit)
+    start_elems = _close_elems(eps, [(f.start, ONE, ())], close_limit)
     ids: dict[tuple, int] = {_subset_key(start_elems): 0}
     arcs: list[list[Arc]] = [[]]
     finals: dict[int, float] = {}
-    queue: deque[tuple[int, list[_Elem]]] = deque([(0, start_elems)])
+    queue: deque[tuple[int, list[tuple]]] = deque([(0, start_elems)])
 
     while queue:
         src, elems = queue.popleft()
         _set_subset_final(f, arcs, finals, src, elems)
-        by_label: dict[int, list[_Elem]] = {}
-        for e in elems:
-            for a in f._arcs[e.state]:
-                if a.ilabel == EPSILON:
-                    continue
-                z = e.out + ((a.olabel,) if a.olabel != EPSILON else ())
-                by_label.setdefault(a.ilabel, []).append(
-                    _Elem(a.nextstate, wtimes(e.weight, a.weight), z)
-                )
+        by_label: dict[int, list[tuple]] = {}
+        for s, w, z in elems:
+            for il, t, wa, za in moves[s]:
+                group = by_label.get(il)
+                if group is None:
+                    by_label[il] = group = []
+                group.append((t, w + wa, z + za))
         for label in sorted(by_label):
-            cands = _close_elems(eps, by_label[label], close_limit)
-            w_min = min(e.weight for e in cands)
+            cands = by_label[label]
+            t, w, _ = cands[0]
+            # A lone element with no epsilon arc at its state and a finite
+            # weight is its own merge and closure.
+            if len(cands) > 1 or eps[t] or w == ZERO:
+                cands = _close_elems(eps, cands, close_limit)
+            w_min = min(w for _, w, _ in cands)
             # the arc emits the first output symbol, if every element shares it
-            head = cands[0].out[:1]
-            if any(e.out[:1] != head for e in cands):
+            head = cands[0][2][:1]
+            if any(z[:1] != head for _, _, z in cands):
                 head = ()
             emit = head[0] if head else EPSILON
-            nxt = [
-                _Elem(e.state, e.weight - w_min, e.out[len(head):]) for e in cands
-            ]
+            cut = len(head)
+            nxt = [(t, w - w_min, z[cut:]) for t, w, z in cands]
             key = _subset_key(nxt)
             dst = ids.get(key)
             if dst is None:
@@ -274,17 +276,17 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
 
 
 def _set_subset_final(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
-                      state: int, elems: list[_Elem]) -> None:
+                      state: int, elems: list[tuple]) -> None:
     """Final weight for a subset; delayed outputs still pending at a final
     element are flushed through a chain of input-epsilon emission arcs."""
     plain = ZERO
     pending: dict[tuple[int, ...], float] = {}
-    for e in elems:
-        wf = wtimes(e.weight, f.final_weight(e.state))
+    for s, w, z in elems:
+        wf = wtimes(w, f.final_weight(s))
         if wf == ZERO:
             continue
-        if e.out:
-            pending[e.out] = wplus(pending.get(e.out, ZERO), wf)
+        if z:
+            pending[z] = wplus(pending.get(z, ZERO), wf)
         else:
             plain = wplus(plain, wf)
     if plain != ZERO:
@@ -307,13 +309,19 @@ def minimize(f: Fst) -> Fst:
     """Merge states with identical weighted behavior (Moore partition
     refinement over label-and-weight-encoded signatures).
 
-    Requires an input-deterministic machine.  Weights are not rearranged,
-    so two states merge only when their outgoing pictures match exactly;
-    run push_weights first to reach the canonical minimum.
+    Requires an input-deterministic machine, so a state's arcs sorted by
+    input label are in one fixed order: each state's ``(ilabel, olabel,
+    weight)`` picture, weights rounded for hashing, is built once, and a
+    refinement round only maps each arc's next state to its block.
+    Weights are not rearranged, so two states merge only when their
+    outgoing pictures match exactly; run push_weights first to reach the
+    canonical minimum.
     """
     if f.start < 0:
         raise FstError("machine has no start state")
     g = trim(f)
+    pictures = []
+    dests = []
     for s, row in enumerate(g._arcs):
         seen = set()
         for a in row:
@@ -323,27 +331,23 @@ def minimize(f: Fst) -> Fst:
                     "input must be deterministic"
                 )
             seen.add(a.ilabel)
+        row = sorted(row)
+        pictures.append(tuple([(a.ilabel, a.olabel, round(a.weight, _QUANT)) for a in row]))
+        dests.append([a.nextstate for a in row])
 
     def intern_all(keys: list) -> list[int]:
         ids: dict = {}
         return [ids.setdefault(k, len(ids)) for k in keys]
 
     block = intern_all([
-        (True, round(g.final_weight(s), _QUANT)) if g.is_final(s) else (False, 0.0)
+        (True, round(g.final_weight(s), _QUANT), pictures[s]) if g.is_final(s)
+        else (False, 0.0, pictures[s])
         for s in range(g.num_states)
     ])
     while True:
-        sigs = []
-        for s in range(g.num_states):
-            sig = (
-                block[s],
-                tuple(sorted(
-                    (a.ilabel, a.olabel, round(a.weight, _QUANT), block[a.nextstate])
-                    for a in g._arcs[s]
-                )),
-            )
-            sigs.append(sig)
-        new_block = intern_all(sigs)
+        new_block = intern_all([
+            (block[s], tuple([block[t] for t in ts])) for s, ts in enumerate(dests)
+        ])
         if new_block == block:
             break
         block = new_block

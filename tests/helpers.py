@@ -8,10 +8,11 @@ run-length scanner, dict-stored tokens with no cutoff bound instead of
 the decoder's list-indexed costs, and enumerated simple epsilon paths
 instead of the decoder's label-correcting epsilon closure.
 
-``stochastic_oracle``, ``segment_blocks_oracle`` and ``koo_select_oracle``
-are different: they keep earlier, plainer versions of fast paths in the
-package, so that a rewrite can be held to the same arrays and the same
-error messages.
+``stochastic_oracle``, ``segment_blocks_oracle``, ``koo_select_oracle``,
+``trim_oracle``, ``determinize_oracle``, ``minimize_oracle`` and
+``read_fst_text_oracle`` are different: they keep earlier, plainer
+versions of fast paths in the package, so that a rewrite can be held to
+the same arrays, the same machines and the same error messages.
 """
 
 from __future__ import annotations
@@ -19,18 +20,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from spikefst import LabelSequence, PosteriorMatrix, SynthConfig, synth_posteriors
 from spikefst.compress import CUSTOM_BLANK
 from spikefst.decoder import DecodeResult
-from spikefst.errors import DecodeError, FstError, ValidationError
+from spikefst.errors import DataFormatError, DecodeError, FstError, ValidationError
 from spikefst.graph import Lexicon, build_grammar_fst, build_lexicon_fst, build_token_fst, parse_arpa
 from spikefst.posterior import ROW_SUM_TOL
-from spikefst.wfst import EPSILON, Arc, Fst
+from spikefst.wfst import EPSILON, ONE, ZERO, Arc, Fst, wplus, wtimes
+from spikefst.wfst.ops import _QUANT, _relax
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +180,275 @@ def compress_oracle(p: PosteriorMatrix, cfg) -> tuple[np.ndarray, tuple[int, ...
 # ----------------------------------------------------------------------
 # FST oracles
 # ----------------------------------------------------------------------
+
+def trim_oracle(f: Fst) -> Fst:
+    """``trim`` that remaps and rebuilds every arc, whether or not a state
+    is dropped."""
+    if f.start < 0:
+        raise FstError("machine has no start state")
+    arcs = f._arcs
+    fwd = {f.start}
+    stack = [f.start]
+    while stack:
+        s = stack.pop()
+        for a in arcs[s]:
+            if a.nextstate not in fwd:
+                fwd.add(a.nextstate)
+                stack.append(a.nextstate)
+    rev: list[list[int]] = [[] for _ in arcs]
+    for s, row in enumerate(arcs):
+        for a in row:
+            rev[a.nextstate].append(s)
+    bwd = set(f.finals)
+    stack = list(f.finals)
+    while stack:
+        s = stack.pop()
+        for prev in rev[s]:
+            if prev not in bwd:
+                bwd.add(prev)
+                stack.append(prev)
+    live = fwd & bwd
+    if f.start not in live:
+        return Fst._from_arcs([[]], 0, {}, f.isyms, f.osyms)
+    order = sorted(live)
+    remap = {s: i for i, s in enumerate(order)}
+    out_arcs = [
+        [Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
+         for a in arcs[s] if a.nextstate in live]
+        for s in order
+    ]
+    finals = {remap[s]: f.finals[s] for s in order if s in f.finals}
+    return Fst._from_arcs(out_arcs, remap[f.start], finals, f.isyms, f.osyms)
+
+
+class _OracleElem(NamedTuple):
+    state: int
+    weight: float
+    out: tuple[int, ...]
+
+
+def _close_elems_oracle(eps: list, elems: list[_OracleElem], limit: int) -> list[_OracleElem]:
+    seeds: dict[tuple[int, tuple[int, ...]], float] = {}
+    for e in elems:
+        key = (e.state, e.out)
+        if e.weight < seeds.get(key, ZERO):
+            seeds[key] = e.weight
+    if not any(eps[s] for s, _ in seeds):
+        return [_OracleElem(s, w, z) for (s, z), w in seeds.items()]
+    best, _ = _relax(
+        seeds,
+        lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
+        limit,
+        "determinize: epsilon closure diverged (cyclic epsilon output?)",
+    )
+    return [_OracleElem(s, w, z) for (s, z), w in best.items()]
+
+
+def _subset_key_oracle(elems: list[_OracleElem]) -> tuple:
+    return tuple(sorted((e.state, e.out, round(e.weight, _QUANT)) for e in elems))
+
+
+def determinize_oracle(f: Fst, state_budget_factor: int = 10) -> Fst:
+    """``determinize`` with ``NamedTuple`` subset elements, the arcs of each
+    element scanned on every visit, and the closure called on every
+    label's group."""
+    if f.start < 0:
+        raise FstError("machine has no start state")
+    budget = max(64, state_budget_factor * max(1, f.num_states))
+    close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
+    eps = [
+        [(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
+         for a in row if a.ilabel == EPSILON]
+        for row in f._arcs
+    ]
+    start_elems = _close_elems_oracle(eps, [_OracleElem(f.start, ONE, ())], close_limit)
+    ids: dict[tuple, int] = {_subset_key_oracle(start_elems): 0}
+    arcs: list[list[Arc]] = [[]]
+    finals: dict[int, float] = {}
+    queue = deque([(0, start_elems)])
+    while queue:
+        src, elems = queue.popleft()
+        _set_subset_final_oracle(f, arcs, finals, src, elems)
+        by_label: dict[int, list[_OracleElem]] = {}
+        for e in elems:
+            for a in f._arcs[e.state]:
+                if a.ilabel == EPSILON:
+                    continue
+                z = e.out + ((a.olabel,) if a.olabel != EPSILON else ())
+                by_label.setdefault(a.ilabel, []).append(
+                    _OracleElem(a.nextstate, wtimes(e.weight, a.weight), z))
+        for label in sorted(by_label):
+            cands = _close_elems_oracle(eps, by_label[label], close_limit)
+            w_min = min(e.weight for e in cands)
+            head = cands[0].out[:1]
+            if any(e.out[:1] != head for e in cands):
+                head = ()
+            emit = head[0] if head else EPSILON
+            nxt = [_OracleElem(e.state, e.weight - w_min, e.out[len(head):]) for e in cands]
+            key = _subset_key_oracle(nxt)
+            dst = ids.get(key)
+            if dst is None:
+                dst = ids[key] = len(arcs)
+                arcs.append([])
+                if len(arcs) > budget:
+                    raise FstError(
+                        f"determinize: state budget {budget} exceeded; "
+                        "machine is likely not determinizable"
+                    )
+                queue.append((dst, nxt))
+            arcs[src].append(Arc(label, emit, w_min, dst))
+    return Fst._from_arcs(arcs, 0, finals, f.isyms, f.osyms)
+
+
+def _set_subset_final_oracle(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
+                             state: int, elems: list[_OracleElem]) -> None:
+    plain = ZERO
+    pending: dict[tuple[int, ...], float] = {}
+    for e in elems:
+        wf = wtimes(e.weight, f.final_weight(e.state))
+        if wf == ZERO:
+            continue
+        if e.out:
+            pending[e.out] = wplus(pending.get(e.out, ZERO), wf)
+        else:
+            plain = wplus(plain, wf)
+    if plain != ZERO:
+        finals[state] = plain
+    for z in sorted(pending):
+        src = state
+        for i, sym in enumerate(z):
+            nxt = len(arcs)
+            arcs.append([])
+            arcs[src].append(Arc(EPSILON, sym, pending[z] if i == 0 else ONE, nxt))
+            src = nxt
+        finals[src] = ONE
+
+
+def minimize_oracle(f: Fst) -> Fst:
+    """``minimize`` that re-rounds and re-sorts every state's full
+    signature in each refinement round."""
+    if f.start < 0:
+        raise FstError("machine has no start state")
+    g = trim_oracle(f)
+    for s, row in enumerate(g._arcs):
+        seen = set()
+        for a in row:
+            if a.ilabel in seen:
+                raise FstError(
+                    f"minimize: state {s} has duplicate input label {a.ilabel}; "
+                    "input must be deterministic"
+                )
+            seen.add(a.ilabel)
+
+    def intern_all(keys: list) -> list[int]:
+        ids: dict = {}
+        return [ids.setdefault(k, len(ids)) for k in keys]
+
+    block = intern_all([
+        (True, round(g.final_weight(s), _QUANT)) if g.is_final(s) else (False, 0.0)
+        for s in range(g.num_states)
+    ])
+    while True:
+        sigs = []
+        for s in range(g.num_states):
+            sigs.append((block[s], tuple(sorted(
+                (a.ilabel, a.olabel, round(a.weight, _QUANT), block[a.nextstate])
+                for a in g._arcs[s]))))
+        new_block = intern_all(sigs)
+        if new_block == block:
+            break
+        block = new_block
+
+    class_rep: dict[int, int] = {}
+    order: list[int] = []
+    queue = deque([g.start])
+    seen_cls = {block[g.start]}
+    while queue:
+        s = queue.popleft()
+        cls = block[s]
+        if cls not in class_rep:
+            class_rep[cls] = len(order)
+            order.append(s)
+        for a in g._arcs[s]:
+            if block[a.nextstate] not in seen_cls:
+                seen_cls.add(block[a.nextstate])
+                queue.append(a.nextstate)
+    arcs: list[list[Arc]] = []
+    finals: dict[int, float] = {}
+    for new_id, rep in enumerate(order):
+        arcs.append([Arc(a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]])
+                     for a in g._arcs[rep]])
+        if g.is_final(rep):
+            finals[new_id] = g.final_weight(rep)
+    return Fst._from_arcs(arcs, 0, finals, g.isyms, g.osyms)
+
+
+def read_fst_text_oracle(path, isyms=None, osyms=None) -> Fst:
+    """``read_fst_text`` through ``list(map(int, ...))``, ``min(ids)`` and
+    a state-growing closure."""
+    arcs: list[list[Arc]] = []
+    finals: dict[int, float] = {}
+    start = -1
+
+    def ensure(state: int) -> None:
+        while len(arcs) <= state:
+            arcs.append([])
+
+    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) in (4, 5):
+                ids = list(map(int, parts[:4]))
+            elif len(parts) in (1, 2):
+                ids = [int(parts[0])]
+            else:
+                raise ValueError("bad field count")
+            w = float(parts[len(ids)]) if len(parts) > len(ids) else 0.0
+        except ValueError:
+            raise DataFormatError(f"{path}: line {ln}: malformed FST line {line!r}") from None
+        if min(ids) < 0:
+            raise DataFormatError(f"{path}: line {ln}: negative state id or label in {line!r}")
+        if math.isnan(w):
+            raise DataFormatError(f"{path}: line {ln}: NaN weight in {line!r}")
+        if len(ids) == 4:
+            src, dst, il, ol = ids
+            ensure(max(src, dst))
+            arcs[src].append(Arc(il, ol, w, dst))
+        else:
+            ensure(ids[0])
+            finals[ids[0]] = w
+        if start < 0:
+            start = ids[0]
+    if start < 0:
+        arcs, start = [[]], 0
+    return Fst._from_arcs(arcs, start, finals, isyms, osyms)
+
+
+def machine_parts(f: Fst):
+    """Start, per-state arc lists in order, and finals in order: what two
+    machines must share to be the same machine."""
+    return f.start, [f.arcs(s) for s in range(f.num_states)], list(f.finals.items())
+
+
+def same_outcome(fn, oracle, *args):
+    """Run *fn* and *oracle* on *args*; both must return the same machine
+    (by :func:`machine_parts`) or raise the same exception type and
+    message.  Returns the machine, or None when both raised."""
+    try:
+        want = oracle(*args)
+    except Exception as exc:  # the oracle's failure is the expected outcome
+        try:
+            fn(*args)
+        except Exception as got:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            return None
+        raise AssertionError(f"oracle raised {exc!r}, the package did not") from None
+    got = fn(*args)
+    assert machine_parts(got) == machine_parts(want)
+    return got
+
 
 def enum_weight_map(f: Fst, max_label_len: int = 6, max_steps: int | None = None):
     """Exhaustive path enumeration: {(istring, ostring): min weight} over

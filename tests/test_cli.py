@@ -300,6 +300,20 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out.jsonl")])
         assert rc == 2
 
+    def test_damaged_graph_line_is_two(self, tmp_path, graph_dir, posterior_dir, caplog):
+        bad = tmp_path / "graph"
+        bad.mkdir()
+        for name in ("tokens.txt", "words.txt"):
+            (bad / name).write_text((graph_dir / name).read_text())
+        lines = (graph_dir / "tlg.fst.txt").read_text().splitlines()
+        lines[99] = " ".join(["1.5"] + lines[99].split()[1:])
+        (bad / "tlg.fst.txt").write_text("\n".join(lines) + "\n")
+        rc = main(["decode", "--graph-dir", str(bad), "--input", str(posterior_dir),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert any("tlg.fst.txt: line 100: malformed FST line '1.5 " in r.message
+                   for r in caplog.records)
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

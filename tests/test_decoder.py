@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -790,3 +791,31 @@ class TestSweep:
         partial = {u: text for u, text in refs.items() if u != gone}
         with pytest.raises(ValidationError, match=rf"1 utterance\(s\): \['{gone}'\]"):
             sweep_params(tlg, utts, partial, [DecoderConfig(beam=12.0)])
+
+    @pytest.mark.parametrize("run", ["bench", "sweep"])
+    def test_refs_lacking_an_utterance_refused_before_any_decode(self, tlg, sweep_corpus,
+                                                                 monkeypatch, run):
+        # the package's ``bench`` attribute is the function, not the module
+        bench_module = importlib.import_module("spikefst.bench")
+        utts, refs = sweep_corpus
+        partial = {u: text for u, text in refs.items() if u != utts[3][0]}
+        cfg = DecoderConfig(beam=12.0)
+        with pytest.raises(ValidationError) as scored:
+            bench_module.score_batch(tlg, decode_batch(tlg, utts, cfg), partial)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bench_module, "decode_batch", counted(decode_batch))
+        monkeypatch.setattr(bench_module, "compress", counted(compress))
+        with pytest.raises(ValidationError) as refused:
+            if run == "bench":
+                bench_module.bench(tlg, utts, partial, [CompressConfig(mode="dense")], cfg)
+            else:
+                sweep_params(tlg, utts, partial, [cfg])
+        assert str(refused.value) == str(scored.value)
+        assert calls == []

@@ -4,8 +4,20 @@ import re
 import numpy as np
 import pytest
 
-from helpers import enum_weight_map, maps_match, random_acyclic_fst
+from helpers import (
+    determinize_oracle,
+    enum_weight_map,
+    machine_parts,
+    maps_match,
+    minimize_oracle,
+    random_acyclic_fst,
+    random_search_case,
+    read_fst_text_oracle,
+    same_outcome,
+    trim_oracle,
+)
 from spikefst.errors import DataFormatError, FstError
+from spikefst.graph import disambig_ids, relabel_input_epsilon
 from spikefst.wfst import (
     EPSILON,
     ONE,
@@ -93,6 +105,8 @@ class TestStructure:
         ("0 1 1 0\n-1 0.5\n", 2, "negative state id or label"),
         ("0 1 1 0 nan\n1\n", 1, "NaN weight"),
         ("0 1 1 0\n1 NaN\n", 2, "NaN weight"),
+        ("0 1 -1 0 nan\n1\n", 1, "negative state id or label"),
+        ("0 1 1 0\n-1 x\n", 2, "malformed FST line"),
     ])
     def test_negative_id_or_nan_weight_is_a_data_error(self, tmp_path, text, line, what):
         path = tmp_path / "bad.fst.txt"
@@ -209,6 +223,27 @@ class TestStructure:
         g = trim(f)
         assert g.num_states == f.num_states and g.num_arcs == f.num_arcs
 
+    def test_trim_keeping_every_state_returns_a_separate_copy(self):
+        f = chain([(1, 1, 0.5), (2, 2, 0.25)], final_weight=0.125)
+        f.set_final(1, 2.0)
+        before = (machine_parts(f), f.version)
+        g = trim(f)
+        assert machine_parts(g) == machine_parts(trim_oracle(f))
+        # no arc was rebuilt
+        assert all(a is b for s in range(f.num_states) for a, b in zip(f.arcs(s), g.arcs(s)))
+        g.add_arc(0, 3, 3, 1.0, 2)
+        g.add_arc(2, 4, 4, 1.0, 0)
+        g.set_final(0, 1.0)
+        assert (machine_parts(f), f.version) == before
+
+    def test_trim_drops_one_dead_state(self):
+        f = chain([(1, 1, 0.0), (2, 2, 0.0)])
+        sink = f.add_state()  # accessible, not co-accessible
+        f.add_arc(1, 3, 3, 0.0, sink)
+        g = trim(f)
+        assert g.num_states == f.num_states - 1
+        assert machine_parts(g) == machine_parts(trim_oracle(f))
+
     def test_trim_drops_dead_states(self):
         f = chain([(1, 1, 0.0)])
         dead = f.add_state()       # not accessible
@@ -292,32 +327,32 @@ class TestDeterminize:
         assert enum_weight_map(d)[((1,), (1,))] == pytest.approx(0.3)
 
     def test_epsilon_free_subsets_skip_the_closure_exactly(self):
-        from spikefst.wfst.ops import _close_elems, _Elem, _relax
+        from spikefst.wfst.ops import _close_elems, _relax
 
         # Only state 1 has an input-epsilon arc (to 0, output 3).
         eps = [[], [(0, 0.5, (3,))], []]
 
         def full_closure(elems):
             seeds = {}
-            for e in elems:
-                seeds[e.state, e.out] = min(seeds.get((e.state, e.out), ZERO), e.weight)
+            for s, w, z in elems:
+                seeds[s, z] = min(seeds.get((s, z), ZERO), w)
             best, _ = _relax(
                 seeds, lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
                 100, "diverged",
             )
-            return [_Elem(s, w, z) for (s, z), w in best.items()]
+            return [(s, w, z) for (s, z), w in best.items()]
 
         rng = np.random.default_rng(5)
         for _ in range(200):
             elems = [
-                _Elem(int(rng.choice([0, 2])), float(rng.integers(0, 4)) / 2,
-                      tuple(int(x) for x in rng.integers(1, 3, int(rng.integers(0, 2)))))
+                (int(rng.choice([0, 2])), float(rng.integers(0, 4)) / 2,
+                 tuple(int(x) for x in rng.integers(1, 3, int(rng.integers(0, 2)))))
                 for _ in range(int(rng.integers(1, 7)))
             ]
             assert _close_elems(eps, elems, 100) == full_closure(elems)
-        closed = [_Elem(1, 1.0, ()), _Elem(2, 0.0, ())]
+        closed = [(1, 1.0, ()), (2, 0.0, ())]
         assert _close_elems(eps, closed, 100) == full_closure(closed) == [
-            _Elem(1, 1.0, ()), _Elem(2, 0.0, ()), _Elem(0, 1.5, (3,))]
+            (1, 1.0, ()), (2, 0.0, ()), (0, 1.5, (3,))]
 
     def test_already_deterministic_language_equal(self):
         f = chain([(1, 1, 0.25), (2, 2, 0.5)], final_weight=0.125)
@@ -547,3 +582,132 @@ class TestRelaxGuard:
     def test_cycle_raises(self, op, cycle, what):
         with pytest.raises(FstError, match=what):
             op(two_cycle(*cycle))
+
+
+def not_determinizable():
+    """Two paths on the same input string whose weights drift apart
+    without bound: the subset construction never closes."""
+    f = Fst()
+    f.add_states(3)
+    f.set_start(0)
+    f.add_arc(0, 1, 1, 0.1, 1)
+    f.add_arc(0, 1, 1, 0.2, 2)
+    f.add_arc(1, 1, 1, 0.3, 1)
+    f.add_arc(2, 1, 1, 0.5, 2)
+    f.set_final(1, 0.0)
+    f.set_final(2, 0.0)
+    return f
+
+
+def damaged(lines, rng):
+    """One copy of *lines* with one line damaged: truncated, a field
+    dropped or added, an id replaced by -1, nan or 1.5, or a blank line
+    inserted.  About one copy in eight damages line 0, which names the
+    start state."""
+    lines = list(lines)
+    k = 0 if rng.random() < 0.125 else int(rng.integers(0, len(lines)))
+    parts = lines[k].split()
+    kind = int(rng.integers(0, 7))
+    if kind == 0:
+        lines[k] = lines[k][:int(rng.integers(0, len(lines[k])))]
+    elif kind == 1:
+        del parts[int(rng.integers(0, len(parts)))]
+        lines[k] = " ".join(parts)
+    elif kind == 2:
+        parts.insert(int(rng.integers(0, len(parts) + 1)), "7")
+        lines[k] = " ".join(parts)
+    elif kind < 6:
+        # an id: the state of a final line, any of the four of an arc line
+        i = 0 if len(parts) < 4 else int(rng.integers(0, 4))
+        parts[i] = ("-1", "nan", "1.5")[kind - 3]
+        lines[k] = " ".join(parts)
+    else:
+        lines.insert(k, "")
+    return "\n".join(lines) + "\n"
+
+
+class TestSetupOracles:
+    """trim, determinize, minimize and the AT&T reader give exactly the
+    machines, or the errors, of the earlier versions kept in helpers."""
+
+    @staticmethod
+    def check_all(f, tmp_path, det=True):
+        same_outcome(trim, trim_oracle, f)
+        same_outcome(minimize, minimize_oracle, f)
+        if det and (d := same_outcome(determinize, determinize_oracle, f)) is not None:
+            same_outcome(minimize, minimize_oracle, d)
+        if f.arcs(f.start) or f.is_final(f.start):
+            path = tmp_path / "m.fst.txt"
+            write_fst_text(f, path)
+            same_outcome(read_fst_text, read_fst_text_oracle, path)
+
+    def test_random_machines(self, tmp_path):
+        rng = np.random.default_rng(15)
+        for trial in range(60):
+            f = random_acyclic_fst(rng, max_states=8, eps_prob=(0.0, 0.3)[trial % 2],
+                                   acceptor=trial % 3 == 0)
+            self.check_all(f, tmp_path)
+        for _ in range(60):
+            # Cyclic, with dead states; most are not determinizable, and
+            # their subsets grow for a long time before the budget stops them.
+            f, _ = random_search_case(rng)
+            self.check_all(f, tmp_path, det=False)
+
+    def test_minimize_merges_states_whose_arcs_differ_only_in_order(self):
+        f = Fst()
+        f.add_states(4)
+        f.set_start(0)
+        f.add_arc(0, 1, 1, 0.5, 1)
+        f.add_arc(0, 2, 2, 0.5, 2)
+        for src, labels in ((1, (3, 4)), (2, (4, 3))):
+            for il in labels:
+                f.add_arc(src, il, il, 0.2, 3)
+        f.set_final(3, 0.0)
+        m = same_outcome(minimize, minimize_oracle, f)
+        assert m.num_states == 3
+
+    def test_every_toylang_build_stage(self, lang, tmp_path):
+        t, l, g = lang.token_fst, lang.lexicon_fst, lang.grammar_fst
+        stages = [t, l, g, compose(arcsort(l, "olabel"), g)]
+        stages.append(rm_epsilon(stages[-1]))
+        stages.append(determinize(stages[-1]))
+        stages.append(push_weights(trim(stages[-1])))
+        stages.append(minimize(stages[-2]))
+        stages.append(relabel_input_epsilon(stages[-1], disambig_ids(l.isyms)))
+        stages.append(compose(t, arcsort(stages[-1], "ilabel")))
+        stages.append(arcsort(stages[-1], "ilabel"))
+        for f in stages:
+            self.check_all(f, tmp_path)
+
+    @pytest.mark.parametrize("op, oracle, machine, what", [
+        (determinize, determinize_oracle, not_determinizable(), "budget"),
+        (determinize, determinize_oracle, two_cycle(*NEG_EPS), "epsilon closure diverged"),
+        (determinize, determinize_oracle, two_cycle((EPSILON, 5, 0.0), (EPSILON, EPSILON, 0.0)),
+         "epsilon closure diverged"),
+        (minimize, minimize_oracle, not_determinizable(), "deterministic"),
+    ], ids=["budget", "negative_eps_cycle", "growing_output", "nondeterministic"])
+    def test_failures_raise_the_same_error(self, op, oracle, machine, what):
+        with pytest.raises(FstError, match=what) as want:
+            oracle(machine)
+        with pytest.raises(FstError, match=f"^{re.escape(str(want.value))}$"):
+            op(machine)
+
+    def test_damaged_att_text_is_a_data_error_or_the_same_machine(self, tlg, tmp_path):
+        path = tmp_path / "tlg.fst.txt"
+        write_fst_text(tlg, path)
+        lines = path.read_text().splitlines()
+        rng = np.random.default_rng(16)
+        outcomes = set()
+        for _ in range(56):
+            path.write_text(damaged(lines, rng))
+            try:
+                want = read_fst_text_oracle(path)
+            except DataFormatError as exc:
+                with pytest.raises(DataFormatError) as got:
+                    read_fst_text(path)
+                assert str(got.value) == str(exc)
+                outcomes.add(re.search(r"line \d+: (\D+?) (in )?'", str(exc)).group(1))
+            else:
+                assert machine_parts(read_fst_text(path)) == machine_parts(want)
+                outcomes.add("read")
+        assert outcomes == {"read", "malformed FST line", "negative state id or label"}
