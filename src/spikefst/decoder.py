@@ -7,17 +7,18 @@ input 1, column 0), then prunes by beam width and the live-token cap.
 Costs are negative natural logs plus graph weights, so lower is better
 and the result is the min-cost path to a final state.
 
-The search runs over a per-graph table compiled on the first decode and
-rebuilt whenever the graph's mutation counter moves.  Input-epsilon
-(non-emitting) arcs are compiled away there (Mohri, Pereira & Riley,
-2002).  A state's entries are, first, one per emitting arc
-``p -x/u-> s`` in arc order; then one continuation per such arc and per
-state ``f`` that ``s`` reaches through epsilon arcs, at weight ``u + v``,
-``v`` being the cheapest epsilon path's weight.  Continuations are
-ordered by ``s``, the epsilon state they pass through, then by arc
-order, then by ``f``.  Among epsilon paths of equal weight the one with
-fewer arcs wins, then the one whose arc ids (the graph's arcs in state
-order) are lower, compared in path order.  A candidate costs
+The search runs over a per-graph table compiled on the first decode of
+that graph and kept while the graph lives; a graph never changes, so its
+table never goes stale.  Input-epsilon (non-emitting) arcs are compiled
+away there (Mohri, Pereira & Riley, 2002).  A state's entries are,
+first, one per emitting arc ``p -x/u-> s`` in arc order; then one
+continuation per such arc and per state ``f`` that ``s`` reaches
+through epsilon arcs, at weight ``u + v``, ``v`` being the cheapest
+epsilon path's weight.  Continuations are ordered by ``s``, the
+epsilon state they pass through, then by arc order, then by ``f``.
+Among epsilon paths of equal weight the one with fewer arcs wins, then
+the one whose arc ids (the graph's arcs in state order) are lower,
+compared in path order.  A candidate costs
 ``c + (u + v) + acoustic``, and traceback reports every arc an entry
 crosses with its own weight.  The start state's epsilon closure gives
 the initial tokens.  A negative-weight epsilon cycle anywhere in the
@@ -150,14 +151,13 @@ class _Entries(NamedTuple):
 
 @dataclass(frozen=True)
 class _Table:
-    """Search-time view of one version of a graph, epsilon arcs compiled
-    away (see the module doc).  ``direct`` holds the entries
-    ``(column, weight, next, arcs crossed)`` of an ordinary step and
-    ``thru`` the through-blank entries ``(column, weight, next, (blank
-    arcs, arcs))`` of a folded step; ``start`` is the start state's
-    epsilon closure as ``(state, cost, arcs crossed)``."""
+    """Search-time view of a graph, epsilon arcs compiled away (see the
+    module doc).  ``direct`` holds the entries ``(column, weight, next,
+    arcs crossed)`` of an ordinary step and ``thru`` the through-blank
+    entries ``(column, weight, next, (blank arcs, arcs))`` of a folded
+    step; ``start`` is the start state's epsilon closure as ``(state,
+    cost, arcs crossed)``."""
 
-    version: int
     max_ilabel: int
     direct: _Entries
     thru: _Entries
@@ -189,8 +189,12 @@ def _eps_closure(eps: dict, s: int, n: int) -> dict:
 
 def _table(graph: Fst) -> _Table:
     table = _tables.get(graph)
-    if table is not None and table.version == graph.version:
-        return table
+    if table is None:
+        table = _tables[graph] = _compile(graph)
+    return table
+
+
+def _compile(graph: Fst) -> _Table:
     n = graph.num_states
     arcs = [(s, a) for s in range(n) for a in graph.arcs(s)]  # index = arc id
     eps: dict[int, list[tuple[int, Arc]]] = {}
@@ -215,15 +219,12 @@ def _table(graph: Fst) -> _Table:
                   for col, wb, m, bpath in entries if col == 0
                   for x, wx, f, xpath in emit[m])
             for entries in emit]
-    table = _Table(
-        version=graph.version,
+    return _Table(
         max_ilabel=max_ilabel,
         direct=direct,
         thru=_Entries.of(thru, max_ilabel),
         start=tuple((f, v, via) for f, (v, _, _, via) in closure.get(graph.start, {}).items()),
     )
-    _tables[graph] = table
-    return table
 
 
 def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
@@ -248,8 +249,6 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
             f"graph consumes input label {table.max_ilabel} but posteriors have only "
             f"{vocab} columns (label k reads column k-1)"
         )
-    if graph.start < 0:
-        raise FstError("graph has no start state")
 
     # fmax sends every entry that is not positive (NaN too) to 0, cost inf
     acoustic = np.fmax(values, 0.0)

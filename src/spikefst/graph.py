@@ -99,21 +99,17 @@ def build_token_fst(token_table: SymbolTable) -> Fst:
     if BLANK_SYM not in token_table or token_table.find_id(BLANK_SYM) != 1:
         raise GraphError(f"token table must bind {BLANK_SYM!r} to id 1")
 
-    t = Fst(token_table, token_table)
-    start = t.add_state()
-    t.set_start(start)
-    t.set_final(start, ONE)
-    state_of = {tok: t.add_state() for tok in ids}
-    t.add_arc(start, 1, EPSILON, ONE, start)  # blank self-loop
+    # state 0 is the start, then one state per real token in table order
+    state_of = {tok: s for s, tok in enumerate(ids, start=1)}
+    arcs = [[Arc(1, EPSILON, ONE, 0)]  # blank self-loop
+            + [Arc(tok, tok, ONE, s) for tok, s in state_of.items()]]
     for tok, s in state_of.items():
-        t.add_arc(start, tok, tok, ONE, s)
-        t.add_arc(s, tok, EPSILON, ONE, s)      # repeat absorption
-        t.add_arc(s, 1, EPSILON, ONE, start)    # blank separator
-        t.set_final(s, ONE)
-        for other, s2 in state_of.items():
-            if other != tok:
-                t.add_arc(s, other, other, ONE, s2)
-    return arcsort(t, "olabel")
+        arcs.append([Arc(tok, EPSILON, ONE, s),  # repeat absorption
+                     Arc(1, EPSILON, ONE, 0)]    # blank separator
+                    + [Arc(other, other, ONE, s2)
+                       for other, s2 in state_of.items() if other != tok])
+    finals = dict.fromkeys(range(len(arcs)), ONE)
+    return arcsort(Fst(arcs, 0, finals, token_table, token_table), "olabel")
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +193,7 @@ def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
     indices = lex.disambig_indices() if add_disambig else [0] * len(lex.entries)
 
     tt, wt = lex.token_table, lex.word_table
-    l = Fst(tt, wt)
-    root = l.add_state()
-    l.set_start(root)
-    l.set_final(root, ONE)
+    arcs: list[list[Arc]] = [[]]  # state 0 is the root
 
     for (word, pron), disambig in zip(lex.entries, indices):
         for tok in pron:
@@ -208,15 +201,17 @@ def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
                 raise GraphError(f"word {word!r} uses unknown token {tok!r}")
         ids = [tt.find_id(tok) for tok in pron]
         word_id = wt.find_id(word)
-        src = root
+        src = 0
         for i, tok_id in enumerate(ids):
             last = i == len(ids) - 1 and disambig == 0
-            dst = root if last else l.add_state()
-            l.add_arc(src, tok_id, word_id if i == 0 else EPSILON, ONE, dst)
+            dst = 0 if last else len(arcs)
+            if not last:
+                arcs.append([])
+            arcs[src].append(Arc(tok_id, word_id if i == 0 else EPSILON, ONE, dst))
             src = dst
         if disambig:
-            l.add_arc(src, tt.find_id(f"#{disambig}"), EPSILON, ONE, root)
-    return l
+            arcs[src].append(Arc(tt.find_id(f"#{disambig}"), EPSILON, ONE, 0))
+    return Fst(arcs, 0, {0: ONE}, tt, wt)
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +360,12 @@ def build_grammar_fst(model: NGramModel, word_table: SymbolTable) -> Fst:
     weight of its context state.  Model words missing from *word_table*
     are skipped with a warning (they can never be output anyway).
     """
-    g = Fst(word_table, word_table)
-    contexts: dict[tuple[str, ...], int] = {(): g.add_state()}
+    contexts: dict[tuple[str, ...], int] = {(): 0}
     for k in range(1, model.order):
         for gram in model.grams[k - 1]:
-            contexts[gram] = g.add_state()
+            contexts[gram] = len(contexts)
+    arcs: list[list[Arc]] = [[] for _ in contexts]
+    finals: dict[int, float] = {}
 
     def suffix_state(gram: tuple[str, ...]) -> int:
         while gram not in contexts:
@@ -387,30 +383,28 @@ def build_grammar_fst(model: NGramModel, word_table: SymbolTable) -> Fst:
                 )
             src = contexts[context]
             if word == EOS:
-                g.set_final(src, -_LOG10 * logp)
+                finals[src] = -_LOG10 * logp
             elif word == BOS:
                 continue  # never emitted; only its backoff matters
             elif word not in word_table:
                 skipped.add(word)
             else:
-                g.add_arc(src, word_table.find_id(word), word_table.find_id(word),
-                          -_LOG10 * logp, suffix_state(gram))
+                word_id = word_table.find_id(word)
+                arcs[src].append(Arc(word_id, word_id, -_LOG10 * logp, suffix_state(gram)))
     for gram, state in contexts.items():
         if not gram:
             continue
         entry = model.grams[len(gram) - 1].get(gram)
         backoff = entry[1] if entry is not None else 0.0
-        g.add_arc(state, EPSILON, EPSILON, -_LOG10 * backoff, suffix_state(gram[1:]))
+        arcs[state].append(Arc(EPSILON, EPSILON, -_LOG10 * backoff, suffix_state(gram[1:])))
     if skipped:
         log.warning("grammar skipped %d LM words missing from the lexicon: %s",
                     len(skipped), ", ".join(sorted(skipped)[:8]))
-    if not g.finals:
+    if all(w == ZERO for w in finals.values()):
         # Model without a sentence-end gram: allow ending anywhere for free.
-        for state in contexts.values():
-            g.set_final(state, ONE)
+        finals = dict.fromkeys(contexts.values(), ONE)
     start = contexts.get((BOS,), contexts[()])
-    g.set_start(start)
-    return arcsort(trim(g), "ilabel")
+    return arcsort(trim(Fst(arcs, start, finals, word_table, word_table)), "ilabel")
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +431,7 @@ def relabel_input_epsilon(f: Fst, labels: set[int]) -> Fst:
          for a in f.arcs(s)]
         for s in range(f.num_states)
     ]
-    return Fst._from_arcs(arcs, f.start, f.finals, f.isyms, f.osyms)
+    return Fst(arcs, f.start, f.finals, f.isyms, f.osyms)
 
 
 def build_tlg(t: Fst, l: Fst, g: Fst, use_pushing: bool = False,

@@ -3,11 +3,11 @@
 Weights are plain floats with (min, +) algebra: ZERO is +inf (no path),
 ONE is 0.0 (free move), path weight is the sum of arc weights plus the
 final weight, and the best path is the minimum.  Label 0 is epsilon on
-both tapes.  ``add_state``, ``add_arc`` and ``set_final`` are the public
-path for building a machine one piece at a time.  The algorithms here and
-in :mod:`spikefst.wfst.ops` instead build each result whole, as per-state
-arc lists handed to one validated constructor, ``Fst._from_arcs``; they
-never mutate their inputs, and every one returns a new machine.
+both tapes.  An :class:`Fst` is a value: it is built whole, as per-state
+arc lists handed to its one validated constructor, and never changes
+afterwards, so the algorithms here and in :mod:`spikefst.wfst.ops` each
+return a new machine, and anything derived from a machine stays valid
+for as long as the machine lives.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from ..errors import DataFormatError, FstError
 
@@ -97,6 +98,8 @@ class SymbolTable:
             except ValueError:
                 raise DataFormatError(
                     f"{path}: line {ln}: id {parts[1]!r} is not an integer") from None
+            if key < 0:
+                raise DataFormatError(f"{path}: line {ln}: id {key} is negative")
             if sym in table._sym2id:
                 raise DataFormatError(
                     f"{path}: line {ln}: symbol {sym!r} already bound to id {table._sym2id[sym]}")
@@ -116,88 +119,49 @@ class SymbolTable:
 
 
 class Fst:
-    """Mutable-while-building WFST: per-state arc lists plus final weights."""
+    """An immutable WFST: per-state arc tuples, a start state and final
+    weights, checked whole when it is built.
 
-    def __init__(self, isyms: SymbolTable | None = None, osyms: SymbolTable | None = None):
-        self._arcs: list[list[Arc]] = []
-        self.start: int = -1
-        self.finals: dict[int, float] = {}
-        self.isyms = isyms
-        self.osyms = osyms
-        # Bumped by every mutator, so caches derived from the machine can
-        # tell when they are stale.
-        self.version: int = 0
+    ``Fst(arcs, start, finals)`` takes per-state arc lists and a
+    ``{state: weight}`` map and raises :class:`FstError` for a start state,
+    a final state or an arc's next state out of range, or a NaN weight.  A
+    final weight of ZERO leaves its state non-final.  Nothing can change a
+    machine afterwards: the rows are tuples, ``finals`` is a read-only view
+    and ``start`` has no setter.
+    """
 
-    @classmethod
-    def _from_arcs(cls, arcs: list[list[Arc]], start: int, finals: dict[int, float],
-                   isyms: SymbolTable | None = None,
-                   osyms: SymbolTable | None = None) -> "Fst":
-        """A whole machine from per-state arc lists, which it takes over.
+    def __init__(self, arcs, start: int, finals: dict[int, float],
+                 isyms: SymbolTable | None = None, osyms: SymbolTable | None = None):
+        self._arcs: tuple[tuple[Arc, ...], ...] = tuple(map(tuple, arcs))
+        n = len(self._arcs)
 
-        Checks in one pass what ``set_start``, ``add_arc`` and
-        ``set_final`` check one call at a time, raising the same errors;
-        like ``set_final``, a final weight of ZERO leaves a state non-final.
-        """
-        out = cls(isyms, osyms)
-        out._arcs = arcs
-        out._check_state(start)
-        n = len(arcs)
-        for src, row in enumerate(arcs):
+        def check_state(state: int) -> None:
+            if not 0 <= state < n:
+                raise FstError(f"state {state} out of range [0, {n})")
+
+        check_state(start)
+        for src, row in enumerate(self._arcs):
             for a in row:
                 if not 0 <= a.nextstate < n or a.weight != a.weight:  # NaN != NaN
-                    out._check_arc(src, a.weight, a.nextstate)
+                    check_state(a.nextstate)
+                    raise FstError(f"NaN weight on arc {src} -> {a.nextstate}")
         for s, w in finals.items():
-            out._check_final(s, w)
-        out.start = start
-        out.finals = {s: w for s, w in finals.items() if w != ZERO}
-        return out
+            check_state(s)
+            if w != w:
+                raise FstError(f"NaN final weight at state {s}")
+        self._start = start
+        self._finals = {s: w for s, w in finals.items() if w != ZERO}
+        self.isyms = isyms
+        self.osyms = osyms
 
-    # -- construction ---------------------------------------------------
+    @property
+    def start(self) -> int:
+        return self._start
 
-    def add_state(self) -> int:
-        self.version += 1
-        self._arcs.append([])
-        return len(self._arcs) - 1
-
-    def add_states(self, n: int) -> None:
-        self.version += 1
-        for _ in range(n):
-            self._arcs.append([])
-
-    def set_start(self, state: int) -> None:
-        self._check_state(state)
-        self.version += 1
-        self.start = state
-
-    def set_final(self, state: int, weight: float = ONE) -> None:
-        self._check_final(state, weight)
-        self.version += 1
-        if weight == ZERO:
-            self.finals.pop(state, None)
-        else:
-            self.finals[state] = weight
-
-    def add_arc(self, src: int, ilabel: int, olabel: int, weight: float, dst: int) -> None:
-        self._check_state(src)
-        self._check_arc(src, weight, dst)
-        self._arcs[src].append(Arc(ilabel, olabel, weight, dst))
-        self.version += 1
-
-    def _check_state(self, state: int) -> None:
-        if not (0 <= state < len(self._arcs)):
-            raise FstError(f"state {state} out of range [0, {len(self._arcs)})")
-
-    def _check_arc(self, src: int, weight: float, dst: int) -> None:
-        self._check_state(dst)
-        if math.isnan(weight):
-            raise FstError(f"NaN weight on arc {src} -> {dst}")
-
-    def _check_final(self, state: int, weight: float) -> None:
-        self._check_state(state)
-        if math.isnan(weight):
-            raise FstError(f"NaN final weight at state {state}")
-
-    # -- inspection -----------------------------------------------------
+    @property
+    def finals(self) -> Mapping[int, float]:
+        """Final weights by state, read-only; a state absent is not final."""
+        return MappingProxyType(self._finals)
 
     @property
     def num_states(self) -> int:
@@ -205,11 +169,10 @@ class Fst:
 
     @property
     def num_arcs(self) -> int:
-        return sum(len(a) for a in self._arcs)
+        return sum(map(len, self._arcs))
 
     def arcs(self, state: int) -> tuple[Arc, ...]:
-        """A read-only snapshot; ``add_arc`` is the only way to add an arc."""
-        return tuple(self._arcs[state])
+        return self._arcs[state]
 
     def all_arcs(self) -> Iterable[tuple[int, Arc]]:
         for s, arcs in enumerate(self._arcs):
@@ -217,41 +180,31 @@ class Fst:
                 yield s, a
 
     def final_weight(self, state: int) -> float:
-        return self.finals.get(state, ZERO)
+        return self._finals.get(state, ZERO)
 
     def is_final(self, state: int) -> bool:
-        return state in self.finals
+        return state in self._finals
 
     def __repr__(self) -> str:
         return (
             f"Fst(states={self.num_states}, arcs={self.num_arcs}, "
-            f"finals={len(self.finals)}, start={self.start})"
+            f"finals={len(self._finals)}, start={self._start})"
         )
-
-    def copy(self) -> "Fst":
-        out = Fst(self.isyms, self.osyms)
-        out._arcs = [list(arcs) for arcs in self._arcs]
-        out.start = self.start
-        out.finals = dict(self.finals)
-        return out
 
 
 def arcsort(f: Fst, by: str = "ilabel") -> Fst:
     """Sort each state's arcs by label; ties keep a stable full-key order."""
     if by not in ("ilabel", "olabel"):
         raise FstError(f"arcsort key must be 'ilabel' or 'olabel', got {by!r}")
-    out = f.copy()
     # An Arc compares as (ilabel, olabel, weight, nextstate).
     key = None if by == "ilabel" else itemgetter(1, 0, 2, 3)
-    out._arcs = [sorted(arcs, key=key) for arcs in out._arcs]
-    return out
+    return Fst([sorted(row, key=key) for row in f._arcs], f.start, f._finals,
+               f.isyms, f.osyms)
 
 
 def trim(f: Fst) -> Fst:
     """Keep only states on some start-to-final path (accessible and
     co-accessible); an empty-language machine keeps a lone start state."""
-    if f.start < 0:
-        raise FstError("machine has no start state")
     arcs = f._arcs
     fwd = {f.start}
     stack = [f.start]
@@ -265,8 +218,8 @@ def trim(f: Fst) -> Fst:
     for s, row in enumerate(arcs):
         for a in row:
             rev[a.nextstate].append(s)
-    bwd = set(f.finals)
-    stack = list(f.finals)
+    bwd = set(f._finals)
+    stack = list(f._finals)
     while stack:
         s = stack.pop()
         for prev in rev[s]:
@@ -275,11 +228,14 @@ def trim(f: Fst) -> Fst:
                 stack.append(prev)
     live = fwd & bwd
     if f.start not in live:
-        return Fst._from_arcs([[]], 0, {}, f.isyms, f.osyms)
+        return Fst([()], 0, {}, f.isyms, f.osyms)
     if len(live) == len(arcs):
-        # Nothing to drop: every arc stays as it is.
-        return Fst._from_arcs([list(row) for row in arcs], f.start,
-                              dict(sorted(f.finals.items())), f.isyms, f.osyms)
+        # Nothing to drop: the machine itself, or its rows with the finals
+        # put in state order.
+        finals = dict(sorted(f._finals.items()))
+        if list(finals) == list(f._finals):
+            return f
+        return Fst(arcs, f.start, finals, f.isyms, f.osyms)
     order = sorted(live)
     remap = {s: i for i, s in enumerate(order)}
     out_arcs = [
@@ -287,8 +243,8 @@ def trim(f: Fst) -> Fst:
          for a in arcs[s] if a.nextstate in live]
         for s in order
     ]
-    finals = {remap[s]: f.finals[s] for s in order if s in f.finals}
-    return Fst._from_arcs(out_arcs, remap[f.start], finals, f.isyms, f.osyms)
+    finals = {remap[s]: f._finals[s] for s in order if s in f._finals}
+    return Fst(out_arcs, remap[f.start], finals, f.isyms, f.osyms)
 
 
 # ----------------------------------------------------------------------
@@ -298,10 +254,8 @@ def trim(f: Fst) -> Fst:
 def write_fst_text(f: Fst, path) -> None:
     """Arc lines "src dst ilabel olabel weight", then final lines
     "state weight"; the first line's src is the start state."""
-    if f.start < 0:
-        raise FstError("cannot serialize a machine with no start state")
     lines: list[str] = []
-    finals = sorted(f.finals)
+    finals = sorted(f._finals)
     if f._arcs[f.start]:
         ordered = [f.start] + [s for s in range(f.num_states) if s != f.start]
         for s in ordered:
@@ -315,7 +269,7 @@ def write_fst_text(f: Fst, path) -> None:
         for s, row in enumerate(f._arcs):
             for a in row:
                 lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
-    elif f.num_arcs or f.finals:
+    elif f.num_arcs or f._finals:
         raise FstError("start state has no arcs and is not final: trim before writing")
     for s in finals:
         lines.append(f"{s} {f.final_weight(s):.9g}")
@@ -363,4 +317,4 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
     if start < 0:
         # An empty file denotes the empty-language machine.
         arcs, start = [[]], 0
-    return Fst._from_arcs(arcs, start, finals, isyms, osyms)
+    return Fst(arcs, start, finals, isyms, osyms)

@@ -1,8 +1,7 @@
 """Algorithms over tropical-weight transducers.
 
-Everything here is value-oriented: inputs are never mutated, and each
-result is built whole, as per-state arc lists handed to
-``Fst._from_arcs``.  Weight bookkeeping follows (min, +): any
+Each result is built whole, as per-state arc lists handed to the
+``Fst`` constructor.  Weight bookkeeping follows (min, +): any
 transformation that claims equivalence preserves, for every accepted
 (input, output) string pair, the minimum accepting-path weight.
 ``_relax`` is the one shortest-distance search: epsilon removal,
@@ -56,8 +55,6 @@ def _relax(seeds: dict, moves, limit: int, what: str) -> tuple[dict, dict]:
 def rm_epsilon(f: Fst) -> Fst:
     """Remove eps:eps arcs, folding their weights into the arcs and final
     weights reachable through them; string weights are preserved."""
-    if f.start < 0:
-        raise FstError("machine has no start state")
     eps = [
         [(a.nextstate, a.weight, a) for a in row
          if a.ilabel == EPSILON and a.olabel == EPSILON]
@@ -85,7 +82,7 @@ def rm_epsilon(f: Fst) -> Fst:
         arcs.append([Arc(il, ol, w, dst) for (il, ol, dst), w in sorted(best_arc.items())])
         if final != ZERO:
             finals[s] = final
-    return trim(Fst._from_arcs(arcs, f.start, finals, f.isyms, f.osyms))
+    return trim(Fst(arcs, f.start, finals, f.isyms, f.osyms))
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +99,6 @@ def compose(a: Fst, b: Fst) -> Fst:
     a-alone is barred in 2, b-alone is barred in 1, and a simultaneous
     epsilon pairing is allowed only in 0.
     """
-    if a.start < 0 or b.start < 0:
-        raise FstError("compose requires start states on both machines")
     if a.osyms is not None and b.isyms is not None and a.osyms != b.isyms:
         raise FstError("compose: output symbols of a do not match input symbols of b")
 
@@ -168,7 +163,7 @@ def compose(a: Fst, b: Fst) -> Fst:
         wf = wtimes(a.final_weight(sa), b.final_weight(sb))
         if wf != ZERO:
             finals[src] = wf
-    return trim(Fst._from_arcs(arcs, 0, finals, a.isyms, b.osyms))
+    return trim(Fst(arcs, 0, finals, a.isyms, b.osyms))
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +211,6 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
     (``state_budget_factor`` x input states) turns divergence into a
     diagnostic instead of a hang.
     """
-    if f.start < 0:
-        raise FstError("machine has no start state")
     budget = max(64, state_budget_factor * max(1, f.num_states))
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
     eps = []
@@ -252,6 +245,8 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
             # weight is its own merge and closure.
             if len(cands) > 1 or eps[t] or w == ZERO:
                 cands = _close_elems(eps, cands, close_limit)
+                if not cands:
+                    continue  # every element weighs ZERO: no path on this label
             w_min = min(w for _, w, _ in cands)
             # the arc emits the first output symbol, if every element shares it
             head = cands[0][2][:1]
@@ -272,7 +267,7 @@ def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
                     )
                 queue.append((dst, nxt))
             arcs[src].append(Arc(label, emit, w_min, dst))
-    return Fst._from_arcs(arcs, 0, finals, f.isyms, f.osyms)
+    return Fst(arcs, 0, finals, f.isyms, f.osyms)
 
 
 def _set_subset_final(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
@@ -317,8 +312,6 @@ def minimize(f: Fst) -> Fst:
     outgoing pictures match exactly; run push_weights first to reach the
     canonical minimum.
     """
-    if f.start < 0:
-        raise FstError("machine has no start state")
     g = trim(f)
     pictures = []
     dests = []
@@ -375,7 +368,7 @@ def minimize(f: Fst) -> Fst:
                      for a in g._arcs[rep]])
         if g.is_final(rep):
             finals[new_id] = g.final_weight(rep)
-    return Fst._from_arcs(arcs, 0, finals, g.isyms, g.osyms)
+    return Fst(arcs, 0, finals, g.isyms, g.osyms)
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +386,6 @@ def shortest_distance(f: Fst, reverse: bool = False) -> list[float]:
             edges[a.nextstate].append((s, a.weight, a))
         seeds = dict(sorted(f.finals.items()))
     else:
-        if f.start < 0:
-            raise FstError("machine has no start state")
         edges = [[(a.nextstate, a.weight, a) for a in row] for row in f._arcs]
         seeds = {f.start: ONE}
     dist, _ = _relax(
@@ -412,8 +403,6 @@ def push_weights(f: Fst) -> Fst:
     re-applied at the start state, so each complete path keeps its exact
     original weight.  Requires every state to be co-accessible.
     """
-    if f.start < 0:
-        raise FstError("machine has no start state")
     dist = shortest_distance(f, reverse=True)
     dead = [s for s in range(f.num_states) if dist[s] == ZERO]
     if dead:
@@ -432,7 +421,7 @@ def push_weights(f: Fst) -> Fst:
         ])
         if f.is_final(s):
             finals[s] = wtimes(lead, f.final_weight(s) - dist[s])
-    return Fst._from_arcs(arcs, f.start, finals, f.isyms, f.osyms)
+    return Fst(arcs, f.start, finals, f.isyms, f.osyms)
 
 
 # ----------------------------------------------------------------------
@@ -450,8 +439,6 @@ class BestPath:
 def shortest_path(f: Fst) -> BestPath:
     """Minimum-total-weight accepting path; epsilons are dropped from the
     returned label sequences.  Raises when nothing accepts."""
-    if f.start < 0:
-        raise FstError("machine has no start state")
     n = f.num_states
     edges = [[(a.nextstate, a.weight, a) for a in row] for row in f._arcs]
     dist, back = _relax(

@@ -184,9 +184,7 @@ def compress_oracle(p: PosteriorMatrix, cfg) -> tuple[np.ndarray, tuple[int, ...
 def trim_oracle(f: Fst) -> Fst:
     """``trim`` that remaps and rebuilds every arc, whether or not a state
     is dropped."""
-    if f.start < 0:
-        raise FstError("machine has no start state")
-    arcs = f._arcs
+    arcs = [f.arcs(s) for s in range(f.num_states)]
     fwd = {f.start}
     stack = [f.start]
     while stack:
@@ -209,7 +207,7 @@ def trim_oracle(f: Fst) -> Fst:
                 stack.append(prev)
     live = fwd & bwd
     if f.start not in live:
-        return Fst._from_arcs([[]], 0, {}, f.isyms, f.osyms)
+        return Fst([[]], 0, {}, f.isyms, f.osyms)
     order = sorted(live)
     remap = {s: i for i, s in enumerate(order)}
     out_arcs = [
@@ -218,7 +216,7 @@ def trim_oracle(f: Fst) -> Fst:
         for s in order
     ]
     finals = {remap[s]: f.finals[s] for s in order if s in f.finals}
-    return Fst._from_arcs(out_arcs, remap[f.start], finals, f.isyms, f.osyms)
+    return Fst(out_arcs, remap[f.start], finals, f.isyms, f.osyms)
 
 
 class _OracleElem(NamedTuple):
@@ -252,14 +250,12 @@ def determinize_oracle(f: Fst, state_budget_factor: int = 10) -> Fst:
     """``determinize`` with ``NamedTuple`` subset elements, the arcs of each
     element scanned on every visit, and the closure called on every
     label's group."""
-    if f.start < 0:
-        raise FstError("machine has no start state")
     budget = max(64, state_budget_factor * max(1, f.num_states))
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
     eps = [
         [(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
          for a in row if a.ilabel == EPSILON]
-        for row in f._arcs
+        for row in map(f.arcs, range(f.num_states))
     ]
     start_elems = _close_elems_oracle(eps, [_OracleElem(f.start, ONE, ())], close_limit)
     ids: dict[tuple, int] = {_subset_key_oracle(start_elems): 0}
@@ -271,7 +267,7 @@ def determinize_oracle(f: Fst, state_budget_factor: int = 10) -> Fst:
         _set_subset_final_oracle(f, arcs, finals, src, elems)
         by_label: dict[int, list[_OracleElem]] = {}
         for e in elems:
-            for a in f._arcs[e.state]:
+            for a in f.arcs(e.state):
                 if a.ilabel == EPSILON:
                     continue
                 z = e.out + ((a.olabel,) if a.olabel != EPSILON else ())
@@ -297,7 +293,7 @@ def determinize_oracle(f: Fst, state_budget_factor: int = 10) -> Fst:
                     )
                 queue.append((dst, nxt))
             arcs[src].append(Arc(label, emit, w_min, dst))
-    return Fst._from_arcs(arcs, 0, finals, f.isyms, f.osyms)
+    return Fst(arcs, 0, finals, f.isyms, f.osyms)
 
 
 def _set_subset_final_oracle(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
@@ -327,10 +323,8 @@ def _set_subset_final_oracle(f: Fst, arcs: list[list[Arc]], finals: dict[int, fl
 def minimize_oracle(f: Fst) -> Fst:
     """``minimize`` that re-rounds and re-sorts every state's full
     signature in each refinement round."""
-    if f.start < 0:
-        raise FstError("machine has no start state")
     g = trim_oracle(f)
-    for s, row in enumerate(g._arcs):
+    for s, row in enumerate(map(g.arcs, range(g.num_states))):
         seen = set()
         for a in row:
             if a.ilabel in seen:
@@ -353,7 +347,7 @@ def minimize_oracle(f: Fst) -> Fst:
         for s in range(g.num_states):
             sigs.append((block[s], tuple(sorted(
                 (a.ilabel, a.olabel, round(a.weight, _QUANT), block[a.nextstate])
-                for a in g._arcs[s]))))
+                for a in g.arcs(s)))))
         new_block = intern_all(sigs)
         if new_block == block:
             break
@@ -369,7 +363,7 @@ def minimize_oracle(f: Fst) -> Fst:
         if cls not in class_rep:
             class_rep[cls] = len(order)
             order.append(s)
-        for a in g._arcs[s]:
+        for a in g.arcs(s):
             if block[a.nextstate] not in seen_cls:
                 seen_cls.add(block[a.nextstate])
                 queue.append(a.nextstate)
@@ -377,10 +371,10 @@ def minimize_oracle(f: Fst) -> Fst:
     finals: dict[int, float] = {}
     for new_id, rep in enumerate(order):
         arcs.append([Arc(a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]])
-                     for a in g._arcs[rep]])
+                     for a in g.arcs(rep)])
         if g.is_final(rep):
             finals[new_id] = g.final_weight(rep)
-    return Fst._from_arcs(arcs, 0, finals, g.isyms, g.osyms)
+    return Fst(arcs, 0, finals, g.isyms, g.osyms)
 
 
 def read_fst_text_oracle(path, isyms=None, osyms=None) -> Fst:
@@ -423,7 +417,7 @@ def read_fst_text_oracle(path, isyms=None, osyms=None) -> Fst:
             start = ids[0]
     if start < 0:
         arcs, start = [[]], 0
-    return Fst._from_arcs(arcs, start, finals, isyms, osyms)
+    return Fst(arcs, start, finals, isyms, osyms)
 
 
 def machine_parts(f: Fst):
@@ -454,8 +448,6 @@ def enum_weight_map(f: Fst, max_label_len: int = 6, max_steps: int | None = None
     """Exhaustive path enumeration: {(istring, ostring): min weight} over
     accepting paths with at most *max_label_len* input symbols.  Only safe
     on machines whose epsilon structure cannot loop (acyclic tests)."""
-    if f.start < 0:
-        return {}
     if max_steps is None:
         max_steps = 4 * max(1, f.num_states) + max_label_len
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
@@ -485,6 +477,14 @@ def maps_match(m1, m2, tol: float = 1e-9) -> bool:
     return all(abs(m1[k] - m2[k]) <= tol for k in m1)
 
 
+def fst_of(n: int, arcs, finals: dict, start: int = 0, isyms=None, osyms=None) -> Fst:
+    """A machine of *n* states from ``(src, ilabel, olabel, weight, dst)`` tuples."""
+    rows: list[list[Arc]] = [[] for _ in range(n)]
+    for src, *arc in arcs:
+        rows[src].append(Arc(*arc))
+    return Fst(rows, start, finals, isyms, osyms)
+
+
 def random_acyclic_fst(rng: np.random.Generator, max_states: int = 8,
                        n_ilabels: int = 3, n_olabels: int = 3,
                        eps_prob: float = 0.0, acceptor: bool = False) -> Fst:
@@ -492,9 +492,8 @@ def random_acyclic_fst(rng: np.random.Generator, max_states: int = 8,
     guaranteed accepting path.  Weights are short decimals so summed path
     weights compare exactly at 1e-9."""
     n = int(rng.integers(2, max_states + 1))
-    f = Fst()
-    f.add_states(n)
-    f.set_start(0)
+    arcs = []
+    finals = {}
 
     def rand_weight() -> float:
         return round(float(rng.uniform(0.0, 2.0)), 3)
@@ -509,18 +508,18 @@ def random_acyclic_fst(rng: np.random.Generator, max_states: int = 8,
     # Spine guarantees an accepting path through every state.
     for s in range(n - 1):
         il, ol = rand_labels()
-        f.add_arc(s, il, ol, rand_weight(), s + 1)
+        arcs.append((s, il, ol, rand_weight(), s + 1))
     extra = int(rng.integers(0, n + 3))
     for _ in range(extra):
         src = int(rng.integers(0, n - 1))
         dst = int(rng.integers(src + 1, n))
         il, ol = rand_labels()
-        f.add_arc(src, il, ol, rand_weight(), dst)
-    f.set_final(n - 1, rand_weight())
+        arcs.append((src, il, ol, rand_weight(), dst))
+    finals[n - 1] = rand_weight()
     for s in range(1, n - 1):
         if rng.random() < 0.25:
-            f.set_final(s, rand_weight())
-    return f
+            finals[s] = rand_weight()
+    return fst_of(n, arcs, finals)
 
 
 def viterbi_oracle(graph: Fst, values: np.ndarray, acoustic_scale: float = 1.0) -> float:
@@ -582,8 +581,6 @@ def fixpoint_oracle(graph: Fst, frames, cfg):
             f"graph consumes input label {max_ilabel} but posteriors have only "
             f"{values.shape[1]} columns (label k reads column k-1)"
         )
-    if graph.start < 0:
-        raise FstError("graph has no start state")
     emit, eps, aid = [], {}, 0
     for s in range(graph.num_states):
         s_emit, s_eps = [], []
@@ -704,8 +701,6 @@ def search_oracle(graph: Fst, frames, cfg):
             f"graph consumes input label {max_ilabel} but posteriors have only "
             f"{values.shape[1]} columns (label k reads column k-1)"
         )
-    if graph.start < 0:
-        raise FstError("graph has no start state")
     closure = eps_paths_oracle(graph)
     moves = []  # per state: (column, weight, next, arc ids) in contract order
     aid = 0
@@ -804,20 +799,19 @@ def random_decodable_graph(rng: np.random.Generator, max_states: int = 50,
     """Random emitting graph where every state has an emitting arc and a
     final weight, so any frame count has at least one alignment."""
     n = int(rng.integers(3, max_states + 1))
-    f = Fst()
-    f.add_states(n)
-    f.set_start(0)
+    arcs = []
+    finals = {}
     for s in range(n):
         for _ in range(int(rng.integers(1, 4))):
             il = int(rng.integers(1, vocab + 1))
             ol = int(rng.integers(0, vocab + 1))
             dst = int(rng.integers(0, n))
-            f.add_arc(s, il, ol, round(float(rng.uniform(0.0, 3.0)), 3), dst)
+            arcs.append((s, il, ol, round(float(rng.uniform(0.0, 3.0)), 3), dst))
         if s + 1 < n and rng.random() < 0.3:
             # sparse forward-only non-emitting arcs: no epsilon cycles
-            f.add_arc(s, EPSILON, 0, round(float(rng.uniform(0.0, 1.0)), 3), s + 1)
-        f.set_final(s, round(float(rng.uniform(0.0, 1.0)), 3))
-    return f
+            arcs.append((s, EPSILON, 0, round(float(rng.uniform(0.0, 1.0)), 3), s + 1))
+        finals[s] = round(float(rng.uniform(0.0, 1.0)), 3)
+    return fst_of(n, arcs, finals)
 
 
 def random_posteriors(rng: np.random.Generator, frames: int, vocab: int) -> PosteriorMatrix:
@@ -835,9 +829,8 @@ def random_search_case(rng: np.random.Generator, vocab: int = 4):
     ``decoder.py``).  Returns ``(graph, PosteriorMatrix)``; many cases
     have no surviving path."""
     n = int(rng.integers(2, 13))
-    g = Fst()
-    g.add_states(n)
-    g.set_start(0)
+    arcs = []
+    finals = {}
 
     def q() -> float:
         return float(rng.choice((0.0, 0.5, 1.0, 1.5, 4.0, 12.0)))
@@ -845,34 +838,32 @@ def random_search_case(rng: np.random.Generator, vocab: int = 4):
     for s in range(n):
         for _ in range(int(rng.integers(1, 5))):
             il = 1 if rng.random() < 0.4 else int(rng.integers(1, vocab + 1))
-            g.add_arc(s, il, int(rng.integers(0, 4)) * 10, q(), int(rng.integers(0, n)))
+            arcs.append((s, il, int(rng.integers(0, 4)) * 10, q(), int(rng.integers(0, n))))
         for _ in range(int(rng.integers(0, 3))):  # epsilon:word chain link or jump
             dst = s + 1 if s + 1 < n and rng.random() < 0.6 else int(rng.integers(0, n))
-            g.add_arc(s, EPSILON, int(rng.integers(0, 4)) * 10 + 1, q() % 2, dst)
+            arcs.append((s, EPSILON, int(rng.integers(0, 4)) * 10 + 1, q() % 2, dst))
         if rng.random() < 0.5:
-            g.set_final(s, q())
+            finals[s] = q()
+    size = n
     if rng.random() < 0.5:  # a final state entered only by epsilon arcs
-        f = g.add_state()
+        f, size = size, size + 1
         for s in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
-            g.add_arc(int(s), EPSILON, 99, q(), f)
-        g.set_final(f, q())
+            arcs.append((int(s), EPSILON, 99, q(), f))
+        finals[f] = q()
     if rng.random() < 0.8:
         # a < x < b < y, one frame from s: x is entered cheaply only through
         # a, and a-x-y ties b-y, so the word on y depends on whether the
         # continuation through a comes before the one through b
         s = int(rng.integers(0, n))
-        a, x, b, y = (g.add_state() for _ in range(4))
+        a, x, b, y = range(size, size + 4)
         il = 1 if rng.random() < 0.6 else int(rng.integers(1, vocab + 1))
         w, w1, w2 = (q() % 2 for _ in range(3))
-        g.add_arc(s, il, 0, w, a)
-        g.add_arc(s, il, 0, w, b)
-        g.add_arc(s, il, 0, w + 12.0, x)
-        g.add_arc(a, EPSILON, 0, w1, x)
-        g.add_arc(x, EPSILON, 41, w2, y)
-        g.add_arc(b, EPSILON, 51, w1 + w2, y)
-        g.add_arc(y, 1, 0, 0.0, y)
-        g.add_arc(y, il, 0, 0.0, int(rng.integers(0, n)))
-        g.set_final(y, 0.0)
+        arcs += [(s, il, 0, w, a), (s, il, 0, w, b), (s, il, 0, w + 12.0, x),
+                 (a, EPSILON, 0, w1, x), (x, EPSILON, 41, w2, y),
+                 (b, EPSILON, 51, w1 + w2, y), (y, 1, 0, 0.0, y),
+                 (y, il, 0, 0.0, int(rng.integers(0, n)))]
+        finals[y] = 0.0
+        size += 4
 
     rows = []
     for _ in range(int(rng.integers(0, 10))):
@@ -885,6 +876,7 @@ def random_search_case(rng: np.random.Generator, vocab: int = 4):
         else:
             row = rng.dirichlet(np.ones(vocab))
         rows.append(row)
+    g = fst_of(size, arcs, finals)
     return g, PosteriorMatrix(np.array(rows).reshape(len(rows), vocab))
 
 
@@ -899,17 +891,15 @@ def spiky_search_case(rng: np.random.Generator, vocab: int = 4):
     continuations through a and b, on the blank column, tie at y.
     Returns ``(graph, PosteriorMatrix)``."""
     g, frames = random_search_case(rng, vocab)
-    s = int(rng.integers(0, g.num_states))
-    a, x, b, y = (g.add_state() for _ in range(4))
+    n = g.num_states
+    s = int(rng.integers(0, n))
+    a, x, b, y = range(n, n + 4)
     w1, w2 = (float(rng.choice((0.0, 0.5, 1.0))) for _ in range(2))
-    g.add_arc(s, 1, 0, 0.0, a)
-    g.add_arc(s, 1, 0, 0.0, b)
-    g.add_arc(s, int(rng.integers(2, vocab + 1)), 0, 0.0, x)
-    g.add_arc(a, EPSILON, 0, w1, x)
-    g.add_arc(x, EPSILON, 41, w2, y)
-    g.add_arc(b, EPSILON, 51, w1 + w2, y)
-    g.add_arc(y, 1, 0, 0.0, y)
-    g.set_final(y, 0.0)
+    arcs = [(src, *arc) for src, arc in g.all_arcs()] + [
+        (s, 1, 0, 0.0, a), (s, 1, 0, 0.0, b), (s, int(rng.integers(2, vocab + 1)), 0, 0.0, x),
+        (a, EPSILON, 0, w1, x), (x, EPSILON, 41, w2, y), (b, EPSILON, 51, w1 + w2, y),
+        (y, 1, 0, 0.0, y)]
+    g = fst_of(n + 4, arcs, {**g.finals, y: 0.0})
 
     n = frames.values.shape[0]
     peak = rng.uniform(0.9, 0.99, size=n)

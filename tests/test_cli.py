@@ -1,5 +1,6 @@
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,73 @@ class TestExitCodes:
         assert rc == 2
         assert any("tlg.fst.txt: line 100: malformed FST line '1.5 " in r.message
                    for r in caplog.records)
+
+    def test_negative_symbol_id_is_two(self, tmp_path, graph_dir, posterior_dir, caplog):
+        bad = tmp_path / "graph"
+        bad.mkdir()
+        for name in ("tokens.txt", "words.txt", "tlg.fst.txt"):
+            (bad / name).write_text((graph_dir / name).read_text())
+        with open(bad / "words.txt", "a") as fh:
+            fh.write("zz\t-1\n")
+        rc = main(["decode", "--graph-dir", str(bad), "--input", str(posterior_dir),
+                   "--out", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        lines = (bad / "words.txt").read_text().splitlines()
+        assert any(f"words.txt: line {len(lines)}: id -1 is negative" in r.message
+                   for r in caplog.records)
+
+
+class TestLoaderFuzz:
+    """Damaged copies of files the pipeline wrote: each load raises a
+    typed error, never a bare ValueError, IndexError or KeyError, and
+    the CLI exits 2.  The exit code follows from the error's type alone,
+    so the CLI reads a spread of the prefixes that the loaders read."""
+
+    def test_every_prefix_of_a_posterior_file(self, posterior_dir, tmp_path):
+        from spikefst import DataFormatError, load_posteriors
+
+        raw = min(posterior_dir.glob("*.spkf"), key=lambda f: f.stat().st_size).read_bytes()
+        bad = tmp_path / "bad.spkf"
+        for k in range(len(raw)):
+            bad.write_bytes(raw[:k])
+            with pytest.raises(DataFormatError):
+                load_posteriors(bad, "binary")
+            if k <= 16 or k % 64 == 0:  # the whole header, then a spread of payloads
+                assert main(["compress", "--input", str(bad),
+                             "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("field, match", [
+        (0, "bad magic"), (1, "unsupported format version 2147483648"),
+        (2, r"dimension overflow \(2147483648 x"), (3, r"dimension overflow \(\d+ x 2147483648\)"),
+    ], ids=["magic", "version", "frames", "vocab"])
+    def test_two_to_the_31_in_a_header_field(self, posterior_dir, tmp_path, field, match):
+        from spikefst import DataFormatError, load_posteriors
+
+        raw = bytearray(sorted(posterior_dir.glob("*.spkf"))[0].read_bytes())
+        struct.pack_into("<I", raw, 4 * field, 2**31)
+        bad = tmp_path / "bad.spkf"
+        bad.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=match):
+            load_posteriors(bad, "binary")
+        assert main(["compress", "--input", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+    def test_every_prefix_of_an_arpa_file(self, workdir, tmp_path):
+        from spikefst.errors import ArpaError
+        from spikefst.graph import parse_arpa
+
+        text = (workdir / "lm.arpa").read_text()
+        # every prefix that stops short of the terminator
+        end = text.rindex("\\end\\") + len("\\end\\")
+        cli_cuts = [k for k in range(end) if k == 0 or text[k - 1] == "\n"][::16]
+        bad = tmp_path / "bad.arpa"
+        for k in range(end):
+            with pytest.raises(ArpaError):
+                parse_arpa(text[:k])
+            if k in cli_cuts:  # a spread of whole-line prefixes
+                bad.write_text(text[:k])
+                assert main(["build-graph", "--lexicon", str(workdir / "lexicon.txt"),
+                             "--arpa", str(bad), "--out-dir", str(tmp_path / "graph")]) == 2
+        assert not (tmp_path / "graph").exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

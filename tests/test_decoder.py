@@ -1,5 +1,6 @@
 import importlib
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import (
     fixpoint_oracle,
+    fst_of,
     make_corpus,
     random_decodable_graph,
     random_posteriors,
@@ -33,21 +35,17 @@ from spikefst import (
     save_compressed,
     sweep_params,
 )
-from spikefst.wfst import Arc, Fst
+from spikefst.wfst import Arc
 
 WIDE = DecoderConfig(beam=math.inf, max_active=10**9)
 
 
-def one_word_graph():
-    """Two-symbol vocab (blank + A); accepts blk* A blk and emits word 5."""
-    g = Fst()
-    g.add_states(3)
-    g.set_start(0)
-    g.add_arc(0, 1, 0, 0.3, 0)
-    g.add_arc(0, 2, 5, 0.7, 1)
-    g.add_arc(1, 1, 0, 0.2, 2)
-    g.set_final(2, 0.4)
-    return g
+def one_word_graph(*extra, n=3, finals=None):
+    """Two-symbol vocab (blank + A); accepts blk* A blk and emits word 5.
+    Of *n* states; the arcs *extra*, as ``(src, ilabel, olabel, weight,
+    dst)``, and the *finals* are added."""
+    arcs = [(0, 1, 0, 0.3, 0), (0, 2, 5, 0.7, 1), (1, 1, 0, 0.2, 2), *extra]
+    return fst_of(n, arcs, {2: 0.4, **(finals or {})})
 
 
 def one_hot_rows(cols, vocab=2):
@@ -87,17 +85,14 @@ class TestDecodeBasics:
             decode(one_word_graph(), one_hot_rows([1, 0, 0, 1]), WIDE)
 
     def test_empty_frames_need_reachable_final(self):
-        g = one_word_graph()
         with pytest.raises(DecodeError, match="final"):
-            decode(g, one_hot_rows([]), WIDE)
-        g.set_final(0, 0.125)
-        r = decode(g, one_hot_rows([]), WIDE)
+            decode(one_word_graph(), one_hot_rows([]), WIDE)
+        r = decode(one_word_graph(finals={0: 0.125}), one_hot_rows([]), WIDE)
         assert r.words == () and r.total_cost == pytest.approx(0.125)
 
     def test_vocab_mismatch_rejected(self):
-        g = one_word_graph()
+        g = one_word_graph((0, 9, 0, 0.0, 0))
         p = PosteriorMatrix(np.full((2, 2), 0.5))
-        g.add_arc(0, 9, 0, 0.0, 0)
         with pytest.raises(ValidationError, match="label 9"):
             decode(g, p, WIDE)
 
@@ -105,12 +100,7 @@ class TestDecodeBasics:
         # Entries down to -1e-12 pass validation.  Column 0 must cost inf,
         # not NaN, or it would be taken as the row's cheapest column and
         # the narrowed view would skip the arc on column 1.
-        g = Fst()
-        g.add_states(2)
-        g.set_start(0)
-        g.add_arc(0, 2, 10, 0.0, 1)
-        g.add_arc(0, 3, 20, 0.0, 1)
-        g.set_final(1, 0.0)
+        g = fst_of(2, [(0, 2, 10, 0.0, 1), (0, 3, 20, 0.0, 1)], {1: 0.0})
         cfg = DecoderConfig(beam=0.5)
         r = decode(g, PosteriorMatrix([[-1e-13, 0.7, 0.3]]), cfg)
         assert r.words == (10,)
@@ -244,16 +234,9 @@ class TestSearchContract:
         # 0 -> {1, 2} on blank at equal cost, then 1 -> 3 emits word 10 and
         # 2 -> 3 emits word 20 at equal weight, so both routes tie at 3.
         # State 2's arcs are added first, so arc order cannot decide.
-        g = Fst()
-        g.add_states(4)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, 0.25, 2)
-        g.add_arc(0, 1, 0, 0.25, 1)
         il = 0 if eps else 2
-        g.add_arc(2, il, 20, 0.5, 3)
-        g.add_arc(1, il, 10, 0.5, 3)
-        g.set_final(3, 0.0)
-        return g
+        return fst_of(4, [(0, 1, 0, 0.25, 2), (0, 1, 0, 0.25, 1), (2, il, 20, 0.5, 3),
+                          (1, il, 10, 0.5, 3)], {3: 0.0})
 
     def test_emitting_tie_keeps_lower_predecessor(self):
         r = decode(self.two_route_graph(eps=False),
@@ -270,12 +253,8 @@ class TestSearchContract:
     def test_binding_max_active_keeps_lower_states_on_equal_cost(self):
         # Five equal-cost successors; the higher three have the cheaper
         # final weight, so they win unless the cap dropped them.
-        g = Fst()
-        g.add_states(6)
-        g.set_start(0)
-        for s in range(5, 0, -1):
-            g.add_arc(0, 1, s, 0.0, s)
-            g.set_final(s, 1.0 if s <= 2 else 0.0)
+        g = fst_of(6, [(0, 1, s, 0.0, s) for s in range(5, 0, -1)],
+                   {s: 1.0 if s <= 2 else 0.0 for s in range(5, 0, -1)})
         p = one_hot_rows([0])
         assert decode(g, p, WIDE).words == (3,)
         r = decode(g, p, DecoderConfig(beam=math.inf, max_active=2))
@@ -312,16 +291,8 @@ class TestSearchContract:
         # 0 -> 3 -> 4 (word 20) both cost 2.  Continuations are ordered by
         # the epsilon state they pass through, so the one through 1 comes
         # first and, replacement being strict, keeps the tie.
-        g = Fst()
-        g.add_states(5)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, 20.0, 2)
-        g.add_arc(0, 1, 0, 0.0, 1)
-        g.add_arc(0, 1, 0, 0.0, 3)
-        g.add_arc(1, 0, 0, 1.0, 2)
-        g.add_arc(2, 0, 10, 1.0, 4)
-        g.add_arc(3, 0, 20, 2.0, 4)
-        g.set_final(4, 0.0)
+        g = fst_of(5, [(0, 1, 0, 20.0, 2), (0, 1, 0, 0.0, 1), (0, 1, 0, 0.0, 3),
+                       (1, 0, 0, 1.0, 2), (2, 0, 10, 1.0, 4), (3, 0, 20, 2.0, 4)], {4: 0.0})
         r = decode(g, PosteriorMatrix(np.full((1, 2), 0.5)), DecoderConfig(beam=12.0))
         assert r.words == (10,)
         assert r.path_graph_costs == (0.0, 1.0, 1.0)
@@ -333,16 +304,8 @@ class TestSearchContract:
         # through 1 and 3 are on column 0 too: 2 is stored by the one
         # through 1, and 4 is reached at equal cost through 1 (word 10),
         # then through 3 (word 20), so the tie goes to word 10 as above.
-        g = Fst()
-        g.add_states(5)
-        g.set_start(0)
-        g.add_arc(0, 2, 0, 0.0, 2)
-        g.add_arc(0, 1, 0, 0.0, 1)
-        g.add_arc(0, 1, 0, 0.0, 3)
-        g.add_arc(1, 0, 0, 1.0, 2)
-        g.add_arc(2, 0, 10, 1.0, 4)
-        g.add_arc(3, 0, 20, 2.0, 4)
-        g.set_final(4, 0.0)
+        g = fst_of(5, [(0, 2, 0, 0.0, 2), (0, 1, 0, 0.0, 1), (0, 1, 0, 0.0, 3),
+                       (1, 0, 0, 1.0, 2), (2, 0, 10, 1.0, 4), (3, 0, 20, 2.0, 4)], {4: 0.0})
         r = decode(g, PosteriorMatrix([[0.97, 0.03]]), DecoderConfig(beam=3.0))
         assert r.words == (10,)
 
@@ -350,13 +313,7 @@ class TestSearchContract:
         # Two equal-cost blank arcs into state 1 with a token arc between
         # them; a one-hot blank row reads only the blank arcs, and the
         # lower arc id still wins the tie.
-        g = Fst()
-        g.add_states(2)
-        g.set_start(0)
-        g.add_arc(0, 1, 7, 0.5, 1)
-        g.add_arc(0, 2, 9, 0.0, 1)
-        g.add_arc(0, 1, 8, 0.5, 1)
-        g.set_final(1, 0.0)
+        g = fst_of(2, [(0, 1, 7, 0.5, 1), (0, 2, 9, 0.0, 1), (0, 1, 8, 0.5, 1)], {1: 0.0})
         r = decode(g, one_hot_rows([0]), WIDE)
         assert r.words == (7,)
         assert r.tokens == ((0, 1),)
@@ -378,12 +335,7 @@ class TestSearchContract:
         # stores only finite costs, so it fails at the frame where the last
         # finite token dies; the dict search it replaced carried the inf
         # token to the end and failed there with "no final state reachable".
-        g = Fst()
-        g.add_states(2)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, math.inf, 1)
-        g.add_arc(1, 1, 0, 0.0, 1)
-        g.set_final(1, 0.0)
+        g = fst_of(2, [(0, 1, 0, math.inf, 1), (1, 1, 0, 0.0, 1)], {1: 0.0})
         p = one_hot_rows([0, 0])
         with pytest.raises(DecodeError) as exc:
             decode(g, p, WIDE)
@@ -400,10 +352,7 @@ class TestEpsilonClosure:
 
     def test_negative_epsilon_cycle_raises_on_first_decode(self):
         # The cycle 3 -> 4 -> 3 weighs -0.5, and no token can reach it.
-        g = one_word_graph()
-        g.add_states(2)
-        g.add_arc(3, 0, 0, -1.0, 4)
-        g.add_arc(4, 0, 0, 0.5, 3)
+        g = one_word_graph((3, 0, 0, -1.0, 4), (4, 0, 0, 0.5, 3), n=5)
         for _ in range(2):  # a failed compile is not cached
             with pytest.raises(FstError) as exc:
                 decode(g, one_hot_rows([0, 1, 0]), WIDE)
@@ -414,34 +363,20 @@ class TestEpsilonClosure:
         # (arc ids 2, 3; word 20) both weigh 1.0.  Lower arc ids win, though
         # the other path passes through the lower state; a one-arc path of
         # the same weight (word 40), added last, beats both.
-        g = Fst()
-        g.add_states(5)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, 0.0, 1)
-        g.add_arc(1, 0, 0, 0.5, 3)
-        g.add_arc(1, 0, 0, 0.5, 2)
-        g.add_arc(2, 0, 20, 0.5, 4)
-        g.add_arc(3, 0, 30, 0.5, 4)
-        g.set_final(4, 0.0)
+        arcs = [(0, 1, 0, 0.0, 1), (1, 0, 0, 0.5, 3), (1, 0, 0, 0.5, 2), (2, 0, 20, 0.5, 4),
+                (3, 0, 30, 0.5, 4)]
         p = one_hot_rows([0])
-        r = decode(g, p, WIDE)
+        r = decode(fst_of(5, arcs, {4: 0.0}), p, WIDE)
         assert r.words == (30,)
         assert r.path_graph_costs == (0.0, 0.5, 0.5)
-        g.add_arc(1, 0, 40, 1.0, 4)
-        r = decode(g, p, WIDE)
+        r = decode(fst_of(5, arcs + [(1, 0, 40, 1.0, 4)], {4: 0.0}), p, WIDE)
         assert r.words == (40,)
         assert r.path_graph_costs == (0.0, 1.0)
 
     def test_cheapest_epsilon_path_not_first_found(self):
         # 1 -> 3 directly weighs 3.0 and is found first; 1 -> 2 -> 3 weighs 0.
-        g = Fst()
-        g.add_states(4)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, 0.0, 1)
-        g.add_arc(1, 0, 10, 3.0, 3)
-        g.add_arc(1, 0, 0, 0.0, 2)
-        g.add_arc(2, 0, 20, 0.0, 3)
-        g.set_final(3, 0.0)
+        g = fst_of(4, [(0, 1, 0, 0.0, 1), (1, 0, 10, 3.0, 3), (1, 0, 0, 0.0, 2),
+                       (2, 0, 20, 0.0, 3)], {3: 0.0})
         r = decode(g, one_hot_rows([0]), WIDE)
         assert r.words == (20,)
         assert r.total_cost == 0.0
@@ -450,12 +385,7 @@ class TestEpsilonClosure:
         u, v = 0.1, 0.2
         ac = float(-np.log(0.5))
         assert (u + v) + ac != (u + ac) + v  # the two orders round apart here
-        g = Fst()
-        g.add_states(3)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, u, 1)
-        g.add_arc(1, 0, 7, v, 2)
-        g.set_final(2, 0.0)
+        g = fst_of(3, [(0, 1, 0, u, 1), (1, 0, 7, v, 2)], {2: 0.0})
         r = decode(g, PosteriorMatrix(np.full((1, 2), 0.5)), WIDE)
         assert r.words == (7,)
         assert r.total_cost == (u + v) + ac
@@ -466,25 +396,14 @@ class TestEpsilonClosure:
         # epsilon arc 2 -> 3 takes 5 off, so 0's continuation to 3 is the
         # frame's cheapest candidate (-1.5).  0's cheapest entry weight is
         # -5, so 0 keeps its full entry list and 3 is stored.
-        g = Fst()
-        g.add_states(4)
-        g.set_start(0)
-        g.add_arc(0, 1, 0, 0.0, 1)
-        g.add_arc(0, 2, 0, 0.0, 2)
-        g.add_arc(2, 0, 10, -5.0, 3)
-        g.set_final(3, 0.0)
+        g = fst_of(4, [(0, 1, 0, 0.0, 1), (0, 2, 0, 0.0, 2), (2, 0, 10, -5.0, 3)], {3: 0.0})
         r = decode(g, PosteriorMatrix([[0.97, 0.03]]), DecoderConfig(beam=3.0))
         assert r.words == (10,)
         assert r.total_cost == pytest.approx(-5.0 - math.log(0.03))
 
     def test_start_closure_gives_initial_tokens(self):
         # Only the start state's epsilon arc leads to an emitting arc.
-        g = Fst()
-        g.add_states(3)
-        g.set_start(0)
-        g.add_arc(0, 0, 5, 0.5, 1)
-        g.add_arc(1, 1, 0, 0.25, 2)
-        g.set_final(2, 0.0)
+        g = fst_of(3, [(0, 0, 5, 0.5, 1), (1, 1, 0, 0.25, 2)], {2: 0.0})
         r = decode(g, one_hot_rows([0]), WIDE)
         assert r.words == (5,)
         assert r.tokens == ((0, 1),)
@@ -492,11 +411,7 @@ class TestEpsilonClosure:
         assert r.total_cost == 0.75
 
     def test_negative_input_label_rejected(self):
-        g = Fst()
-        g.add_states(2)
-        g.set_start(0)
-        g.add_arc(0, -1, 0, 0.0, 1)
-        g.set_final(1, 0.0)
+        g = fst_of(2, [(0, -1, 0, 0.0, 1)], {1: 0.0})
         with pytest.raises(ValidationError, match="input label -1"):
             decode(g, one_hot_rows([0]), WIDE)
 
@@ -564,23 +479,22 @@ class TestFixpointOracle:
 
 
 class TestGraphEdits:
-    """Edits made after a decode are seen by the next decode."""
+    """A graph cannot be edited after a decode, so the table compiled on
+    its first decode serves every later one; an edited graph is a new
+    graph with a table of its own."""
 
-    def test_each_mutator_is_seen(self):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda g: operator.setitem(g.finals, 2, 2.0), TypeError),
+        (lambda g: setattr(g, "start", 1), AttributeError),
+    ], ids=["assign_final", "rebind_start"])
+    def test_edit_raises_and_the_next_decode_is_unchanged(self, edit, error):
         g = one_word_graph()
         p = one_hot_rows([0, 1, 0])
-        assert decode(g, p, WIDE).words == (5,)
-        g.add_arc(0, 2, 7, 0.1, 1)  # cheaper parallel word arc
-        r = decode(g, p, WIDE)
-        assert r.words == (7,)
-        assert r.total_cost == pytest.approx(0.3 + 0.1 + 0.2 + 0.4)
-        g.set_final(2, 2.0)
-        assert decode(g, p, WIDE).total_cost == pytest.approx(0.3 + 0.1 + 0.2 + 2.0)
-        s = g.add_state()
-        g.add_arc(s, 1, 9, 0.0, 0)
-        g.set_start(s)
-        r = decode(g, one_hot_rows([0, 0, 1, 0]), WIDE)
-        assert r.words == (9, 7)
+        first = decode(g, p, WIDE)
+        with pytest.raises(error):
+            edit(g)
+        assert decode(g, p, WIDE).same_search(first)
+        assert first.same_search(decode(one_word_graph(), p, WIDE))
 
     def test_arcs_cannot_be_appended_to(self):
         g = one_word_graph()
@@ -589,15 +503,31 @@ class TestGraphEdits:
         arcs = g.arcs(0)
         with pytest.raises(AttributeError):
             arcs.append(Arc(2, 7, 0.1, 1))
-        assert decode(g, p, WIDE).same_search(decode(g.copy(), p, WIDE))
+        assert decode(g, p, WIDE).same_search(decode(one_word_graph(), p, WIDE))
 
     def test_out_of_vocab_arc_added_after_decode_rejected(self):
         g = one_word_graph()
         p = one_hot_rows([0, 1, 0])
-        decode(g, p, WIDE)
-        g.add_arc(0, 9, 0, 0.0, 0)
+        first = decode(g, p, WIDE)
         with pytest.raises(ValidationError, match="label 9"):
-            decode(g, p, WIDE)
+            decode(one_word_graph((0, 9, 0, 0.0, 0)), p, WIDE)
+        assert decode(g, p, WIDE).same_search(first)
+
+    def test_two_decodes_of_one_graph_compile_once(self, monkeypatch):
+        compiled = []
+
+        def counting(graph):
+            compiled.append(graph)
+            return compile_table(graph)
+
+        decoder_module = importlib.import_module("spikefst.decoder")
+        compile_table = decoder_module._compile
+        monkeypatch.setattr(decoder_module, "_compile", counting)
+        g, h = one_word_graph(), one_word_graph()
+        p = one_hot_rows([0, 1, 0])
+        for graph in (g, g, h, g, h):
+            decode(graph, p, WIDE)
+        assert compiled == [g, h]
 
 
 class TestCompressedParity:

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     determinize_oracle,
     enum_weight_map,
+    fst_of,
     machine_parts,
     maps_match,
     minimize_oracle,
@@ -62,31 +63,20 @@ class TestSemiring:
 
 def chain(pairs, final_weight=0.0):
     """Linear machine from [(ilabel, olabel, weight), ...]."""
-    f = Fst()
-    prev = f.add_state()
-    f.set_start(prev)
-    for il, ol, w in pairs:
-        nxt = f.add_state()
-        f.add_arc(prev, il, ol, w, nxt)
-        prev = nxt
-    f.set_final(prev, final_weight)
-    return f
+    return fst_of(len(pairs) + 1, [(s, *arc, s + 1) for s, arc in enumerate(pairs)],
+                  {len(pairs): final_weight})
 
 
 class TestStructure:
     def test_text_round_trip(self, tmp_path):
-        f = chain([(1, 2, 0.5), (2, 3, 0.25)], final_weight=0.125)
-        f.add_arc(0, 3, 3, 1.0, 2)
+        f = fst_of(3, [(0, 1, 2, 0.5, 1), (1, 2, 3, 0.25, 2), (0, 3, 3, 1.0, 2)], {2: 0.125})
         path = tmp_path / "m.fst.txt"
         write_fst_text(f, path)
         g = read_fst_text(path)
         assert maps_match(enum_weight_map(f), enum_weight_map(g))
 
     def test_text_round_trip_start_only_final(self, tmp_path):
-        f = Fst()
-        s = f.add_state()
-        f.set_start(s)
-        f.set_final(s, 0.75)
+        f = Fst([[]], 0, {0: 0.75})
         path = tmp_path / "m.fst.txt"
         write_fst_text(f, path)
         g = read_fst_text(path)
@@ -115,51 +105,49 @@ class TestStructure:
             read_fst_text(path)
 
     def test_nan_weight_is_rejected_when_built(self):
-        f = Fst()
-        f.add_states(2)
         with pytest.raises(FstError, match="NaN weight on arc 0 -> 1"):
-            f.add_arc(0, 1, 5, math.nan, 1)
+            Fst([[Arc(1, 5, math.nan, 1)], []], 0, {})
         with pytest.raises(FstError, match="NaN final weight at state 1"):
-            f.set_final(1, math.nan)
-        assert f.num_arcs == 0 and not f.finals
+            Fst([[], []], 0, {1: math.nan})
 
-    @pytest.mark.parametrize("arcs, start, finals", [
-        ([[Arc(1, 1, 0.0, 2)], []], 0, {}),
-        ([[Arc(1, 1, 0.0, -1)], []], 0, {}),
-        ([[], [Arc(1, 1, math.nan, 0)]], 0, {}),
-        ([[], []], 0, {1: math.nan}),
-        ([[], []], 0, {2: 0.0}),
-        ([[], []], 2, {}),
+    @pytest.mark.parametrize("arcs, start, finals, message", [
+        ([[Arc(1, 1, 0.0, 2)], []], 0, {}, "state 2 out of range [0, 2)"),
+        ([[Arc(1, 1, 0.0, -1)], []], 0, {}, "state -1 out of range [0, 2)"),
+        ([[], [Arc(1, 1, math.nan, 0)]], 0, {}, "NaN weight on arc 1 -> 0"),
+        ([[], []], 0, {1: math.nan}, "NaN final weight at state 1"),
+        ([[], []], 0, {2: 0.0}, "state 2 out of range [0, 2)"),
+        ([[], []], 2, {}, "state 2 out of range [0, 2)"),
+        ([], 0, {}, "state 0 out of range [0, 0)"),
     ], ids=["arc_past_end", "arc_negative", "nan_arc", "nan_final", "final_past_end",
-            "start_past_end"])
-    def test_whole_machine_constructor_checks_like_the_mutators(self, arcs, start, finals):
-        f = Fst()
-        f.add_states(len(arcs))
-        with pytest.raises(FstError) as incremental:
-            f.set_start(start)
-            for src, row in enumerate(arcs):
-                for a in row:
-                    f.add_arc(src, a.ilabel, a.olabel, a.weight, a.nextstate)
-            for s, w in finals.items():
-                f.set_final(s, w)
-        with pytest.raises(FstError, match=f"^{re.escape(str(incremental.value))}$"):
-            Fst._from_arcs(arcs, start, finals)
+            "start_past_end", "no_states"])
+    def test_whole_machine_constructor_checks_like_the_mutators(self, arcs, start, finals,
+                                                                 message):
+        with pytest.raises(FstError, match=f"^{re.escape(message)}$"):
+            Fst(arcs, start, finals)
+
+    def test_machine_cannot_be_changed(self):
+        rows = [[Arc(1, 1, 0.5, 1)], []]
+        finals = {1: 0.0}
+        f = Fst(rows, 0, finals)
+        before = machine_parts(f)
+        with pytest.raises(AttributeError):
+            f.start = 1
+        with pytest.raises(TypeError):
+            f.finals[0] = 1.0
+        with pytest.raises(AttributeError):
+            f.arcs(0).append(Arc(2, 2, 0.0, 0))
+        # the constructor's inputs are not the machine
+        rows[1].append(Arc(1, 1, 0.0, 0))
+        finals[0] = 1.0
+        assert machine_parts(f) == before
 
     def test_read_gives_the_same_machine_for_out_of_order_state_ids(self, tmp_path):
         path = tmp_path / "m.fst.txt"
         path.write_text("2 4 1 1 0.5\n0 1 2 2\n4 0 3 3 0.25\n4 1.5\n3 inf\n"
                         "1 2 1 0 1\n0 5 4 4 2\n1 0.5\n")
         g = read_fst_text(path)
-        f = Fst()
-        f.add_states(6)
-        f.set_start(2)
-        f.add_arc(2, 1, 1, 0.5, 4)
-        f.add_arc(0, 2, 2, 0.0, 1)
-        f.add_arc(4, 3, 3, 0.25, 0)
-        f.add_arc(1, 1, 0, 1.0, 2)
-        f.add_arc(0, 4, 4, 2.0, 5)
-        f.set_final(4, 1.5)
-        f.set_final(1, 0.5)
+        f = fst_of(6, [(2, 1, 1, 0.5, 4), (0, 2, 2, 0.0, 1), (4, 3, 3, 0.25, 0),
+                       (1, 1, 0, 1.0, 2), (0, 4, 4, 2.0, 5)], {4: 1.5, 1: 0.5}, start=2)
         assert (g.num_states, g.start, g.finals) == (f.num_states, f.start, f.finals)
         assert [g.arcs(s) for s in range(6)] == [f.arcs(s) for s in range(6)]
 
@@ -179,6 +167,12 @@ class TestStructure:
         with pytest.raises(DataFormatError, match=r"syms\.txt: line 2: id 'x' is not an integer"):
             SymbolTable.from_file(path)
 
+    def test_symbol_table_rejects_negative_id(self, tmp_path):
+        path = tmp_path / "syms.txt"
+        path.write_text("<eps> 0\na\t-1\n")
+        with pytest.raises(DataFormatError, match=r"syms\.txt: line 2: id -1 is negative"):
+            SymbolTable.from_file(path)
+
     @pytest.mark.parametrize("text, match", [
         ("<eps> 0\na 1\nb 1\n", "line 3: id 1 already bound to 'a'"),
         ("<eps> 0\na 1\na 2\n", "line 3: symbol 'a' already bound to id 1"),
@@ -191,13 +185,8 @@ class TestStructure:
 
     def test_arcsort_binary_search_matches_scan(self):
         rng = np.random.default_rng(1)
-        f = Fst()
-        f.add_states(2)
-        f.set_start(0)
         labels = [int(rng.integers(0, 9)) for _ in range(25)]
-        for il in labels:
-            f.add_arc(0, il, il, 0.0, 1)
-        g = arcsort(f, "ilabel")
+        g = arcsort(fst_of(2, [(0, il, il, 0.0, 1) for il in labels], {}), "ilabel")
         import bisect
 
         arcs = g.arcs(0)
@@ -209,47 +198,34 @@ class TestStructure:
             via_scan = {a for a in arcs if a.ilabel == probe}
             assert via_bisect == via_scan
 
-    def test_every_mutator_bumps_version(self):
-        f = Fst()
-        seen = [f.version]
-        for edit in (f.add_state, lambda: f.add_states(2), lambda: f.set_start(0),
-                     lambda: f.set_final(1, 0.5), lambda: f.add_arc(0, 1, 1, 0.0, 1)):
-            edit()
-            assert f.version > seen[-1]
-            seen.append(f.version)
-
     def test_trim_keeps_connected_machine(self):
         f = chain([(1, 1, 0.0), (2, 2, 0.0)])
         g = trim(f)
         assert g.num_states == f.num_states and g.num_arcs == f.num_arcs
 
     def test_trim_keeping_every_state_returns_a_separate_copy(self):
-        f = chain([(1, 1, 0.5), (2, 2, 0.25)], final_weight=0.125)
-        f.set_final(1, 2.0)
-        before = (machine_parts(f), f.version)
+        f = fst_of(3, [(0, 1, 1, 0.5, 1), (1, 2, 2, 0.25, 2)], {2: 0.125, 1: 2.0})
         g = trim(f)
+        assert g is not f
+        # finals in sorted state order
         assert machine_parts(g) == machine_parts(trim_oracle(f))
         # no arc was rebuilt
         assert all(a is b for s in range(f.num_states) for a, b in zip(f.arcs(s), g.arcs(s)))
-        g.add_arc(0, 3, 3, 1.0, 2)
-        g.add_arc(2, 4, 4, 1.0, 0)
-        g.set_final(0, 1.0)
-        assert (machine_parts(f), f.version) == before
+
+    def test_trim_keeping_every_state_and_final_order_returns_its_input(self):
+        f = fst_of(3, [(0, 1, 1, 0.5, 1), (1, 2, 2, 0.25, 2)], {1: 2.0, 2: 0.125})
+        assert trim(f) is f
 
     def test_trim_drops_one_dead_state(self):
-        f = chain([(1, 1, 0.0), (2, 2, 0.0)])
-        sink = f.add_state()  # accessible, not co-accessible
-        f.add_arc(1, 3, 3, 0.0, sink)
+        # state 3 is accessible, not co-accessible
+        f = fst_of(4, [(0, 1, 1, 0.0, 1), (1, 2, 2, 0.0, 2), (1, 3, 3, 0.0, 3)], {2: 0.0})
         g = trim(f)
         assert g.num_states == f.num_states - 1
         assert machine_parts(g) == machine_parts(trim_oracle(f))
 
     def test_trim_drops_dead_states(self):
-        f = chain([(1, 1, 0.0)])
-        dead = f.add_state()       # not accessible
-        f.add_arc(dead, 2, 2, 0.0, 1)
-        sink = f.add_state()       # not co-accessible
-        f.add_arc(0, 3, 3, 0.0, sink)
+        # state 2 is not accessible, state 3 not co-accessible
+        f = fst_of(4, [(0, 1, 1, 0.0, 1), (2, 2, 2, 0.0, 1), (0, 3, 3, 0.0, 3)], {1: 0.0})
         g = trim(f)
         assert g.num_states == 2
         assert maps_match(enum_weight_map(f), enum_weight_map(g))
@@ -266,12 +242,7 @@ class TestCompose:
         rng = np.random.default_rng(5)
         for trial in range(15):
             a = random_acyclic_fst(rng, eps_prob=0.2)
-            ident = Fst()
-            s = ident.add_state()
-            ident.set_start(s)
-            ident.set_final(s, 0.0)
-            for k in range(1, 4):
-                ident.add_arc(s, k, k, 0.0, s)
+            ident = fst_of(1, [(0, k, k, 0.0, 0) for k in range(1, 4)], {0: 0.0})
             ab = compose(a, ident)
             assert maps_match(enum_weight_map(a, 20, 40), enum_weight_map(ab, 20, 40))
 
@@ -304,23 +275,15 @@ class TestCompose:
         ta, tb = SymbolTable(), SymbolTable()
         ta.add_symbol("x")
         tb.add_symbol("y")
-        a = Fst(osyms=ta)
-        a.set_start(a.add_state())
-        b = Fst(isyms=tb)
-        b.set_start(b.add_state())
+        a = Fst([[]], 0, {}, osyms=ta)
+        b = Fst([[]], 0, {}, isyms=tb)
         with pytest.raises(FstError, match="symbol"):
             compose(a, b)
 
 
 class TestDeterminize:
     def test_parallel_arcs_merge_with_residual(self):
-        f = Fst()
-        f.add_states(3)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 0.3, 1)
-        f.add_arc(0, 1, 1, 0.7, 2)
-        f.set_final(1, 0.0)
-        f.set_final(2, 0.0)
+        f = fst_of(3, [(0, 1, 1, 0.3, 1), (0, 1, 1, 0.7, 2)], {1: 0.0, 2: 0.0})
         d = determinize(f)
         assert len(d.arcs(0)) == 1
         assert d.arcs(0)[0].weight == pytest.approx(0.3)
@@ -379,17 +342,9 @@ class TestDeterminize:
 
     def test_homophone_outputs_delayed_until_disambiguated(self):
         # two words sharing input 1,2 but separated by inputs 3 vs 4
-        f = Fst()
-        f.add_states(7)
-        f.set_start(0)
-        f.add_arc(0, 1, 10, 0.0, 1)
-        f.add_arc(1, 2, 0, 0.0, 2)
-        f.add_arc(2, 3, 0, 0.0, 5)
-        f.add_arc(0, 1, 20, 0.0, 3)
-        f.add_arc(3, 2, 0, 0.0, 4)
-        f.add_arc(4, 4, 0, 0.0, 6)
-        f.set_final(5, 0.0)
-        f.set_final(6, 0.0)
+        f = fst_of(7, [(0, 1, 10, 0.0, 1), (1, 2, 0, 0.0, 2), (2, 3, 0, 0.0, 5),
+                       (0, 1, 20, 0.0, 3), (3, 2, 0, 0.0, 4), (4, 4, 0, 0.0, 6)],
+                   {5: 0.0, 6: 0.0})
         d = determinize(f)
         for s in range(d.num_states):
             ilabels = [a.ilabel for a in d.arcs(s)]
@@ -397,29 +352,19 @@ class TestDeterminize:
         assert maps_match(enum_weight_map(f), enum_weight_map(d))
 
     def test_budget_guard_diagnoses_divergence(self):
-        f = Fst()
-        f.add_states(3)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 0.1, 1)
-        f.add_arc(0, 1, 1, 0.2, 2)
-        f.add_arc(1, 1, 1, 0.3, 1)
-        f.add_arc(2, 1, 1, 0.5, 2)
-        f.set_final(1, 0.0)
-        f.set_final(2, 0.0)
         with pytest.raises(FstError, match="budget"):
-            determinize(f, state_budget_factor=10)
+            determinize(not_determinizable(), state_budget_factor=10)
+
+    def test_label_whose_arcs_all_weigh_zero_gets_no_arc(self):
+        # an inf arc is no path
+        d = determinize(fst_of(2, [(0, 1, 1, ZERO, 1)], {1: 0.0}))
+        assert (d.num_states, d.num_arcs, dict(d.finals)) == (1, 0, {})
 
 
 class TestMinimize:
     def test_bisimilar_states_merge(self):
-        f = Fst()
-        f.add_states(4)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 0.5, 1)
-        f.add_arc(0, 2, 2, 0.5, 2)
-        f.add_arc(1, 3, 3, 0.2, 3)
-        f.add_arc(2, 3, 3, 0.2, 3)
-        f.set_final(3, 0.0)
+        f = fst_of(4, [(0, 1, 1, 0.5, 1), (0, 2, 2, 0.5, 2), (1, 3, 3, 0.2, 3),
+                       (2, 3, 3, 0.2, 3)], {3: 0.0})
         m = minimize(f)
         assert m.num_states == f.num_states - 1
         assert maps_match(enum_weight_map(f), enum_weight_map(m))
@@ -440,12 +385,7 @@ class TestMinimize:
             assert maps_match(enum_weight_map(d, 20, 40), enum_weight_map(m, 20, 40), 1e-9)
 
     def test_nondeterministic_rejected(self):
-        f = Fst()
-        f.add_states(2)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 0.1, 1)
-        f.add_arc(0, 1, 2, 0.2, 1)
-        f.set_final(1, 0.0)
+        f = fst_of(2, [(0, 1, 1, 0.1, 1), (0, 1, 2, 0.2, 1)], {1: 0.0})
         with pytest.raises(FstError, match="deterministic"):
             minimize(f)
 
@@ -478,22 +418,16 @@ class TestPushWeights:
             assert maps_match(enum_weight_map(f, 20, 40), enum_weight_map(p, 20, 40), 1e-9)
 
     def test_non_coaccessible_rejected(self):
-        f = chain([(1, 1, 0.5)])
-        f.add_state()
-        f.add_arc(0, 2, 2, 0.1, 2)  # state 2 never reaches a final
+        # state 2 never reaches a final
+        f = fst_of(3, [(0, 1, 1, 0.5, 1), (0, 2, 2, 0.1, 2)], {1: 0.0})
         with pytest.raises(FstError, match="trim"):
             push_weights(f)
 
 
 class TestRmEpsilon:
     def test_bridge_folded_into_successor(self):
-        f = Fst()
-        f.add_states(4)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 0.1, 1)
-        f.add_arc(1, EPSILON, EPSILON, 0.5, 2)
-        f.add_arc(2, 2, 2, 0.2, 3)
-        f.set_final(3, 0.0)
+        f = fst_of(4, [(0, 1, 1, 0.1, 1), (1, EPSILON, EPSILON, 0.5, 2), (2, 2, 2, 0.2, 3)],
+                   {3: 0.0})
         g = rm_epsilon(f)
         for s in range(g.num_states):
             for a in g.arcs(s):
@@ -510,13 +444,7 @@ class TestRmEpsilon:
 
 class TestShortestPath:
     def test_two_paths_picks_cheaper(self):
-        f = Fst()
-        f.add_states(2)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 1.0, 1)
-        f.add_arc(0, 2, 2, 0.5, 1)
-        f.set_final(1, 0.0)
-        best = shortest_path(f)
+        best = shortest_path(fst_of(2, [(0, 1, 1, 1.0, 1), (0, 2, 2, 0.5, 1)], {1: 0.0}))
         assert best.ilabels == (2,) and best.weight == pytest.approx(0.5)
 
     def test_single_path(self):
@@ -527,10 +455,8 @@ class TestShortestPath:
         assert best.weight == pytest.approx(0.875)
 
     def test_no_accepting_path(self):
-        f = Fst()
-        f.set_start(f.add_state())
         with pytest.raises(FstError, match="no accepting path"):
-            shortest_path(f)
+            shortest_path(Fst([[]], 0, {}))
 
     def test_random_dag_matches_enumeration(self):
         rng = np.random.default_rng(13)
@@ -550,14 +476,7 @@ class TestShortestPath:
 def two_cycle(there, back):
     """0 -1:1-> 1, then a 2-cycle 1 -there-> 2 -back-> 1, each arc given as
     (ilabel, olabel, weight); 2 is final."""
-    f = Fst()
-    f.add_states(3)
-    f.set_start(0)
-    f.add_arc(0, 1, 1, 0.0, 1)
-    f.add_arc(1, *there, 2)
-    f.add_arc(2, *back, 1)
-    f.set_final(2, 0.0)
-    return f
+    return fst_of(3, [(0, 1, 1, 0.0, 1), (1, *there, 2), (2, *back, 1)], {2: 0.0})
 
 
 NEG_EPS = ((EPSILON, EPSILON, -1.0), (EPSILON, EPSILON, 0.5))
@@ -587,16 +506,8 @@ class TestRelaxGuard:
 def not_determinizable():
     """Two paths on the same input string whose weights drift apart
     without bound: the subset construction never closes."""
-    f = Fst()
-    f.add_states(3)
-    f.set_start(0)
-    f.add_arc(0, 1, 1, 0.1, 1)
-    f.add_arc(0, 1, 1, 0.2, 2)
-    f.add_arc(1, 1, 1, 0.3, 1)
-    f.add_arc(2, 1, 1, 0.5, 2)
-    f.set_final(1, 0.0)
-    f.set_final(2, 0.0)
-    return f
+    return fst_of(3, [(0, 1, 1, 0.1, 1), (0, 1, 1, 0.2, 2), (1, 1, 1, 0.3, 1),
+                      (2, 1, 1, 0.5, 2)], {1: 0.0, 2: 0.0})
 
 
 def damaged(lines, rng):
@@ -654,15 +565,9 @@ class TestSetupOracles:
             self.check_all(f, tmp_path, det=False)
 
     def test_minimize_merges_states_whose_arcs_differ_only_in_order(self):
-        f = Fst()
-        f.add_states(4)
-        f.set_start(0)
-        f.add_arc(0, 1, 1, 0.5, 1)
-        f.add_arc(0, 2, 2, 0.5, 2)
-        for src, labels in ((1, (3, 4)), (2, (4, 3))):
-            for il in labels:
-                f.add_arc(src, il, il, 0.2, 3)
-        f.set_final(3, 0.0)
+        f = fst_of(4, [(0, 1, 1, 0.5, 1), (0, 2, 2, 0.5, 2)]
+                   + [(src, il, il, 0.2, 3) for src, labels in ((1, (3, 4)), (2, (4, 3)))
+                      for il in labels], {3: 0.0})
         m = same_outcome(minimize, minimize_oracle, f)
         assert m.num_states == 3
 

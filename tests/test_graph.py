@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ToyLang, collapse_oracle, enum_weight_map
+from helpers import ToyLang, collapse_oracle, enum_weight_map, fst_of
 from spikefst.errors import ArpaError, DataFormatError, GraphError
 from spikefst.graph import (
     BOS,
@@ -18,7 +18,7 @@ from spikefst.graph import (
     make_token_table,
     parse_arpa,
 )
-from spikefst.wfst import Fst, compose, determinize, shortest_path, write_fst_text
+from spikefst.wfst import Fst, SymbolTable, compose, determinize, shortest_path, write_fst_text
 
 LN10 = math.log(10.0)
 
@@ -34,15 +34,8 @@ TLG_SHA256 = {
 
 
 def linear_acceptor(ids, isyms=None) -> Fst:
-    f = Fst(isyms, isyms)
-    prev = f.add_state()
-    f.set_start(prev)
-    for k in ids:
-        nxt = f.add_state()
-        f.add_arc(prev, k, k, 0.0, nxt)
-        prev = nxt
-    f.set_final(prev, 0.0)
-    return f
+    return fst_of(len(ids) + 1, [(s, k, k, 0.0, s + 1) for s, k in enumerate(ids)],
+                  {len(ids): 0.0}, isyms=isyms, osyms=isyms)
 
 
 def transduce(machine: Fst, ids) -> tuple[tuple[int, ...], float]:
@@ -304,7 +297,8 @@ class TestBuildTlg:
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TLG_SHA256[seed, pushed]
 
     def test_stage_failure_names_stage(self, lang):
-        broken = Fst(lang.lexicon.token_table, lang.lexicon.word_table)
+        # its output symbols are not the grammar's input symbols
+        broken = Fst([[]], 0, {}, lang.lexicon.token_table, SymbolTable())
         with pytest.raises(GraphError, match="stage compose_lg"):
             build_tlg(lang.token_fst, broken, lang.grammar_fst)
 

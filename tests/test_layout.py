@@ -2,6 +2,8 @@
 
 No module imports an underscore name from another ``spikefst`` module,
 and ``decoder.py`` holds the search and nothing else: it does not score.
+Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and ``Fst``'s
+public names are pinned, so that no mutator comes back unnoticed.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spikefst"
 MODULES = sorted(SRC.rglob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _package_imports(tree):
@@ -50,3 +53,26 @@ def test_decoder_holds_only_the_search():
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     assert {n for n in names if not n.startswith("_")} == {
         "DecoderConfig", "DecodeResult", "decode", "BatchResult", "decode_batch"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name != "wfst"] + TESTS,
+                         ids=lambda p: p.name)
+def test_only_the_wfst_package_reaches_arc_rows(path):
+    tree = ast.parse(path.read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_arcs"]
+
+
+def test_fst_public_names_are_pinned():
+    tree = ast.parse((SRC / "wfst" / "fst.py").read_text())
+    fst = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Fst")
+    names = {n.name for n in fst.body if isinstance(n, ast.FunctionDef)}
+    for node in ast.walk(fst):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(t.attr for t in targets
+                     if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                     and t.value.id == "self")
+    assert {n for n in names if not n.startswith("_")} == {
+        "start", "finals", "isyms", "osyms", "num_states", "num_arcs", "arcs", "all_arcs",
+        "final_weight", "is_final"}
