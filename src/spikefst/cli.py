@@ -23,7 +23,7 @@ from .errors import DecodeError, SpikefstError, ValidationError
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
 from .posterior import SynthConfig, atomic_write, load_labels, load_posteriors, save_posteriors, synth_posteriors
 from .scoring import read_trans_file, score_corpus
-from .wfst import SymbolTable, read_fst_text, write_fst_text
+from .wfst import Fst, SymbolTable, read_fst_text, write_fst_text
 
 log = logging.getLogger("spikefst")
 
@@ -75,11 +75,11 @@ def _decoder_config(args) -> DecoderConfig:
                          acoustic_scale=args.acoustic_scale)
 
 
-def _load_graph(graph_dir: str):
+def _load_graph(graph_dir: str) -> Fst:
     d = Path(graph_dir)
     tokens = SymbolTable.from_file(d / "tokens.txt")
     words = SymbolTable.from_file(d / "words.txt")
-    return read_fst_text(d / "tlg.fst.txt", isyms=tokens, osyms=words), tokens, words
+    return read_fst_text(d / "tlg.fst.txt", isyms=tokens, osyms=words)
 
 
 def _iter_corpus(path: str):
@@ -178,7 +178,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    graph, _tokens, words = _load_graph(args.graph_dir)
+    graph = _load_graph(args.graph_dir)
     cfg = _decoder_config(args)
     utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
     batch = decode_batch(graph, utts, cfg)
@@ -243,7 +243,7 @@ _BENCH_DEFAULT_MODES = "dense,ioo,ioo_koo,discard,average,lsd,swd"
 
 
 def cmd_bench(args) -> int:
-    graph, _tokens, _words = _load_graph(args.graph_dir)
+    graph = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
     utts = [(u, load_posteriors(p, "binary")) for u, p in _iter_corpus(args.input)]
     modes = [
@@ -260,7 +260,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    graph, _tokens, _words = _load_graph(args.graph_dir)
+    graph = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
     utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
 
@@ -387,9 +387,6 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         return EXIT_DECODE
     except SpikefstError as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
         log.error("%s", exc)
         return EXIT_DATA
 

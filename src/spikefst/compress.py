@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, read_file
 from .posterior import (
     BLANK_ID,
     PosteriorMatrix,
@@ -299,21 +299,20 @@ def save_source_map(c: CompressedPosteriors, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_source_map(path) -> tuple[tuple[int, ...], int | None, list[int]]:
+def load_source_map(path) -> tuple[tuple[int, ...], int, list[int]]:
     """Read a sidecar.  Returns the source map, the content-row count
-    (None when the file has no '# nonblank' line) and the line number of
-    each row.  Frame indices must strictly increase."""
-    out, nonblank, lines, last = [], None, [], -1
-    for no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    and the line number of each row.  Frame indices must strictly
+    increase."""
+    rows = read_file(path).splitlines() or [""]
+    head = rows[0].split()
+    if len(head) != 3 or head[:2] != ["#", "nonblank"] or not head[2].isdigit():
+        raise DataFormatError(
+            f"{path}: line 1: expected '# nonblank N' as the first line, got {rows[0]!r}")
+    nonblank = int(head[2])
+    out, lines, last = [], [], -1
+    for no, line in enumerate(rows[1:], 2):
         line = line.strip()
         if not line:
-            continue
-        head = line.split()
-        if head[0] == "#":
-            if no != 1 or len(head) != 3 or head[1] != "nonblank" or not head[2].isdigit():
-                raise DataFormatError(
-                    f"{path}: line {no}: expected '# nonblank N' as the first line, got {line!r}")
-            nonblank = int(head[2])
             continue
         if line == "B":
             out.append(CUSTOM_BLANK)
@@ -327,7 +326,7 @@ def load_source_map(path) -> tuple[tuple[int, ...], int | None, list[int]]:
             last = int(line)
             out.append(last)
         lines.append(no)
-    if nonblank is not None and nonblank > len(out):
+    if nonblank > len(out):
         raise DataFormatError(f"{path}: {nonblank} content rows but only {len(out)} rows")
     return tuple(out), nonblank, lines
 
@@ -344,13 +343,7 @@ def save_compressed(c: CompressedPosteriors, path) -> None:
 def load_compressed(path):
     """Load a compressed corpus file; without its sidecar the provenance is
     gone and a plain :class:`PosteriorMatrix` is returned instead.  A row
-    the sidecar marks 'B' must hold the inserted blank exactly.
-
-    A sidecar with no '# nonblank' line (written before the count was
-    stored) gets the content-row count rebuilt as "kept row with a
-    non-blank argmax", which reproduces the original for every CTC-side
-    mode but not for ``aed_ioo``.
-    """
+    the sidecar marks 'B' must hold the inserted blank exactly."""
     path = Path(path)
     mat = load_posteriors(path, "binary")
     sidecar = Path(str(path) + ".map")
@@ -365,9 +358,4 @@ def load_compressed(path):
         raise DataFormatError(
             f"{sidecar}: line {lines[wrong[0]]}: row {wrong[0]} is marked 'B' but its "
             "values are not the inserted blank")
-    if nonblank is None:
-        labels = argmax_labels(mat)
-        nonblank = sum(
-            1 for s, tok in zip(smap, labels) if s != CUSTOM_BLANK and tok != BLANK_ID
-        )
     return CompressedPosteriors(mat.values, smap, nonblank)

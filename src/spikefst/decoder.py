@@ -64,12 +64,13 @@ blank row must be consumed by a blank arc, and no prune happens between
 the two rows; the bound, the per-column views and ``minw`` work as on
 any step, over the through-blank entries and the second row's costs.
 A trailing pure-blank row, and each but the last of a run of them, keep
-an ordinary step.  Every step stores the same flat trace ``(prev trace,
-arcs crossed, t)``; on a folded step the arcs crossed are the entry's
-``(blank arcs, arcs)`` pair.  Traceback knows a step at ``t`` is folded
-from the same per-row flags the search read (row ``t - 1`` leads into
-row ``t``), splits the pair and reports the blank arcs at the blank row,
-so an inserted blank still maps to source frame -1.
+an ordinary step.  A through-blank entry's arcs crossed are its blank
+arcs followed by its arcs, so every step stores the same trace ``(prev
+trace, arcs crossed)`` and no trace stores a row.  Traceback needs none:
+a direct entry crosses one emitting arc, a through-blank entry two and
+the start closure none, so the path crosses exactly one emitting arc
+per row, in row order.  Its k-th emitting arc is row k's token, which
+the source map turns into a source frame (-1 for an inserted blank).
 ``frames_processed`` is the row count, ``tokens_alive_histogram`` has one
 entry per search step, and a :class:`DecodeError` at a folded step
 names its second row.
@@ -93,7 +94,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compress import CUSTOM_BLANK, CompressedPosteriors
+from .compress import CompressedPosteriors
 from .errors import DecodeError, FstError, ValidationError
 from .wfst import EPSILON, ZERO, Arc, Fst
 
@@ -122,7 +123,7 @@ class DecodeResult:
     frames_processed: int
     wall_time_ms: float
     tokens_alive_histogram: tuple[int, ...]
-    path_graph_costs: tuple[float, ...]  # graph-weight component per traceback step
+    path_graph_costs: tuple[float, ...]  # weight of each arc on the path
 
     def same_search(self, other: "DecodeResult") -> bool:
         """Equality ignoring wall time (search output is deterministic)."""
@@ -154,9 +155,9 @@ class _Table:
     """Search-time view of a graph, epsilon arcs compiled away (see the
     module doc).  ``direct`` holds the entries ``(column, weight, next,
     arcs crossed)`` of an ordinary step and ``thru`` the through-blank
-    entries ``(column, weight, next, (blank arcs, arcs))`` of a folded
-    step; ``start`` is the start state's epsilon closure as ``(state,
-    cost, arcs crossed)``."""
+    entries of a folded step in the same shape, their arcs crossed being
+    the blank arcs then the arcs; ``start`` is the start state's epsilon
+    closure as ``(state, cost, arcs crossed)``."""
 
     max_ilabel: int
     direct: _Entries
@@ -215,7 +216,7 @@ def _compile(graph: Fst) -> _Table:
     max_ilabel = max((a.ilabel for _, a in arcs), default=0)
     direct = _Entries.of(emit, max_ilabel)
     # one through-blank entry per blank entry s -> m and per entry of m
-    thru = [tuple((x, wb + wx, f, (bpath, xpath))
+    thru = [tuple((x, wb + wx, f, bpath + xpath)
                   for col, wb, m, bpath in entries if col == 0
                   for x, wx, f, xpath in emit[m])
             for entries in emit]
@@ -242,7 +243,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     t0 = time.perf_counter()
     values = frames.values
     n_frames, vocab = values.shape
-    source_map = frames.source_map if isinstance(frames, CompressedPosteriors) else None
+    source_map = frames.source_map if isinstance(frames, CompressedPosteriors) else range(n_frames)
     table = _table(graph)
     if table.max_ilabel > vocab:
         raise ValidationError(
@@ -268,14 +269,13 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     inf = math.inf
     beam, max_active = cfg.beam, cfg.max_active
     # cost[s] is the live token's cost or inf; back maps each reached state
-    # to its trace, (prev trace, arcs crossed, frame or -1); a folded step's
-    # arcs crossed are the entry's (blank arcs, arcs) pair, split at traceback
+    # to its trace, (prev trace, arcs crossed)
     cost, nxt = [inf] * graph.num_states, [inf] * graph.num_states
     cost[graph.start] = 0.0
     back: dict[int, tuple | None] = {graph.start: None}
     for s, v, path in table.start:
         cost[s] = v
-        back[s] = (None, path, -1)
+        back[s] = (None, path)
     live = sorted(back)
     best = min(live, key=cost.__getitem__)
     histogram: list[int] = []
@@ -304,7 +304,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
                 nc = c + w + row[col]
                 if nc <= bound and nc < nxt[ns]:
                     nxt[ns] = nc
-                    nback[ns] = (trace, path, t)
+                    nback[ns] = (trace, path)
         for s in back:
             cost[s] = inf
         if not nback:
@@ -332,32 +332,24 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     if best_state < 0:
         raise DecodeError(n_frames, "no final state reachable at end of input")
 
-    steps = []
+    paths = []
     node = back[best_state]
     while node is not None:
-        node, path, frame = node
-        if frame > 0 and lead[frame - 1]:  # folded: arcs of row frame, then the blank row's
-            bpath, path = path
-            steps += [(a, frame) for a in reversed(path)]
-            path, frame = bpath, frame - 1
-        steps += [(a, frame) for a in reversed(path)]
-    steps.reverse()
-    words = tuple(a.olabel for a, _ in steps if a.olabel != EPSILON)
-    tokens = []
-    for a, frame in steps:
-        if a.ilabel == EPSILON:
-            continue
-        src = frame if source_map is None else source_map[frame]
-        tokens.append((src if src != CUSTOM_BLANK else -1, a.ilabel))
+        node, path = node
+        paths.append(path)
+    path = [a for p in reversed(paths) for a in p]
+    words = tuple(a.olabel for a in path if a.olabel != EPSILON)
+    # one emitting arc per row, in row order; see the module doc
+    tokens = tuple(zip(source_map, [a.ilabel for a in path if a.ilabel != EPSILON]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return DecodeResult(
         words=words,
-        tokens=tuple(tokens),
+        tokens=tokens,
         total_cost=best_total,
         frames_processed=n_frames,
         wall_time_ms=wall_ms,
         tokens_alive_histogram=tuple(histogram),
-        path_graph_costs=tuple(a.weight for a, _ in steps),
+        path_graph_costs=tuple(a.weight for a in path),
     )
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one file read
+that every loader goes through."""
+
+from pathlib import Path
 
 
 class SpikefstError(Exception):
@@ -10,7 +13,19 @@ class ValidationError(SpikefstError):
 
 
 class DataFormatError(SpikefstError):
-    """Malformed input file (posteriors, FST text, lexicon, symbol tables)."""
+    """Malformed or unreadable input file (posteriors, FST text, lexicon,
+    symbol tables)."""
+
+
+def read_file(path, binary: bool = False):
+    """The bytes of *path*, or its text decoded as UTF-8.  A file that
+    cannot be read or decoded raises :class:`DataFormatError` naming it."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
 
 
 class ArpaError(DataFormatError):

@@ -23,9 +23,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import ArpaError, DataFormatError, GraphError
+from .errors import ArpaError, DataFormatError, GraphError, read_file
 from .wfst import (
     EPSILON,
     ONE,
@@ -138,7 +137,7 @@ class Lexicon:
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         entries = []
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for ln, line in enumerate(read_file(path).splitlines(), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t") if "\t" in line else line.split(None, 1)
@@ -225,7 +224,6 @@ class NGramModel:
     order: int
     # per order (1-based): gram tuple -> (log10 prob, log10 backoff)
     grams: list[dict[tuple[str, ...], tuple[float, float]]]
-    vocab: set[str]
 
     def log10_prob(self, context: tuple[str, ...], word: str) -> float:
         """Backoff lookup of log10 p(word | context): use the longest
@@ -258,12 +256,11 @@ def parse_arpa(text: str) -> NGramModel:
     """Parse standard ARPA text into an :class:`NGramModel`.
 
     Declared per-order counts must match the entries exactly; a missing
-    backoff weight defaults to 0.  All diagnostics carry line numbers.
+    backoff weight defaults to 0.  All diagnostics carry the number of a
+    line of *text* (line 1 if it has none).
     """
     lines = text.splitlines()
     declared: dict[int, int] = {}
-    grams: list[dict[tuple[str, ...], tuple[float, float]]] = []
-    vocab: set[str] = set()
 
     i = 0
     n_lines = len(lines)
@@ -272,7 +269,7 @@ def parse_arpa(text: str) -> NGramModel:
             raise ArpaError(i + 1, f"expected \\data\\ header, got {lines[i].strip()!r}")
         i += 1
     if i == n_lines:
-        raise ArpaError(n_lines, "missing \\data\\ header")
+        raise ArpaError(max(1, n_lines), "missing \\data\\ header")
     i += 1
     while i < n_lines:
         line = lines[i].strip()
@@ -286,13 +283,14 @@ def parse_arpa(text: str) -> NGramModel:
             except ValueError:
                 raise ArpaError(i + 1, f"malformed count line {line!r}") from None
             i += 1
+            count_line = i
         else:
             break
     if not declared:
         raise ArpaError(i + 1 if i < n_lines else n_lines, "no ngram counts declared")
     order = max(declared)
     if sorted(declared) != list(range(1, order + 1)):
-        raise ArpaError(i + 1, f"non-contiguous ngram orders declared: {sorted(declared)}")
+        raise ArpaError(count_line, f"non-contiguous ngram orders declared: {sorted(declared)}")
     grams = [{} for _ in range(order)]
 
     current = 0
@@ -336,7 +334,6 @@ def parse_arpa(text: str) -> NGramModel:
             raise ArpaError(i, f"log10 probability {logp} is positive")
         gram = tuple(parts[1:])
         grams[current - 1][gram] = (logp, backoff)
-        vocab.update(gram)
     if not ended:
         raise ArpaError(n_lines, "missing \\end\\ terminator")
     for k in range(1, order + 1):
@@ -345,11 +342,11 @@ def parse_arpa(text: str) -> NGramModel:
                 n_lines,
                 f"ngram {k}: declared {declared[k]} entries, found {len(grams[k - 1])}",
             )
-    return NGramModel(order, grams, vocab)
+    return NGramModel(order, grams)
 
 
 def load_arpa(path) -> NGramModel:
-    return parse_arpa(Path(path).read_text())
+    return parse_arpa(read_file(path))
 
 
 def build_grammar_fst(model: NGramModel, word_table: SymbolTable) -> Fst:

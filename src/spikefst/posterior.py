@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, read_file
 
 BLANK_ID = 0
 
@@ -161,7 +161,7 @@ def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
 
 
 def _load_binary(path: Path) -> PosteriorMatrix:
-    raw = path.read_bytes()
+    raw = read_file(path, binary=True)
     if len(raw) < 16:
         raise DataFormatError(f"{path}: header truncated ({len(raw)} bytes)")
     magic, version, frames, vocab = struct.unpack_from("<4sIII", raw)
@@ -183,7 +183,7 @@ def _load_binary(path: Path) -> PosteriorMatrix:
 
 
 def _load_text(path: Path) -> PosteriorMatrix:
-    lines = path.read_text().splitlines()
+    lines = read_file(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     try:
@@ -216,7 +216,7 @@ def load_labels(path, token_table=None) -> list[LabelSequence]:
     resolved against *token_table* (graph ids are shifted down by one to
     posterior column indices)."""
     out = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_file(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, read_file
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def read_trans_file(path) -> dict[str, str]:
     """Read "utt_id<TAB>tokenized text" lines (also tolerates space-split).
     An utterance id may appear on one line only."""
     out: dict[str, str] = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_file(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t", 1) if "\t" in line else line.split(None, 1)

@@ -18,7 +18,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from ..errors import DataFormatError, FstError
+from ..errors import DataFormatError, FstError, read_file
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -78,15 +78,12 @@ class SymbolTable:
     def items(self):
         return sorted(self._id2sym.items())
 
-    def symbols(self) -> list[str]:
-        return [s for _, s in self.items()]
-
     @classmethod
     def from_file(cls, path) -> "SymbolTable":
         table = cls.__new__(cls)
         table._sym2id = {}
         table._id2sym = {}
-        for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for ln, line in enumerate(read_file(path).splitlines(), start=1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -256,21 +253,16 @@ def write_fst_text(f: Fst, path) -> None:
     "state weight"; the first line's src is the start state."""
     lines: list[str] = []
     finals = sorted(f._finals)
-    if f._arcs[f.start]:
-        ordered = [f.start] + [s for s in range(f.num_states) if s != f.start]
-        for s in ordered:
-            for a in f._arcs[s]:
-                lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
-    elif f.is_final(f.start):
+    if not f._arcs[f.start] and f.is_final(f.start):
         # The start state is identified by the first line, so its final
         # line must lead when it has no arcs.
         lines.append(f"{f.start} {f.final_weight(f.start):.9g}")
         finals = [s for s in finals if s != f.start]
-        for s, row in enumerate(f._arcs):
-            for a in row:
-                lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
-    elif f.num_arcs or f._finals:
+    elif not f._arcs[f.start] and (f.num_arcs or f._finals):
         raise FstError("start state has no arcs and is not final: trim before writing")
+    for s in [f.start] + [s for s in range(f.num_states) if s != f.start]:
+        for a in f._arcs[s]:
+            lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
     for s in finals:
         lines.append(f"{s} {f.final_weight(s):.9g}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -285,7 +277,7 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
     arcs: list[list[Arc]] = []
     finals: dict[int, float] = {}
     start = -1
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(read_file(path).splitlines(), start=1):
         parts = line.split()
         n = len(parts)
         if not n:

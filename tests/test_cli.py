@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import struct
 from pathlib import Path
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from helpers import ToyLang, sample_sentences, toy_lexicon_text, TOY_WORDS
+from spikefst import DataFormatError, SymbolTable, load_labels, load_posteriors
 from spikefst.cli import main
+from spikefst.compress import load_source_map
+from spikefst.graph import Lexicon, load_arpa
+from spikefst.scoring import read_trans_file
+from spikefst.wfst import read_fst_text
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +336,55 @@ class TestExitCodes:
                    for r in caplog.records)
 
 
+LOADERS = {
+    "posteriors_binary": lambda path: load_posteriors(path, "binary"),
+    "posteriors_text": lambda path: load_posteriors(path, "text"),
+    "labels": load_labels,
+    "source_map": load_source_map,
+    "lexicon": Lexicon.from_file,
+    "arpa": load_arpa,
+    "symbols": SymbolTable.from_file,
+    "fst_text": read_fst_text,
+    "transcripts": read_trans_file,
+}
+
+
+class TestUnreadableFiles:
+    """Every loader reads through one helper, so a file that cannot be
+    read or is not UTF-8 text raises a DataFormatError naming it, and
+    the CLI exits 2."""
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory", "missing"])
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_loader_raises_a_data_error_naming_the_path(self, tmp_path, loader, kind):
+        path = tmp_path / "input"
+        if kind == "not_utf8":
+            path.write_bytes(b"caf\xe9\t1\n")
+        elif kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            LOADERS[loader](path)
+
+    @pytest.mark.parametrize("case, source", [
+        ("lexicon", "lexicon.txt"), ("arpa", "lm.arpa"), ("refs", "refs.txt"),
+        ("refs_directory", None)])
+    def test_cli_exits_two(self, workdir, tmp_path, case, source, caplog):
+        bad = tmp_path / "bad"
+        if source is None:
+            bad.mkdir()
+        else:  # a good file with one latin-1 byte appended
+            bad.write_bytes((workdir / source).read_bytes() + b"caf\xe9\n")
+        lexicon = bad if case == "lexicon" else workdir / "lexicon.txt"
+        arpa = bad if case == "arpa" else workdir / "lm.arpa"
+        if case.startswith("refs"):
+            argv = ["score", "--refs", str(bad), "--hyps", str(workdir / "refs.txt")]
+        else:
+            argv = ["build-graph", "--lexicon", str(lexicon), "--arpa", str(arpa),
+                    "--out-dir", str(tmp_path / "graph")]
+        assert main(argv) == 2
+        assert any(r.message.startswith(f"{bad}: ") for r in caplog.records)
+
+
 class TestLoaderFuzz:
     """Damaged copies of files the pipeline wrote: each load raises a
     typed error, never a bare ValueError, IndexError or KeyError, and
@@ -374,8 +429,9 @@ class TestLoaderFuzz:
         cli_cuts = [k for k in range(end) if k == 0 or text[k - 1] == "\n"][::16]
         bad = tmp_path / "bad.arpa"
         for k in range(end):
-            with pytest.raises(ArpaError):
+            with pytest.raises(ArpaError) as err:
                 parse_arpa(text[:k])
+            assert 1 <= err.value.line <= max(1, len(text[:k].splitlines())), k
             if k in cli_cuts:  # a spread of whole-line prefixes
                 bad.write_text(text[:k])
                 assert main(["build-graph", "--lexicon", str(workdir / "lexicon.txt"),

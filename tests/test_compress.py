@@ -414,8 +414,9 @@ class TestSerialization:
         assert back.nonblank_count == c.nonblank_count
 
     def test_aed_content_count_survives_round_trip(self, tmp_path):
-        # Content rows are the source frames, blank-argmax or not; the
-        # argmax rebuild used for sidecars without a count line gives 1.
+        # Content rows are the source frames, blank-argmax or not, which
+        # the argmax cannot tell, so a sidecar without its count line is
+        # refused rather than given a count rebuilt from the argmax (1).
         from spikefst import load_compressed, save_compressed
 
         c = compress(PosteriorMatrix(np.array([[0.6, 0.4], [0.3, 0.7]])),
@@ -427,7 +428,9 @@ class TestSerialization:
         assert load_compressed(path).nonblank_count == 2
         sidecar = tmp_path / "utt.spkf.map"
         sidecar.write_text("".join(line + "\n" for line in sidecar.read_text().splitlines()[1:]))
-        assert load_compressed(path).nonblank_count == 1
+        with pytest.raises(DataFormatError,
+                           match=r"utt\.spkf\.map: line 1: expected '# nonblank N' .*'B'"):
+            load_compressed(path)
 
     @pytest.mark.parametrize("first", [
         "# nonblank", "# nonblank two", "# nonblank -1", "# nonblank 1 2",

@@ -40,6 +40,15 @@ from spikefst.wfst import Arc
 WIDE = DecoderConfig(beam=math.inf, max_active=10**9)
 
 
+def assert_one_token_per_row(r, frames):
+    """The best path crosses one emitting arc per row, in row order, so
+    token k belongs to row k: its frame is ``source_map[k]``, or ``k``
+    for a plain matrix."""
+    assert len(r.tokens) == r.frames_processed == frames.frames
+    rows = frames.source_map if isinstance(frames, CompressedPosteriors) else range(frames.frames)
+    assert [frame for frame, _ in r.tokens] == list(rows)
+
+
 def one_word_graph(*extra, n=3, finals=None):
     """Two-symbol vocab (blank + A); accepts blk* A blk and emits word 5.
     Of *n* states; the arcs *extra*, as ``(src, ilabel, olabel, weight,
@@ -174,6 +183,7 @@ class TestViterbiOracle:
                 continue
             r = decode(g, comp, WIDE)
             assert r.total_cost == pytest.approx(expected, abs=1e-6), f"trial {trial}"
+            assert_one_token_per_row(r, comp)
             finite += 1
             folded += r.frames_processed - len(r.tokens_alive_histogram)
         assert finite >= 100 and folded >= 200
@@ -441,6 +451,7 @@ class TestSearchOracle:
                 continue
             got = decode(g, frames, cfg)
             assert got.same_search(expected), f"trial {trial}: {got} vs {expected}"
+            assert_one_token_per_row(got, frames)
             found += 1
         assert found >= 500 and failed >= 500
 

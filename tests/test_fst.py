@@ -82,6 +82,18 @@ class TestStructure:
         g = read_fst_text(path)
         assert g.final_weight(0) == 0.75
 
+    @pytest.mark.parametrize("start, text", [
+        (1, "1 0.75\n0 2 1 1 0.5\n2 0 2 2 0.25\n2 0\n"),
+        (2, "2 0 2 2 0.25\n0 2 1 1 0.5\n1 0.75\n2 0\n"),
+    ], ids=["start_without_arcs", "start_with_arcs"])
+    def test_text_first_line_names_the_start(self, tmp_path, start, text):
+        f = fst_of(3, [(0, 1, 1, 0.5, 2), (2, 2, 2, 0.25, 0)], {2: 0.0, 1: 0.75}, start=start)
+        path = tmp_path / "m.fst.txt"
+        write_fst_text(f, path)
+        assert path.read_text() == text
+        g = read_fst_text(path)
+        assert (g.start, dict(g.finals), g.num_arcs) == (start, {1: 0.75, 2: 0.0}, 2)
+
     def test_malformed_text_line(self, tmp_path):
         path = tmp_path / "bad.fst.txt"
         path.write_text("0 1 2\n")

@@ -196,6 +196,16 @@ class TestParseArpa:
         with pytest.raises(ArpaError, match="positive"):
             parse_arpa(text)
 
+    @pytest.mark.parametrize("text, line, match", [
+        ("", 1, "missing \\\\data"),
+        ("\\data\\\nngram 2=1\n", 2, "non-contiguous"),
+        ("\\data\\\nngram 1=1\n\nngram 3=1\n\n", 4, "non-contiguous"),
+    ], ids=["empty", "orders_from_two", "orders_skip_two"])
+    def test_error_names_a_line_of_the_text(self, text, line, match):
+        with pytest.raises(ArpaError, match=match) as err:
+            parse_arpa(text)
+        assert err.value.line == line
+
     def test_backoff_query_hand_computed(self):
         model = parse_arpa(MINI_BIGRAM)
         # direct bigram

@@ -1,7 +1,8 @@
 """Module layout rules, read from the source with ``ast``.
 
 No module imports an underscore name from another ``spikefst`` module,
-and ``decoder.py`` holds the search and nothing else: it does not score.
+and ``decoder.py`` holds the search and nothing else: it does not score,
+and of ``compress`` it needs only the type that carries a source map.
 Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and ``Fst``'s
 public names are pinned, so that no mutator comes back unnoticed.
 """
@@ -53,6 +54,12 @@ def test_decoder_holds_only_the_search():
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     assert {n for n in names if not n.startswith("_")} == {
         "DecoderConfig", "DecodeResult", "decode", "BatchResult", "decode_batch"}
+
+
+def test_decoder_reads_only_the_compressed_type_from_compress():
+    tree = ast.parse((SRC / "decoder.py").read_text())
+    assert [name for _, module, name in _package_imports(tree)
+            if module.split(".")[-1] == "compress"] == ["CompressedPosteriors"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name != "wfst"] + TESTS,
