@@ -1,8 +1,9 @@
 """Command-line entry point covering the full pipeline.
 
 Subcommands: build-graph, synth, compress, decode, score, bench, sweep.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 decode failures
-present.  Output files are written atomically (temp file + rename), so a
+Exit codes: 0 success, 1 usage error, 2 data error (a bad input file, or
+an output path that cannot be written), 3 decode failures present.  Every
+output file goes through ``errors.write_file`` (temp file + rename), so a
 failing run never leaves a partial artifact behind.
 """
 
@@ -19,9 +20,9 @@ from . import __version__
 from .bench import bench, sweep_params, word_syms
 from .compress import CompressConfig, compress, load_compressed, save_compressed
 from .decoder import DecoderConfig, decode_batch
-from .errors import DecodeError, SpikefstError, ValidationError
+from .errors import DecodeError, SpikefstError, ValidationError, write_file
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
-from .posterior import SynthConfig, atomic_write, load_labels, load_posteriors, save_posteriors, synth_posteriors
+from .posterior import SynthConfig, load_labels, load_posteriors, save_posteriors, synth_posteriors
 from .scoring import read_trans_file, score_corpus
 from .wfst import Fst, SymbolTable, read_fst_text, write_fst_text
 
@@ -70,6 +71,18 @@ def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--acoustic-scale", type=float, default=1.0)
 
 
+def _comma_list(cast):
+    """An argparse type: comma-separated *cast* values, so a bad one is a
+    usage error."""
+    def parse(spec: str) -> list:
+        try:
+            return [cast(x) for x in spec.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, got {spec!r}") from None
+    return parse
+
+
 def _decoder_config(args) -> DecoderConfig:
     return DecoderConfig(beam=args.beam, max_active=args.max_active,
                          acoustic_scale=args.acoustic_scale)
@@ -107,9 +120,9 @@ def cmd_build_graph(args) -> int:
     tlg = build_tlg(t, l, g, use_pushing=args.push, report=report)
 
     out = Path(args.out_dir)
-    atomic_write(out / "tlg.fst.txt", lambda tmp: write_fst_text(tlg, tmp))
-    atomic_write(out / "tokens.txt", lambda tmp: lex.token_table.to_file(tmp))
-    atomic_write(out / "words.txt", lambda tmp: lex.word_table.to_file(tmp))
+    write_fst_text(tlg, out / "tlg.fst.txt")
+    lex.token_table.to_file(out / "tokens.txt")
+    lex.word_table.to_file(out / "words.txt")
     manifest = {
         "pushed": report.pushed,
         "lm_order": model.order,
@@ -117,8 +130,7 @@ def cmd_build_graph(args) -> int:
         "tokens": len(lex.token_table),
         "words": len(lex.word_table),
     }
-    text = json.dumps(manifest, indent=2) + "\n"
-    atomic_write(out / "manifest.json", lambda tmp: Path(tmp).write_text(text))
+    write_file(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     log.info("wrote %s (%d states, %d arcs)", out / "tlg.fst.txt",
              tlg.num_states, tlg.num_arcs)
     return EXIT_OK
@@ -158,8 +170,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out_dir)
     for i, seq in enumerate(labels):
         mat = synth_posteriors(seq, cfg, seed=args.seed + i)
-        name = f"utt{i:05d}.spkf"
-        atomic_write(out / name, lambda tmp, m=mat: save_posteriors(m, tmp, "binary"))
+        save_posteriors(mat, out / f"utt{i:05d}.spkf", "binary")
     log.info("wrote %d posterior files to %s", len(labels), out)
     return EXIT_OK
 
@@ -168,7 +179,7 @@ def cmd_compress(args) -> int:
     cfg = _compress_config(args)
     out = Path(args.out)
     pairs = _iter_corpus(args.input)
-    multi = len(pairs) > 1 or Path(args.input).is_dir()
+    multi = Path(args.input).is_dir()
     for utt, path in pairs:
         comp = compress(load_posteriors(path, "binary"), cfg)
         save_compressed(comp, (out / f"{utt}.spkf") if multi else out)
@@ -205,12 +216,11 @@ def cmd_decode(args) -> int:
 
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        atomic_write(Path(args.out), lambda tmp: Path(tmp).write_text(text))
+        write_file(args.out, text)
     else:
         sys.stdout.write(text)
     if args.hyps:
-        hyps = "\n".join(hyp_lines) + ("\n" if hyp_lines else "")
-        atomic_write(Path(args.hyps), lambda tmp: Path(tmp).write_text(hyps))
+        write_file(args.hyps, "\n".join(hyp_lines) + ("\n" if hyp_lines else ""))
     summary = {
         "utterances": len(batch.utt_ids),
         "failures": len(batch.failures),
@@ -234,7 +244,7 @@ def cmd_score(args) -> int:
     }
     out = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        atomic_write(Path(args.out), lambda tmp: Path(tmp).write_text(out))
+        write_file(args.out, out)
     sys.stdout.write(out)
     return EXIT_OK
 
@@ -253,8 +263,8 @@ def cmd_bench(args) -> int:
     report = bench(graph, utts, refs, modes, _decoder_config(args),
                    repeats=args.repeats, unit=args.unit)
     out = Path(args.out_dir)
-    atomic_write(out / "bench.csv", lambda tmp: Path(tmp).write_text(report.to_csv()))
-    atomic_write(out / "bench.json", lambda tmp: Path(tmp).write_text(report.to_json() + "\n"))
+    write_file(out / "bench.csv", report.to_csv())
+    write_file(out / "bench.json", report.to_json() + "\n")
     sys.stdout.write(report.to_csv())
     return EXIT_OK
 
@@ -263,14 +273,10 @@ def cmd_sweep(args) -> int:
     graph = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
     utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
-
-    def axis(spec: str, cast):
-        return [cast(x) for x in spec.split(",") if x.strip()]
-
     grid = [
         DecoderConfig(beam=b, max_active=ma, acoustic_scale=args.acoustic_scale)
-        for b in axis(args.beams, float)
-        for ma in axis(args.max_actives, int)
+        for b in args.beams
+        for ma in args.max_actives
     ]
     points = sweep_params(graph, utts, refs, grid, unit=args.unit)
     lines = ["beam,max_active,cer,mean_wall_ms,speedup_vs_first,max_live_tokens,failures"]
@@ -281,7 +287,7 @@ def cmd_sweep(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        atomic_write(Path(args.out), lambda tmp: Path(tmp).write_text(text))
+        write_file(args.out, text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -360,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-dir", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--refs", required=True)
-    p.add_argument("--beams", default="8,16,32")
-    p.add_argument("--max-actives", default="5000")
+    p.add_argument("--beams", type=_comma_list(float), default="8,16,32")
+    p.add_argument("--max-actives", type=_comma_list(int), default="5000")
     p.add_argument("--acoustic-scale", type=float, default=1.0)
     p.add_argument("--unit", default="word", choices=["word", "char"])
     p.add_argument("--out", default=None)

@@ -35,12 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, read_file
+from .errors import DataFormatError, ValidationError, read_file, write_file
 from .posterior import (
     BLANK_ID,
     PosteriorMatrix,
     argmax_labels,
-    atomic_write,
     load_posteriors,
     save_posteriors,
 )
@@ -58,8 +57,9 @@ class CompressedPosteriors(PosteriorMatrix):
     (kept frames and inserted one-hot blanks) carry their provenance.
 
     ``source_map[i]`` is the input frame the i-th row came from, or
-    ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count`` is
-    the number of non-inserted (content) rows.
+    ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count``
+    counts the kept source frames whose argmax is not blank, or every
+    input row for ``aed_ioo``, whose input has no native blank.
     """
 
     source_map: tuple[int, ...]
@@ -292,16 +292,16 @@ def compress(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
 
 
 def save_source_map(c: CompressedPosteriors, path) -> None:
-    """Sidecar text file: a '# nonblank N' line with the content-row
-    count, then one line per output row, frame index or 'B'."""
+    """Sidecar text file: a '# nonblank N' line with ``nonblank_count``,
+    then one line per output row, frame index or 'B'."""
     lines = [f"# nonblank {c.nonblank_count}"]
     lines += ["B" if s == CUSTOM_BLANK else str(s) for s in c.source_map]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def load_source_map(path) -> tuple[tuple[int, ...], int, list[int]]:
-    """Read a sidecar.  Returns the source map, the content-row count
-    and the line number of each row.  Frame indices must strictly
+    """Read a sidecar.  Returns the source map, ``nonblank_count`` and
+    the line number of each row.  Frame indices must strictly
     increase."""
     rows = read_file(path).splitlines() or [""]
     head = rows[0].split()
@@ -333,11 +333,9 @@ def load_source_map(path) -> tuple[tuple[int, ...], int, list[int]]:
 
 def save_compressed(c: CompressedPosteriors, path) -> None:
     """Write the frame matrix in the standard binary posterior format plus
-    a '<path>.map' provenance sidecar, each through a temporary file that
-    is renamed into place."""
-    path = Path(path)
-    atomic_write(path, lambda tmp: save_posteriors(c, tmp, "binary"))
-    atomic_write(Path(str(path) + ".map"), lambda tmp: save_source_map(c, tmp))
+    a '<path>.map' provenance sidecar."""
+    save_posteriors(c, path, "binary")
+    save_source_map(c, f"{path}.map")
 
 
 def load_compressed(path):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one file read
-that every loader goes through."""
+"""Exception types shared across the package, and the one file read and
+the one file write that every loader and every writer goes through."""
 
+import os
 from pathlib import Path
 
 
@@ -14,7 +15,7 @@ class ValidationError(SpikefstError):
 
 class DataFormatError(SpikefstError):
     """Malformed or unreadable input file (posteriors, FST text, lexicon,
-    symbol tables)."""
+    symbol tables), or an output path that cannot be written."""
 
 
 def read_file(path, binary: bool = False):
@@ -26,6 +27,30 @@ def read_file(path, binary: bool = False):
         raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
+def write_file(path, data) -> None:
+    """Write *data*, text as UTF-8 or bytes, to a temporary file beside
+    *path* and rename it into place, making the parent directories first.
+    A failed write leaves no temporary file and the target as it was, and
+    raises :class:`DataFormatError` naming *path*.  A new file gets the
+    mode a plain ``open`` would give it."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 class ArpaError(DataFormatError):

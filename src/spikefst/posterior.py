@@ -8,15 +8,12 @@ treated as immutable after construction.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, read_file
+from .errors import DataFormatError, ValidationError, read_file, write_file
 
 BLANK_ID = 0
 
@@ -121,46 +118,17 @@ def ctc_collapse(labels) -> list[int]:
 # File formats
 # ----------------------------------------------------------------------
 
-def atomic_write(path: Path, write_fn) -> None:
-    """Run write_fn(tmp_path) then rename the result into place, so a
-    failed write never leaves a partial file at *path*."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_posteriors(p: PosteriorMatrix, path, format: str = "binary") -> None:
-    path = Path(path)
-    if format == "binary":
-        payload = struct.pack("<4sIII", _MAGIC, _VERSION, p.frames, p.vocab_size)
-        payload += np.ascontiguousarray(p.values, dtype="<f4").tobytes()
-        path.write_bytes(payload)
-    elif format == "text":
-        lines = [f"{p.frames} {p.vocab_size}"]
-        for row in p.values:
-            lines.append(" ".join(f"{x:.9g}" for x in row))
-        path.write_text("\n".join(lines) + "\n")
-    else:
+    """Write *p* as magic, version, T and V, then T x V little-endian f32."""
+    if format != "binary":
         raise ValidationError(f"unknown posterior format {format!r}")
+    header = struct.pack("<4sIII", _MAGIC, _VERSION, p.frames, p.vocab_size)
+    write_file(path, header + np.ascontiguousarray(p.values, dtype="<f4").tobytes())
 
 
 def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
-    path = Path(path)
-    if format == "binary":
-        return _load_binary(path)
-    if format == "text":
-        return _load_text(path)
-    raise ValidationError(f"unknown posterior format {format!r}")
-
-
-def _load_binary(path: Path) -> PosteriorMatrix:
+    if format != "binary":
+        raise ValidationError(f"unknown posterior format {format!r}")
     raw = read_file(path, binary=True)
     if len(raw) < 16:
         raise DataFormatError(f"{path}: header truncated ({len(raw)} bytes)")
@@ -177,38 +145,7 @@ def _load_binary(path: Path) -> PosteriorMatrix:
     if len(raw) > want:
         raise DataFormatError(f"{path}: {len(raw) - want} trailing bytes after payload")
     values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(frames, vocab)
-    if frames == 0:
-        values = values.reshape(0, vocab)
     return PosteriorMatrix(values.astype(np.float64))
-
-
-def _load_text(path: Path) -> PosteriorMatrix:
-    lines = read_file(path).splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    try:
-        frames, vocab = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise DataFormatError(f"{path}: line 1: expected 'T V' header") from None
-    if frames < 0 or vocab < 0:
-        raise DataFormatError(f"{path}: line 1: negative dimension in header {lines[0]!r}")
-    if frames * vocab > _MAX_CELLS:
-        raise DataFormatError(f"{path}: dimension overflow ({frames} x {vocab})")
-    if len(lines) < frames + 1:
-        raise DataFormatError(f"{path}: truncated payload ({len(lines) - 1} of {frames} rows)")
-    values = np.empty((frames, vocab), dtype=np.float64)
-    for t in range(frames):
-        parts = lines[t + 1].split()
-        if len(parts) != vocab:
-            raise DataFormatError(
-                f"{path}: line {t + 2}: expected {vocab} values, got {len(parts)}"
-            )
-        try:
-            values[t] = [float(x) for x in parts]
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: line {t + 2}: non-numeric value in {lines[t + 1]!r}") from None
-    return PosteriorMatrix(values)
 
 
 def load_labels(path, token_table=None) -> list[LabelSequence]:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from ..errors import DataFormatError, FstError, read_file
+from ..errors import DataFormatError, FstError, read_file, write_file
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -110,9 +109,7 @@ class SymbolTable:
         return table
 
     def to_file(self, path) -> None:
-        Path(path).write_text(
-            "".join(f"{sym}\t{key}\n" for key, sym in self.items())
-        )
+        write_file(path, "".join(f"{sym}\t{key}\n" for key, sym in self.items()))
 
 
 class Fst:
@@ -265,7 +262,7 @@ def write_fst_text(f: Fst, path) -> None:
             lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
     for s in finals:
         lines.append(f"{s} {f.final_weight(s):.9g}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_fst_text(path, isyms: SymbolTable | None = None,

@@ -1,7 +1,10 @@
 import json
 import re
+import os
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from spikefst.cli import main
 from spikefst.compress import load_source_map
 from spikefst.graph import Lexicon, load_arpa
 from spikefst.scoring import read_trans_file
-from spikefst.wfst import read_fst_text
+from spikefst.wfst import read_fst_text, write_fst_text
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +229,18 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["decode", "--graph-dir"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--beams", "abc"), ("--beams", "8,x"), ("--max-actives", "1.5")])
+    def test_bad_sweep_axis_is_one_before_any_decode(self, workdir, graph_dir, posterior_dir,
+                                                     monkeypatch, capsys, flag, value):
+        calls = []
+        monkeypatch.setattr("spikefst.cli.sweep_params", lambda *a, **k: calls.append(a))
+        rc = main(["sweep", "--graph-dir", str(graph_dir), "--input", str(posterior_dir),
+                   "--refs", str(workdir / "refs.txt"), flag, value])
+        assert rc == 1
+        assert calls == []
+        assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_one(self):
         assert main(["frobnicate"]) == 1
 
@@ -338,7 +353,6 @@ class TestExitCodes:
 
 LOADERS = {
     "posteriors_binary": lambda path: load_posteriors(path, "binary"),
-    "posteriors_text": lambda path: load_posteriors(path, "text"),
     "labels": load_labels,
     "source_map": load_source_map,
     "lexicon": Lexicon.from_file,
@@ -383,6 +397,49 @@ class TestUnreadableFiles:
                     "--out-dir", str(tmp_path / "graph")]
         assert main(argv) == 2
         assert any(r.message.startswith(f"{bad}: ") for r in caplog.records)
+
+
+class TestUnwritableOutput:
+    """Every writer goes through ``errors.write_file``, so an output path
+    that cannot be written raises a DataFormatError naming it, the CLI
+    exits 2, and no temporary file is left behind."""
+
+    @pytest.mark.parametrize("case", ["under_a_file", "onto_a_directory"])
+    def test_cli_exits_two_and_leaves_no_temporary_file(self, workdir, tmp_path, case, caplog):
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / ("afile/x.json" if case == "under_a_file" else "adir")
+        refs = str(workdir / "refs.txt")
+        assert main(["score", "--refs", refs, "--hyps", refs, "--out", str(out)]) == 2
+        assert any(r.message.startswith(f"{out}: cannot write: ") for r in caplog.records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert not any((tmp_path / "adir").iterdir())
+
+    def test_writer_raises_a_data_error_naming_the_path(self, tmp_path, tlg):
+        (tmp_path / "afile").write_text("")
+        path = tmp_path / "afile" / "tlg.fst.txt"
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: cannot write: ")):
+            write_fst_text(tlg, path)
+
+
+def test_build_graph_writes_utf8_under_an_ascii_locale(tmp_path):
+    """Text is written as UTF-8 whatever the locale, as it is read."""
+    (tmp_path / "lexicon.txt").write_text("café\tk a\nse\ts e\n", encoding="utf-8")
+    (tmp_path / "lm.arpa").write_text(
+        "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.4 café\n-0.6 se\n\n\\end\\\n",
+        encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "spikefst.cli", "build-graph", "--lexicon", "lexicon.txt",
+         "--arpa", "lm.arpa", "--out-dir", "graph"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert "café" in SymbolTable.from_file(tmp_path / "graph" / "words.txt")
+    assert sorted(p.name for p in (tmp_path / "graph").iterdir()) == [
+        "manifest.json", "tlg.fst.txt", "tokens.txt", "words.txt"]
 
 
 class TestLoaderFuzz:

@@ -4,7 +4,8 @@ No module imports an underscore name from another ``spikefst`` module,
 and ``decoder.py`` holds the search and nothing else: it does not score,
 and of ``compress`` it needs only the type that carries a source map.
 Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and ``Fst``'s
-public names are pinned, so that no mutator comes back unnoticed.
+public names are pinned, so that no mutator comes back unnoticed.  Only
+``errors.py`` writes a file: everything else calls ``errors.write_file``.
 """
 
 import ast
@@ -83,3 +84,17 @@ def test_fst_public_names_are_pinned():
     assert {n for n in names if not n.startswith("_")} == {
         "start", "finals", "isyms", "osyms", "num_states", "num_arcs", "arcs", "all_arcs",
         "final_weight", "is_final"}
+
+
+_WRITES = {"write_text", "write_bytes", "open", "mkstemp", "atomic_write"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_only_errors_writes_files(path):
+    tree = ast.parse(path.read_text())
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [
+        f"line {f.lineno}: {ast.unparse(f)}" for f in calls
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in _WRITES
+        or ast.unparse(f) == "os.replace"]

@@ -1,5 +1,6 @@
 import math
-from pathlib import Path
+import os
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from spikefst import (
     softmax,
     synth_posteriors,
 )
-from spikefst.posterior import ROW_SUM_TOL, atomic_write, check_stochastic
+from spikefst.errors import write_file
+from spikefst.posterior import ROW_SUM_TOL, check_stochastic
 
 
 class TestSoftmax:
@@ -94,14 +96,6 @@ class TestPosteriorIO:
         q = load_posteriors(path, "binary")
         assert q.frames == 0 and q.vocab_size == 6
 
-    def test_text_round_trip_tolerance(self, tmp_path):
-        rng = np.random.default_rng(4)
-        p = PosteriorMatrix(rng.dirichlet(np.ones(7), size=11))
-        path = tmp_path / "m.txt"
-        save_posteriors(p, path, "text")
-        q = load_posteriors(path, "text")
-        np.testing.assert_allclose(q.values, p.values, atol=1e-6)
-
     def test_truncated_payload(self, tmp_path):
         p = PosteriorMatrix(np.full((3, 4), 0.25))
         path = tmp_path / "m.spkf"
@@ -115,19 +109,6 @@ class TestPosteriorIO:
         path.write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(DataFormatError, match="magic"):
             load_posteriors(path, "binary")
-
-    def test_text_non_numeric_value_names_line(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2 2\n0.5 0.5\n0.5 x\n")
-        with pytest.raises(DataFormatError, match=r"m\.txt: line 3: non-numeric"):
-            load_posteriors(path, "text")
-
-    @pytest.mark.parametrize("header", ["-1 3", "2 -3"])
-    def test_text_negative_dimension_names_line_one(self, tmp_path, header):
-        path = tmp_path / "m.txt"
-        path.write_text(f"{header}\n0.5 0.5 0.0\n0.5 0.5 0.0\n")
-        with pytest.raises(DataFormatError, match=r"m\.txt: line 1: negative dimension"):
-            load_posteriors(path, "text")
 
     def test_unknown_format_is_a_validation_error(self, tmp_path):
         path = tmp_path / "m.spkf"
@@ -147,25 +128,44 @@ class TestPosteriorIO:
 
 
 class TestAtomicWrite:
-    @staticmethod
-    def write_then_fail(tmp):
-        Path(tmp).write_bytes(b"partial")
-        raise OSError("disk gone")
+    """Every writer goes through ``errors.write_file``, which renames a
+    temporary file into place, so a failed rename leaves neither the
+    temporary file nor a changed target."""
 
-    def test_failed_write_leaves_no_file(self, tmp_path):
+    @staticmethod
+    def fail_replace(monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out.spkf"
-        with pytest.raises(OSError, match="disk gone"):
-            atomic_write(target, self.write_then_fail)
+        self.fail_replace(monkeypatch)
+        with pytest.raises(DataFormatError, match=re.escape(f"{target}: cannot write: disk gone")):
+            save_posteriors(PosteriorMatrix(np.full((3, 4), 0.25)), target, "binary")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_write_keeps_existing_target(self, tmp_path):
+    def test_failed_write_keeps_existing_target(self, tmp_path, monkeypatch):
         target = tmp_path / "out.spkf"
         save_posteriors(PosteriorMatrix(np.full((3, 4), 0.25)), target, "binary")
         before = target.read_bytes()
-        with pytest.raises(OSError, match="disk gone"):
-            atomic_write(target, self.write_then_fail)
+        self.fail_replace(monkeypatch)
+        with pytest.raises(DataFormatError, match="cannot write: disk gone"):
+            save_posteriors(PosteriorMatrix(np.full((2, 4), 0.25)), target, "binary")
         assert target.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.spkf"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+    def test_new_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_file(tmp_path / "written", "x")
+            (tmp_path / "plain").write_text("x")
+        finally:
+            os.umask(old)
+        modes = {(tmp_path / name).stat().st_mode & 0o777 for name in ("written", "plain")}
+        assert modes == {0o666 & ~umask}
 
 
 class TestSynth:
