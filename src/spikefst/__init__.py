@@ -58,7 +58,6 @@ from .posterior import (
     PosteriorMatrix,
     SynthConfig,
     argmax_labels,
-    ctc_collapse,
     load_labels,
     load_posteriors,
     save_posteriors,

@@ -42,15 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_compress_flags(p: argparse.ArgumentParser) -> None:
+    # The CLI compresses with ioo_koo unless told otherwise; the library's
+    # default mode is dense.
     p.add_argument("--mode", default="ioo_koo",
                    help="dense|ioo|ioo_koo|ioo_nb|discard|average|lsd|swd|aed_ioo")
-    p.add_argument("--koo-strategy", default="max", choices=["max", "min"])
-    p.add_argument("--blanks-per-region", type=int, default=1, choices=[1, 2])
-    p.add_argument("--nb-onehot", default="all", choices=["all", "max"])
-    p.add_argument("--nb-threshold", type=float, default=None,
+    p.add_argument("--koo-strategy", default=CompressConfig.koo_strategy, choices=["max", "min"])
+    p.add_argument("--blanks-per-region", type=int, default=CompressConfig.blanks_per_region,
+                   choices=[1, 2])
+    p.add_argument("--nb-onehot", default=CompressConfig.nb_onehot, choices=["all", "max"])
+    p.add_argument("--nb-threshold", type=float, default=CompressConfig.nb_threshold,
                    help="peak-probability gate for one-hot rewrites (best known: 0.99)")
-    p.add_argument("--lsd-threshold", type=float, default=0.99)
-    p.add_argument("--swd-window", type=int, default=1)
+    p.add_argument("--lsd-threshold", type=float, default=CompressConfig.lsd_threshold)
+    p.add_argument("--swd-window", type=int, default=CompressConfig.swd_window)
 
 
 def _compress_config(args, mode: str | None = None) -> CompressConfig:
@@ -66,9 +69,9 @@ def _compress_config(args, mode: str | None = None) -> CompressConfig:
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beam", type=float, default=16.0)
-    p.add_argument("--max-active", type=int, default=5000)
-    p.add_argument("--acoustic-scale", type=float, default=1.0)
+    p.add_argument("--beam", type=float, default=DecoderConfig.beam)
+    p.add_argument("--max-active", type=int, default=DecoderConfig.max_active)
+    p.add_argument("--acoustic-scale", type=float, default=DecoderConfig.acoustic_scale)
 
 
 def _comma_list(cast):
@@ -367,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--refs", required=True)
     p.add_argument("--beams", type=_comma_list(float), default="8,16,32")
-    p.add_argument("--max-actives", type=_comma_list(int), default="5000")
-    p.add_argument("--acoustic-scale", type=float, default=1.0)
+    p.add_argument("--max-actives", type=_comma_list(int), default=[DecoderConfig.max_active])
+    p.add_argument("--acoustic-scale", type=float, default=DecoderConfig.acoustic_scale)
     p.add_argument("--unit", default="word", choices=["word", "char"])
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)

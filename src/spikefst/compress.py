@@ -333,9 +333,15 @@ def load_source_map(path) -> tuple[tuple[int, ...], int, list[int]]:
 
 def save_compressed(c: CompressedPosteriors, path) -> None:
     """Write the frame matrix in the standard binary posterior format plus
-    a '<path>.map' provenance sidecar."""
+    a '<path>.map' provenance sidecar.  An old sidecar is removed first, so
+    a failed write never leaves the new matrix beside the old map."""
+    sidecar = Path(f"{path}.map")
+    try:
+        sidecar.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"{sidecar}: cannot remove: {exc.strerror or exc}") from None
     save_posteriors(c, path, "binary")
-    save_source_map(c, f"{path}.map")
+    save_source_map(c, sidecar)
 
 
 def load_compressed(path):

@@ -33,11 +33,16 @@ def write_file(path, data) -> None:
     """Write *data*, text as UTF-8 or bytes, to a temporary file beside
     *path* and rename it into place, making the parent directories first.
     A failed write leaves no temporary file and the target as it was, and
-    raises :class:`DataFormatError` naming *path*.  A new file gets the
-    mode a plain ``open`` would give it."""
+    raises :class:`DataFormatError` naming *path*, and so does text that
+    UTF-8 cannot encode (a lone surrogate), before any file is made.  A new
+    file gets the mode a plain ``open`` would give it."""
     path = Path(path)
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataFormatError(
+                f"{path}: cannot write: character {exc.start} has no UTF-8 encoding") from None
     tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

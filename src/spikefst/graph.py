@@ -55,19 +55,12 @@ def make_token_table(tokens: list[str], n_disambig: int = 0) -> SymbolTable:
 
     Graph input id i corresponds to posterior column i-1 (blank is column
     0), which is the contract the decoder relies on.  A real token may not
-    start with '#', which marks a disambiguator.
+    start with '#', which marks a disambiguator, nor repeat (FstError).
     """
-    table = SymbolTable()
-    table.add_symbol(BLANK_SYM, 1)
     for tok in tokens:
-        if tok in table:
-            raise GraphError(f"duplicate token symbol {tok!r}")
         if tok.startswith("#"):
             raise GraphError(f"token symbol {tok!r} starts with '#', reserved for disambiguators")
-        table.add_symbol(tok)
-    for k in range(1, n_disambig + 1):
-        table.add_symbol(f"#{k}")
-    return table
+    return SymbolTable([BLANK_SYM, *tokens, *(f"#{k}" for k in range(1, n_disambig + 1))])
 
 
 def disambig_ids(table: SymbolTable) -> set[int]:
@@ -115,24 +108,25 @@ def build_token_fst(token_table: SymbolTable) -> Fst:
 # Lexicon
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """word -> pronunciations (token-id sequences) plus both symbol tables."""
+    """word -> pronunciations plus both symbol tables; never changed."""
 
-    entries: list[tuple[str, tuple[str, ...]]]
+    entries: tuple[tuple[str, tuple[str, ...]], ...]
     token_table: SymbolTable = field(init=False)
     word_table: SymbolTable = field(init=False)
 
     def __post_init__(self):
-        if not self.entries:
+        entries = tuple((word, tuple(pron)) for word, pron in self.entries)
+        if not entries:
             raise GraphError("lexicon has no entries")
-        tokens = sorted({tok for _, pron in self.entries for tok in pron})
-        self.token_table = make_token_table(tokens, n_disambig=max(self.disambig_indices()))
-        self.word_table = SymbolTable()
-        for word, pron in self.entries:
+        for word, pron in entries:
             if not pron:
                 raise GraphError(f"word {word!r} has an empty pronunciation")
-            self.word_table.add_symbol(word)
+        object.__setattr__(self, "entries", entries)
+        tokens = sorted({tok for _, pron in entries for tok in pron})
+        object.__setattr__(self, "token_table", make_token_table(tokens, max(self.disambig_indices())))
+        object.__setattr__(self, "word_table", SymbolTable(dict.fromkeys(w for w, _ in entries)))
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":

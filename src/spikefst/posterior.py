@@ -102,18 +102,6 @@ def argmax_labels(p: PosteriorMatrix) -> np.ndarray:
     return np.argmax(p.values, axis=1)
 
 
-def ctc_collapse(labels) -> list[int]:
-    """Collapse a frame-label sequence: drop repeats, then drop blanks."""
-    out = []
-    prev = None
-    for t in labels:
-        t = int(t)
-        if t != prev and t != BLANK_ID:
-            out.append(t)
-        prev = t
-    return out
-
-
 # ----------------------------------------------------------------------
 # File formats
 # ----------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Weights are plain floats with (min, +) algebra: ZERO is +inf (no path),
 ONE is 0.0 (free move), path weight is the sum of arc weights plus the
 final weight, and the best path is the minimum.  Label 0 is epsilon on
-both tapes.  An :class:`Fst` is a value: it is built whole, as per-state
-arc lists handed to its one validated constructor, and never changes
-afterwards, so the algorithms here and in :mod:`spikefst.wfst.ops` each
-return a new machine, and anything derived from a machine stays valid
-for as long as the machine lives.
+both tapes.  An :class:`Fst` and its symbol tables are values: each is
+built whole, a machine as per-state arc lists handed to its one validated
+constructor, and never changes afterwards, so the algorithms here and in
+:mod:`spikefst.wfst.ops` each return a new machine, and anything derived
+from a machine stays valid for as long as the machine lives.
 """
 
 from __future__ import annotations
@@ -42,22 +42,17 @@ class Arc(NamedTuple):
 
 
 class SymbolTable:
-    """Bidirectional symbol <-> id map with epsilon pinned to id 0."""
+    """An immutable symbol <-> id map: ``SymbolTable(symbols)`` numbers
+    ``<eps>`` 0 and *symbols* 1, 2, ... and refuses a repeated symbol; a
+    table whose ids have gaps comes only from :meth:`from_file`."""
 
-    def __init__(self, epsilon: str = EPSILON_SYM):
-        self._sym2id: dict[str, int] = {epsilon: 0}
-        self._id2sym: dict[int, str] = {0: epsilon}
-
-    def add_symbol(self, symbol: str, key: int | None = None) -> int:
-        if symbol in self._sym2id:
-            return self._sym2id[symbol]
-        if key is None:
-            key = max(self._id2sym) + 1
-        if key in self._id2sym:
-            raise FstError(f"symbol id {key} already bound to {self._id2sym[key]!r}")
-        self._sym2id[symbol] = key
-        self._id2sym[key] = symbol
-        return key
+    def __init__(self, symbols: Iterable[str] = ()):
+        self._sym2id: dict[str, int] = {}
+        for key, sym in enumerate([EPSILON_SYM, *symbols]):
+            if sym in self._sym2id:
+                raise FstError(f"symbol {sym!r} already bound to id {self._sym2id[sym]}")
+            self._sym2id[sym] = key
+        self._id2sym = dict(enumerate(self._sym2id))
 
     def find_id(self, symbol: str) -> int:
         return self._sym2id[symbol]
@@ -120,8 +115,8 @@ class Fst:
     ``{state: weight}`` map and raises :class:`FstError` for a start state,
     a final state or an arc's next state out of range, or a NaN weight.  A
     final weight of ZERO leaves its state non-final.  Nothing can change a
-    machine afterwards: the rows are tuples, ``finals`` is a read-only view
-    and ``start`` has no setter.
+    machine afterwards: the rows are tuples, ``finals`` is a read-only view,
+    and ``start``, ``isyms`` and ``osyms`` have no setter.
     """
 
     def __init__(self, arcs, start: int, finals: dict[int, float],
@@ -145,12 +140,20 @@ class Fst:
                 raise FstError(f"NaN final weight at state {s}")
         self._start = start
         self._finals = {s: w for s, w in finals.items() if w != ZERO}
-        self.isyms = isyms
-        self.osyms = osyms
+        self._isyms = isyms
+        self._osyms = osyms
 
     @property
     def start(self) -> int:
         return self._start
+
+    @property
+    def isyms(self) -> SymbolTable | None:
+        return self._isyms
+
+    @property
+    def osyms(self) -> SymbolTable | None:
+        return self._osyms
 
     @property
     def finals(self) -> Mapping[int, float]:

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from helpers import ToyLang, sample_sentences, toy_lexicon_text, TOY_WORDS
-from spikefst import DataFormatError, SymbolTable, load_labels, load_posteriors
-from spikefst.cli import main
+from spikefst import (CompressConfig, DataFormatError, DecoderConfig, SymbolTable, load_labels,
+                      load_posteriors)
+from spikefst.cli import _compress_config, _decoder_config, build_parser, main
 from spikefst.compress import load_source_map
 from spikefst.graph import Lexicon, load_arpa
 from spikefst.scoring import read_trans_file
@@ -241,6 +242,20 @@ class TestExitCodes:
         assert calls == []
         assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
 
+    def test_no_flags_give_the_library_defaults(self):
+        parse = build_parser().parse_args
+        bench = parse(["bench", "--graph-dir", "g", "--input", "i", "--refs", "r",
+                       "--out-dir", "o"])
+        assert _decoder_config(bench) == DecoderConfig()
+        assert _compress_config(bench) == CompressConfig(mode="ioo_koo")
+        assert _compress_config(parse(["compress", "--input", "i", "--out", "o"])) \
+            == CompressConfig(mode="ioo_koo")
+        assert _decoder_config(parse(["decode", "--graph-dir", "g", "--input", "i"])) \
+            == DecoderConfig()
+        sweep = parse(["sweep", "--graph-dir", "g", "--input", "i", "--refs", "r"])
+        assert (sweep.max_actives, sweep.acoustic_scale) == (
+            [DecoderConfig().max_active], DecoderConfig().acoustic_scale)
+
     def test_unknown_subcommand_is_one(self):
         assert main(["frobnicate"]) == 1
 
@@ -415,6 +430,21 @@ class TestUnwritableOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
         assert (tmp_path / "afile").read_text() == "kept\n"
         assert not any((tmp_path / "adir").iterdir())
+
+    def test_utterance_id_that_is_not_utf8_is_two(self, graph_dir, posterior_dir, tmp_path,
+                                                  caplog):
+        # a file name byte that is not UTF-8 decodes to a lone surrogate
+        corpus = tmp_path / "out"
+        corpus.mkdir()
+        src = sorted(posterior_dir.glob("*.spkf"))[0]
+        (corpus / "caf\udce9.spkf").write_bytes(src.read_bytes())
+        hyps = tmp_path / "hyps.txt"
+        rc = main(["decode", "--graph-dir", str(graph_dir), "--input", str(corpus),
+                   "--out", str(tmp_path / "out.jsonl"), "--hyps", str(hyps)])
+        assert rc == 2
+        assert any(r.message == f"{hyps}: cannot write: character 3 has no UTF-8 encoding"
+                   for r in caplog.records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "out.jsonl"]
 
     def test_writer_raises_a_data_error_naming_the_path(self, tmp_path, tlg):
         (tmp_path / "afile").write_text("")

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -400,6 +401,38 @@ class TestSerialization:
         (tmp_path / "utt.spkf.map").unlink()
         back = load_compressed(path)
         assert type(back) is PosteriorMatrix
+
+    def test_failed_sidecar_write_leaves_no_old_map(self, tmp_path, monkeypatch):
+        # the package's name ``compress`` is the function, not the module
+        compress_module = sys.modules["spikefst.compress"]
+        cfg = CompressConfig(mode="ioo_koo")
+        old = compress(matrix_from_argmax([BLK, A, BLK, BLK, B, BLK]), cfg)
+        new = compress(matrix_from_argmax([BLK, BLK, A, BLK, B, BLK]), cfg)
+        assert (old.source_map, new.source_map) == ((-1, 1, -1, 4, -1), (-1, 2, -1, 4, -1))
+        path = tmp_path / "utt.spkf"
+        save_compressed(old, path)
+        write_file = compress_module.write_file
+
+        def no_sidecar(target, data):
+            if str(target).endswith(".map"):
+                raise DataFormatError(f"{target}: cannot write: injected")
+            write_file(target, data)
+
+        monkeypatch.setattr(compress_module, "write_file", no_sidecar)
+        with pytest.raises(DataFormatError, match="utt.spkf.map: cannot write: injected"):
+            save_compressed(new, path)
+        back = load_compressed(path)
+        assert type(back) is PosteriorMatrix
+        np.testing.assert_allclose(back.values, new.values, atol=1e-7)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["utt.spkf"]
+
+    def test_sidecar_that_cannot_be_removed_is_a_data_error(self, tmp_path):
+        c = compress(matrix_from_argmax([BLK, A, BLK]), CompressConfig(mode="ioo_koo"))
+        path = tmp_path / "utt.spkf"
+        (tmp_path / "utt.spkf.map").mkdir()
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}.map: cannot remove: ")):
+            save_compressed(c, path)
+        assert not path.exists()
 
 
     @pytest.mark.parametrize("mode", MODES)

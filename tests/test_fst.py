@@ -153,6 +153,18 @@ class TestStructure:
         finals[0] = 1.0
         assert machine_parts(f) == before
 
+    def test_symbol_tables_of_a_read_machine_cannot_be_rebound(self, tmp_path):
+        path = tmp_path / "m.fst.txt"
+        path.write_text("0 1 1 2\n1\n")
+        isyms, osyms = SymbolTable(["a"]), SymbolTable(["x", "y"])
+        f = read_fst_text(path, isyms, osyms)
+        with pytest.raises(AttributeError):
+            f.isyms = None
+        with pytest.raises(AttributeError):
+            f.osyms = isyms
+        assert f.isyms is isyms and f.osyms is osyms
+        assert not hasattr(f.osyms, "add_symbol")
+
     def test_read_gives_the_same_machine_for_out_of_order_state_ids(self, tmp_path):
         path = tmp_path / "m.fst.txt"
         path.write_text("2 4 1 1 0.5\n0 1 2 2\n4 0 3 3 0.25\n4 1.5\n3 inf\n"
@@ -164,14 +176,33 @@ class TestStructure:
         assert [g.arcs(s) for s in range(6)] == [f.arcs(s) for s in range(6)]
 
     def test_symbol_table_round_trip(self, tmp_path):
-        t = SymbolTable()
-        t.add_symbol("a")
-        t.add_symbol("b", 7)
         path = tmp_path / "syms.txt"
+        path.write_text("b\t7\n<eps>\t0\na\t1\n")
+        t = SymbolTable.from_file(path)
+        assert t.find_symbol(7) == "b" and t.find_id("a") == 1
         t.to_file(path)
-        u = SymbolTable.from_file(path)
-        assert u == t
-        assert u.find_symbol(7) == "b" and u.find_id("a") == 1
+        assert path.read_text() == "<eps>\t0\na\t1\nb\t7\n"
+        assert SymbolTable.from_file(path) == t
+        u = SymbolTable(["a", "b"])
+        u.to_file(path)
+        assert path.read_text() == "<eps>\t0\na\t1\nb\t2\n"
+        assert SymbolTable.from_file(path) == u != t
+
+    def test_symbol_table_numbers_its_symbols_after_epsilon(self):
+        t = SymbolTable(["b", "a"])
+        assert t.items() == [(0, "<eps>"), (1, "b"), (2, "a")]
+        assert (len(t), "a" in t, "c" in t) == (3, True, False)
+        assert (t.find_id("a"), t.find_symbol(1)) == (2, "b")
+        assert t == SymbolTable(iter(["b", "a"])) != SymbolTable(["a", "b"])
+        assert SymbolTable().items() == [(0, "<eps>")]
+
+    @pytest.mark.parametrize("symbols, match", [
+        (["a", "b", "a"], "symbol 'a' already bound to id 1"),
+        (["a", "<eps>"], "symbol '<eps>' already bound to id 0"),
+    ], ids=["repeated", "epsilon"])
+    def test_symbol_table_refuses_a_repeated_symbol(self, symbols, match):
+        with pytest.raises(FstError, match=f"^{re.escape(match)}$"):
+            SymbolTable(symbols)
 
     def test_symbol_table_rejects_non_integer_id(self, tmp_path):
         path = tmp_path / "syms.txt"
@@ -284,9 +315,7 @@ class TestCompose:
             compose(a, b)
 
     def test_symbol_table_mismatch(self):
-        ta, tb = SymbolTable(), SymbolTable()
-        ta.add_symbol("x")
-        tb.add_symbol("y")
+        ta, tb = SymbolTable(["x"]), SymbolTable(["y"])
         a = Fst([[]], 0, {}, osyms=ta)
         b = Fst([[]], 0, {}, isyms=tb)
         with pytest.raises(FstError, match="symbol"):

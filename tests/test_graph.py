@@ -1,11 +1,12 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import ToyLang, collapse_oracle, enum_weight_map, fst_of
-from spikefst.errors import ArpaError, DataFormatError, GraphError
+from spikefst.errors import ArpaError, DataFormatError, FstError, GraphError
 from spikefst.graph import (
     BOS,
     EOS,
@@ -75,9 +76,7 @@ class TestTokenFst:
     def test_requires_blank_at_one(self):
         from spikefst.wfst import SymbolTable
 
-        bad = SymbolTable()
-        bad.add_symbol("x", 1)  # id 1 is not the blank symbol
-        bad.add_symbol("a", 2)
+        bad = SymbolTable(["x", "a"])  # id 1 is not the blank symbol
         with pytest.raises(GraphError, match="id 1"):
             build_token_fst(bad)
 
@@ -128,6 +127,24 @@ class TestLexiconFst:
             Lexicon([("x", ("#a", "b")), ("y", ("b",))])
         with pytest.raises(GraphError, match="'#1' starts with '#'"):
             make_token_table(["a", "#1"])
+
+    def test_lexicon_is_a_value(self):
+        lex = Lexicon([("ka", ["k", "a"]), ("se", ("s", "e")), ("ka", ("k", "e"))])
+        assert lex.entries == (("ka", ("k", "a")), ("se", ("s", "e")), ("ka", ("k", "e")))
+        # a word with two pronunciations has one id
+        assert lex.word_table.items() == [(0, "<eps>"), (1, "ka"), (2, "se")]
+        assert lex == Lexicon(list(lex.entries))
+        for name in ("entries", "token_table", "word_table"):
+            with pytest.raises(AttributeError):
+                setattr(lex, name, None)
+
+    @pytest.mark.parametrize("entries, match", [
+        ([("<eps>", ("a",))], "symbol '<eps>' already bound to id 0"),
+        ([("x", ("<blk>", "a"))], "symbol '<blk>' already bound to id 1"),
+    ], ids=["epsilon_word", "blank_token"])
+    def test_reserved_symbol_in_a_lexicon_is_refused(self, entries, match):
+        with pytest.raises(FstError, match=f"^{re.escape(match)}$"):
+            Lexicon(entries)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lexicon.txt"
@@ -225,9 +242,7 @@ class TestGrammarFst:
         model = parse_arpa(MINI_UNIGRAM)
         from spikefst.wfst import SymbolTable
 
-        wt = SymbolTable()
-        for w in ("a", "b", "c"):
-            wt.add_symbol(w)
+        wt = SymbolTable(["a", "b", "c"])
         g = build_grammar_fst(model, wt)
         ids = [wt.find_id(w) for w in ("a", "b", "a")]
         _, w = transduce(g, ids)
@@ -238,9 +253,7 @@ class TestGrammarFst:
         model = parse_arpa(MINI_BIGRAM)
         from spikefst.wfst import SymbolTable
 
-        wt = SymbolTable()
-        wt.add_symbol("a")
-        wt.add_symbol("b")
+        wt = SymbolTable(["a", "b"])
         g = build_grammar_fst(model, wt)
         _, w = transduce(g, [wt.find_id("a"), wt.find_id("b")])
         expected = -LN10 * model.sentence_log10(["a", "b"])

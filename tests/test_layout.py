@@ -3,8 +3,9 @@
 No module imports an underscore name from another ``spikefst`` module,
 and ``decoder.py`` holds the search and nothing else: it does not score,
 and of ``compress`` it needs only the type that carries a source map.
-Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and ``Fst``'s
-public names are pinned, so that no mutator comes back unnoticed.  Only
+Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and the public
+names of ``Fst`` and ``SymbolTable`` are pinned, so that no mutator comes
+back unnoticed.  Only
 ``errors.py`` writes a file: everything else calls ``errors.write_file``.
 """
 
@@ -71,19 +72,35 @@ def test_only_the_wfst_package_reaches_arc_rows(path):
                 if isinstance(node, ast.Attribute) and node.attr == "_arcs"]
 
 
-def test_fst_public_names_are_pinned():
+def _wfst_class(name):
     tree = ast.parse((SRC / "wfst" / "fst.py").read_text())
-    fst = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Fst")
-    names = {n.name for n in fst.body if isinstance(n, ast.FunctionDef)}
-    for node in ast.walk(fst):
+    return next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+
+
+def _public_names(cls):
+    """The public methods of *cls* and the public attributes it sets on self."""
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    for node in ast.walk(cls):
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         names.update(t.attr for t in targets
                      if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
                      and t.value.id == "self")
-    assert {n for n in names if not n.startswith("_")} == {
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_fst_public_names_are_pinned():
+    assert _public_names(_wfst_class("Fst")) == {
         "start", "finals", "isyms", "osyms", "num_states", "num_arcs", "arcs", "all_arcs",
         "final_weight", "is_final"}
+
+
+def test_symbol_table_public_names_are_pinned():
+    cls = _wfst_class("SymbolTable")
+    assert _public_names(cls) == {"find_id", "find_symbol", "items", "from_file", "to_file"}
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    assert [a.arg for a in init.args.args] == ["self", "symbols"]
+    assert not init.args.kwonlyargs and not init.args.vararg and not init.args.kwarg
 
 
 _WRITES = {"write_text", "write_bytes", "open", "mkstemp", "atomic_write"}

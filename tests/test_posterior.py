@@ -13,7 +13,6 @@ from spikefst import (
     SynthConfig,
     ValidationError,
     argmax_labels,
-    ctc_collapse,
     load_posteriors,
     save_posteriors,
     softmax,
@@ -188,7 +187,6 @@ class TestSynth:
             )
             p = synth_posteriors(LabelSequence(labels), cfg, seed=trial)
             assert collapse_oracle(argmax_labels(p)) == list(labels)
-            assert ctc_collapse(argmax_labels(p)) == list(labels)
 
     def test_zero_blank_runs_keep_distinct_spikes_adjacent(self):
         cfg = SynthConfig(vocab_size=4, spike_len=(1, 1), blank_run=(0, 0), peak=0.9)
