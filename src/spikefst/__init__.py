@@ -11,13 +11,7 @@ from .compress import (
     CUSTOM_BLANK,
     CompressConfig,
     CompressedPosteriors,
-    baseline_average,
-    baseline_discard,
-    baseline_lsd,
-    baseline_swd,
     compress,
-    compress_aed,
-    compress_ctc,
     custom_blank,
     koo_select,
     load_compressed,

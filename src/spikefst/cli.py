@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import bench, sweep_params, word_syms
-from .compress import CompressConfig, compress, load_compressed, save_compressed
+from .compress import MODES, CompressConfig, compress, load_compressed, save_compressed
 from .decoder import DecoderConfig, decode_batch
 from .errors import DecodeError, SpikefstError, ValidationError, write_file
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
@@ -44,8 +44,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_compress_flags(p: argparse.ArgumentParser) -> None:
     # The CLI compresses with ioo_koo unless told otherwise; the library's
     # default mode is dense.
-    p.add_argument("--mode", default="ioo_koo",
-                   help="dense|ioo|ioo_koo|ioo_nb|discard|average|lsd|swd|aed_ioo")
+    p.add_argument("--mode", default="ioo_koo", choices=MODES)
     p.add_argument("--koo-strategy", default=CompressConfig.koo_strategy, choices=["max", "min"])
     p.add_argument("--blanks-per-region", type=int, default=CompressConfig.blanks_per_region,
                    choices=[1, 2])
@@ -74,15 +73,20 @@ def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--acoustic-scale", type=float, default=DecoderConfig.acoustic_scale)
 
 
-def _comma_list(cast):
-    """An argparse type: comma-separated *cast* values, so a bad one is a
-    usage error."""
+def _comma_list(cast, choices=None):
+    """An argparse type: comma-separated *cast* values, each one of
+    *choices* when given, so a bad one is a usage error."""
     def parse(spec: str) -> list:
         try:
-            return [cast(x) for x in spec.split(",") if x.strip()]
+            values = [cast(x.strip()) for x in spec.split(",") if x.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {cast.__name__} values, got {spec!r}") from None
+        for value in values:
+            if choices is not None and value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+        return values
     return parse
 
 
@@ -259,10 +263,7 @@ def cmd_bench(args) -> int:
     graph = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
     utts = [(u, load_posteriors(p, "binary")) for u, p in _iter_corpus(args.input)]
-    modes = [
-        _compress_config(args, mode=name.strip())
-        for name in args.modes.split(",") if name.strip()
-    ]
+    modes = [_compress_config(args, mode=name) for name in args.modes]
     report = bench(graph, utts, refs, modes, _decoder_config(args),
                    repeats=args.repeats, unit=args.unit)
     out = Path(args.out_dir)
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="directory of dense .spkf files")
     p.add_argument("--refs", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--modes", default=_BENCH_DEFAULT_MODES)
+    p.add_argument("--modes", type=_comma_list(str, MODES), default=_BENCH_DEFAULT_MODES)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--unit", default="word", choices=["word", "char"])
     _add_compress_flags(p)

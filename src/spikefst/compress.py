@@ -17,15 +17,19 @@ reaches the search:
 * ``discard`` / ``average`` / ``lsd`` / ``swd``: reference heuristics
   from prior systems, kept for benchmarking.
 
-Every mode is a choice of rows.  ``segment_blocks`` splits the frame
-axis into maximal same-argmax runs in one pass; a mode picks frame
-indices from those runs (a blank run carries only position, so it
-becomes one inserted blank; a non-blank run carries the content, so
-``koo_select`` can keep one frame of it) and gathers them in one step.
-Index ``CUSTOM_BLANK`` reads the inserted blank row, so the index array
-is also the source map: every output row records its source frame and
-time alignments survive compression.  All transforms are pure and
-deterministic.
+Every mode is a choice of rows, and ``compress(p, cfg)`` is the one way
+to make it.  It takes the argmax labels once and looks ``cfg.mode`` up
+in one table of row choosers.  A chooser picks source-frame indices:
+``dense`` all of them; the CTC modes runs from ``segment_blocks`` (a
+blank run carries only position, so it becomes one inserted blank; a
+non-blank run carries the content, so ``koo_select`` can keep one frame
+of it).  ``compress`` then gathers the rows in one step.  Index
+``CUSTOM_BLANK`` reads the inserted blank row, so the index array is
+also the source map: every output row records its source frame and time
+alignments survive compression.  ``nonblank_count`` has one rule: the
+kept source frames whose argmax is not blank, or every input row for
+``aed_ioo``, whose input has no native blank.  All transforms are pure
+and deterministic.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from .posterior import (
 # source_map marker for inserted one-hot blank rows
 CUSTOM_BLANK = -1
 
-MODES = ("dense", "ioo", "ioo_koo", "ioo_nb", "discard", "average", "lsd", "swd", "aed_ioo")
-_CTC_MODES = ("ioo", "ioo_koo", "ioo_nb")
 
 
 @dataclass(frozen=True)
@@ -156,20 +158,9 @@ def koo_select(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max") 
     return frames[hits[np.searchsorted(hits, offsets)]]
 
 
-def _take(values: np.ndarray, rows: np.ndarray, nonblank: int) -> CompressedPosteriors:
-    """Gather *rows* of *values* in one step.  Row ``CUSTOM_BLANK`` (-1)
-    reads the custom blank, so *rows* is also the source map."""
-    blank = custom_blank(values.shape[1])
-    if values.shape[0]:
-        out = values.take(rows, axis=0, mode="clip")  # clip reads row 0 for CUSTOM_BLANK
-    else:  # no frames, so every row is an inserted blank
-        out = np.empty((rows.size, blank.size))
-    out[rows == CUSTOM_BLANK] = blank
-    return CompressedPosteriors(out, rows.tolist(), nonblank)
-
-
-def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
-    """Blank-run compression of a CTC posterior matrix.
+def _ctc_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
+    """Blank-run compression of a CTC posterior matrix (``ioo``,
+    ``ioo_koo``, ``ioo_nb``).
 
     The output always opens with ``blanks_per_region`` custom blank rows;
     a leading blank run in the input is absorbed by them.  Every later
@@ -186,9 +177,6 @@ def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosterior
     With ``blanks_per_region=1`` the output length M obeys M <= 2K+1,
     where K is the number of content rows emitted.
     """
-    if cfg.mode not in _CTC_MODES:
-        raise ValidationError(f"compress_ctc expects mode in {_CTC_MODES}, got {cfg.mode!r}")
-    labels = argmax_labels(p)
     tokens, starts, ends = segment_blocks(labels)
     content = tokens != BLANK_ID
     if cfg.mode == "ioo" or (cfg.mode == "ioo_nb" and cfg.nb_onehot == "all"):
@@ -197,7 +185,6 @@ def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosterior
         strategy = cfg.koo_strategy if cfg.mode == "ioo_koo" else "max"
         keep = np.zeros(p.frames, dtype=bool)
         keep[koo_select(p, tokens[content], starts[content], ends[content], strategy)] = True
-    nonblank = int(np.count_nonzero(keep))
     keep[starts[~content & (starts > 0)]] = True  # one head per later blank run
     frames = np.flatnonzero(keep)
     rows = np.concatenate(([CUSTOM_BLANK], np.where(labels[frames] == BLANK_ID, CUSTOM_BLANK, frames)))
@@ -210,30 +197,20 @@ def compress_ctc(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosterior
             hot &= values.max(axis=1) >= cfg.nb_threshold
         values = values.copy()
         values[hot] = np.eye(p.vocab_size)[labels[hot]]
-    return _take(values, rows, nonblank)
+    return rows, values
 
 
-def compress_aed(p: PosteriorMatrix) -> CompressedPosteriors:
-    """Interleave custom blanks around every row of a per-emission matrix.
-
-    Output is [blank, row 0, blank, row 1, ..., row T-1, blank]: exactly
-    2T+1 rows.  Gives attention-decoder outputs, which have no native
-    blank, the temporal separation the graph search relies on.
-    """
+def _aed_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
+    """[blank, row 0, blank, row 1, ..., row T-1, blank]: exactly 2T+1
+    rows.  Gives attention-decoder outputs, which have no native blank,
+    the temporal separation the graph search relies on."""
     rows = np.full(2 * p.frames + 1, CUSTOM_BLANK)
     rows[1::2] = np.arange(p.frames)
-    return _take(p.values, rows, p.frames)
+    return rows, p.values
 
 
-def baseline_discard(p: PosteriorMatrix) -> CompressedPosteriors:
-    """Keep only frames whose argmax is non-blank."""
-    keep = np.flatnonzero(argmax_labels(p) != BLANK_ID)
-    return _take(p.values, keep, keep.size)
-
-
-def baseline_average(p: PosteriorMatrix) -> CompressedPosteriors:
-    """Replace each maximal blank run with the elementwise mean of its rows."""
-    labels = argmax_labels(p)
+def _average_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
+    """Each maximal blank run becomes the elementwise mean of its rows."""
     tokens, starts, ends = segment_blocks(labels)
     blank = tokens == BLANK_ID
     keep = labels != BLANK_ID
@@ -241,54 +218,53 @@ def baseline_average(p: PosteriorMatrix) -> CompressedPosteriors:
     values = p.values.copy()
     for s, e in zip(starts[blank], ends[blank]):
         values[s] = p.values[s:e].mean(axis=0)
-    return _take(values, np.flatnonzero(keep), int(np.count_nonzero(labels != BLANK_ID)))
+    return np.flatnonzero(keep), values
 
 
-def baseline_lsd(p: PosteriorMatrix, threshold: float) -> CompressedPosteriors:
-    """Drop every frame whose blank posterior reaches *threshold*."""
-    if not (0.0 <= threshold <= 1.0):
-        raise ValidationError("lsd threshold must lie in [0, 1]")
-    keep = np.flatnonzero(p.values[:, BLANK_ID] < threshold)
-    nonblank = int(np.count_nonzero(argmax_labels(p)[keep] != BLANK_ID))
-    return _take(p.values, keep, nonblank)
-
-
-def baseline_swd(p: PosteriorMatrix, window: int) -> CompressedPosteriors:
-    """Keep frames within *window* of any non-blank-argmax frame.
-
-    The union of [t-window, t+window] intervals, clipped to the frame
-    range and deduplicated; original temporal order is preserved.
-    """
-    if window < 0:
-        raise ValidationError("swd window must be >= 0")
-    labels = argmax_labels(p)
-    keep_mask = np.zeros(p.frames, dtype=bool)
+def _swd_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
+    """Frames within ``swd_window`` of any non-blank-argmax frame, in
+    their original order."""
+    keep = np.zeros(p.frames, dtype=bool)
     for t in np.flatnonzero(labels != BLANK_ID):
-        keep_mask[max(0, t - window):min(p.frames, t + window + 1)] = True
-    keep = np.flatnonzero(keep_mask)
-    return _take(p.values, keep, int(np.count_nonzero(labels[keep] != BLANK_ID)))
+        keep[max(0, t - cfg.swd_window):t + cfg.swd_window + 1] = True
+    return np.flatnonzero(keep), p.values
+
+
+# mode -> chooser(p, labels, cfg) -> (rows, values): the source frame of
+# every output row, CUSTOM_BLANK for an inserted blank, and the matrix
+# the frames index.
+_CHOOSERS = {
+    "dense": lambda p, labels, cfg: (np.arange(p.frames), p.values),
+    "ioo": _ctc_rows,
+    "ioo_koo": _ctc_rows,
+    "ioo_nb": _ctc_rows,
+    "discard": lambda p, labels, cfg: (np.flatnonzero(labels != BLANK_ID), p.values),
+    "average": _average_rows,
+    "lsd": lambda p, labels, cfg: (
+        np.flatnonzero(p.values[:, BLANK_ID] < cfg.lsd_threshold), p.values),
+    "swd": _swd_rows,
+    "aed_ioo": _aed_rows,
+}
+MODES = tuple(_CHOOSERS)
 
 
 def compress(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
-    """Apply the transform selected by ``cfg.mode``."""
-    if cfg.mode == "dense":
-        labels = argmax_labels(p) if p.frames else np.empty(0, np.int64)
-        return CompressedPosteriors(
-            p.values, tuple(range(p.frames)), int(np.count_nonzero(labels != BLANK_ID))
-        )
-    if cfg.mode in _CTC_MODES:
-        return compress_ctc(p, cfg)
-    if cfg.mode == "aed_ioo":
-        return compress_aed(p)
-    if cfg.mode == "discard":
-        return baseline_discard(p)
-    if cfg.mode == "average":
-        return baseline_average(p)
-    if cfg.mode == "lsd":
-        return baseline_lsd(p, cfg.lsd_threshold)
-    if cfg.mode == "swd":
-        return baseline_swd(p, cfg.swd_window)
-    raise ValidationError(f"unknown compression mode {cfg.mode!r}")
+    """Compress *p* with ``cfg.mode``: choose its rows, then gather them in
+    one step.  Row ``CUSTOM_BLANK`` reads the custom blank, so the chosen
+    rows are also the source map."""
+    labels = argmax_labels(p)
+    rows, values = _CHOOSERS[cfg.mode](p, labels, cfg)
+    inserted = rows == CUSTOM_BLANK
+    if cfg.mode == "aed_ioo":  # no native blank, so every input row is content
+        nonblank = p.frames
+    else:
+        nonblank = int(np.count_nonzero(labels[rows[~inserted]] != BLANK_ID))
+    if p.frames:
+        out = values.take(rows, axis=0, mode="clip")  # clip reads row 0 for CUSTOM_BLANK
+    else:  # no frames, so every row is an inserted blank
+        out = np.empty((rows.size, p.vocab_size))
+    out[inserted] = custom_blank(p.vocab_size)
+    return CompressedPosteriors(out, rows.tolist(), nonblank)
 
 
 def save_source_map(c: CompressedPosteriors, path) -> None:
@@ -305,7 +281,7 @@ def load_source_map(path) -> tuple[tuple[int, ...], int, list[int]]:
     increase."""
     rows = read_file(path).splitlines() or [""]
     head = rows[0].split()
-    if len(head) != 3 or head[:2] != ["#", "nonblank"] or not head[2].isdigit():
+    if len(head) != 3 or head[:2] != ["#", "nonblank"] or not head[2].isdecimal():
         raise DataFormatError(
             f"{path}: line 1: expected '# nonblank N' as the first line, got {rows[0]!r}")
     nonblank = int(head[2])

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .errors import ArpaError, DataFormatError, GraphError, read_file
 from .wfst import (
     EPSILON,
+    EPSILON_SYM,
     ONE,
     ZERO,
     Arc,
@@ -139,7 +140,13 @@ class Lexicon:
                 raise DataFormatError(
                     f"{path}: line {ln}: expected 'word<TAB>token token ...'"
                 )
-            entries.append((parts[0].strip(), tuple(parts[1].split())))
+            word, pron = parts[0].strip(), tuple(parts[1].split())
+            if word == EPSILON_SYM:
+                raise DataFormatError(f"{path}: line {ln}: word {word!r} is reserved")
+            for tok in pron:
+                if tok in (EPSILON_SYM, BLANK_SYM) or tok.startswith("#"):
+                    raise DataFormatError(f"{path}: line {ln}: token {tok!r} is reserved")
+            entries.append((word, pron))
         if not entries:
             raise DataFormatError(f"{path}: empty lexicon")
         return cls(entries)
@@ -189,9 +196,6 @@ def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
     arcs: list[list[Arc]] = [[]]  # state 0 is the root
 
     for (word, pron), disambig in zip(lex.entries, indices):
-        for tok in pron:
-            if tok not in tt:
-                raise GraphError(f"word {word!r} uses unknown token {tok!r}")
         ids = [tt.find_id(tok) for tok in pron]
         word_id = wt.find_id(word)
         src = 0

@@ -30,8 +30,6 @@ from spikefst import (
     SynthConfig,
     argmax_labels,
     compress,
-    compress_aed,
-    compress_ctc,
     decode,
     decode_batch,
     levenshtein,
@@ -68,7 +66,7 @@ def test_c01_length_bound_over_thousand_matrices():
                           peak=0.9, noise=0.05)
         p = synth_posteriors(labels, cfg, seed=trial)
         assert 50 <= p.frames <= 2000
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo", blanks_per_region=1))
+        c = compress(p, CompressConfig(mode="ioo_koo", blanks_per_region=1))
         assert c.frames <= 2 * c.nonblank_count + 1, f"violation at trial {trial}"
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -154,14 +152,14 @@ def test_c05_aed_interleave_structure():
         rows = rng.dirichlet(np.ones(vocab), size=t) if t else np.empty((0, vocab))
         from spikefst import PosteriorMatrix
 
-        c = compress_aed(PosteriorMatrix(rows))
+        c = compress(PosteriorMatrix(rows), CompressConfig(mode="aed_ioo"))
         assert c.frames == 2 * t + 1
         for i, src in enumerate(c.source_map):
             if i % 2 == 0:
                 assert src == -1 and c.values[i, 0] == 1.0
             else:
                 assert src == (i - 1) // 2
-    ok(5, "compress_aed emits 2T+1 alternating rows for every T in [0, 1000]")
+    ok(5, "aed_ioo emits 2T+1 alternating rows for every T in [0, 1000]")
 
 
 def test_c06_fst_algebra_oracle_suite():

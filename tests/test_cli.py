@@ -242,6 +242,23 @@ class TestExitCodes:
         assert calls == []
         assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compress", "--input", "{posteriors}", "--out", "{out}", "--mode", "foo"],
+        ["bench", "--graph-dir", "{graph}", "--input", "{posteriors}", "--refs", "{refs}",
+         "--out-dir", "{out}", "--modes", "dense,foo"],
+    ], ids=["compress_mode", "bench_modes"])
+    def test_bad_mode_is_one_before_any_file_is_read(self, workdir, graph_dir, posterior_dir,
+                                                     tmp_path, monkeypatch, capsys, argv):
+        reads = []
+        monkeypatch.setattr("spikefst.cli._iter_corpus", lambda *a: reads.append(a))
+        paths = {"posteriors": posterior_dir, "out": tmp_path / "out", "graph": graph_dir,
+                 "refs": workdir / "refs.txt"}
+        assert main([a.format(**paths) for a in argv]) == 1
+        assert reads == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "invalid choice: 'foo'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_no_flags_give_the_library_defaults(self):
         parse = build_parser().parse_args
         bench = parse(["bench", "--graph-dir", "g", "--input", "i", "--refs", "r",
@@ -412,6 +429,16 @@ class TestUnreadableFiles:
                     "--out-dir", str(tmp_path / "graph")]
         assert main(argv) == 2
         assert any(r.message.startswith(f"{bad}: ") for r in caplog.records)
+
+
+    def test_reserved_lexicon_name_exits_two_naming_its_line(self, workdir, tmp_path, caplog):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("se\ts e\n<eps>\tk a\n")
+        rc = main(["build-graph", "--lexicon", str(lexicon), "--arpa", str(workdir / "lm.arpa"),
+                   "--out-dir", str(tmp_path / "graph")])
+        assert rc == 2
+        assert any(r.message == f"{lexicon}: line 2: word '<eps>' is reserved"
+                   for r in caplog.records)
 
 
 class TestUnwritableOutput:

@@ -15,13 +15,7 @@ from spikefst import (
     SynthConfig,
     ValidationError,
     argmax_labels,
-    baseline_average,
-    baseline_discard,
-    baseline_lsd,
-    baseline_swd,
     compress,
-    compress_aed,
-    compress_ctc,
     custom_blank,
     koo_select,
     load_compressed,
@@ -157,14 +151,14 @@ class TestCompressCtc:
 
     def test_all_blank_collapses_to_single_row(self):
         p = matrix_from_argmax([BLK] * 9)
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo"))
+        c = compress(p, CompressConfig(mode="ioo_koo"))
         assert c.frames == 1 and c.nonblank_count == 0
         assert is_custom_blank(c.values[0])
         assert c.source_map == (CUSTOM_BLANK,)
 
     def test_ioo_koo_max_hand_trace(self):
         p = matrix_from_argmax(self.PATTERN)
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo", koo_strategy="max"))
+        c = compress(p, CompressConfig(mode="ioo_koo", koo_strategy="max"))
         # [custom blank, best A frame, custom blank, B frame]
         assert c.frames == 4 and c.nonblank_count == 2
         assert [is_custom_blank(r) for r in c.values] == [True, False, True, False]
@@ -178,7 +172,7 @@ class TestCompressCtc:
 
     def test_ioo_keeps_all_spike_frames(self):
         p = matrix_from_argmax(self.PATTERN)
-        c = compress_ctc(p, CompressConfig(mode="ioo"))
+        c = compress(p, CompressConfig(mode="ioo"))
         assert c.frames == 5
         assert c.source_map == (CUSTOM_BLANK, 1, 2, CUSTOM_BLANK, 5)
         np.testing.assert_array_equal(c.values[1], p.values[1])
@@ -186,7 +180,7 @@ class TestCompressCtc:
 
     def test_two_blanks_per_region_doubles_everywhere(self):
         p = matrix_from_argmax(self.PATTERN)
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo", blanks_per_region=2))
+        c = compress(p, CompressConfig(mode="ioo_koo", blanks_per_region=2))
         assert [is_custom_blank(r) for r in c.values] == [
             True, True, False, True, True, False,
         ]
@@ -194,12 +188,12 @@ class TestCompressCtc:
 
     def test_empty_input_single_custom_blank(self):
         p = matrix_from_argmax([])
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo"))
+        c = compress(p, CompressConfig(mode="ioo_koo"))
         assert c.frames == 1 and is_custom_blank(c.values[0])
 
     def test_leading_nonblank_still_gets_opening_blank(self):
         p = matrix_from_argmax([A, BLK, B])
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo"))
+        c = compress(p, CompressConfig(mode="ioo_koo"))
         assert c.source_map == (CUSTOM_BLANK, 0, CUSTOM_BLANK, 2)
 
     def test_length_bound_random(self):
@@ -211,7 +205,7 @@ class TestCompressCtc:
                               peak=0.9, noise=0.05)
             p = synth_posteriors(LabelSequence(labels), cfg, seed=trial)
             for mode in ("ioo", "ioo_koo"):
-                c = compress_ctc(p, CompressConfig(mode=mode))
+                c = compress(p, CompressConfig(mode=mode))
                 assert c.frames <= 2 * c.nonblank_count + 1
 
     def test_collapse_preserved(self):
@@ -224,7 +218,7 @@ class TestCompressCtc:
             p = synth_posteriors(LabelSequence(labels), cfg, seed=trial)
             before = collapse_oracle(argmax_labels(p))
             for mode in ("ioo", "ioo_koo"):
-                c = compress_ctc(p, CompressConfig(mode=mode))
+                c = compress(p, CompressConfig(mode=mode))
                 after = collapse_oracle(np.argmax(c.values, axis=1))
                 assert after == before
 
@@ -235,7 +229,7 @@ class TestCompressCtc:
             SynthConfig(vocab_size=5, noise=0.1, peak=0.9),
             seed=3,
         )
-        c = compress_ctc(p, CompressConfig(mode="ioo"))
+        c = compress(p, CompressConfig(mode="ioo"))
         for row, src in zip(c.values, c.source_map):
             if src == CUSTOM_BLANK:
                 np.testing.assert_array_equal(row, custom_blank(5))
@@ -244,7 +238,7 @@ class TestCompressCtc:
 
     def test_ioo_nb_all_rewrites_every_frame(self):
         p = matrix_from_argmax(self.PATTERN, peak=0.7)
-        c = compress_ctc(p, CompressConfig(mode="ioo_nb", nb_onehot="all"))
+        c = compress(p, CompressConfig(mode="ioo_nb", nb_onehot="all"))
         assert c.frames == 5
         for row, src in zip(c.values, c.source_map):
             if src != CUSTOM_BLANK:
@@ -252,7 +246,7 @@ class TestCompressCtc:
 
     def test_ioo_nb_threshold_gates_rewrites(self):
         p = matrix_from_argmax(self.PATTERN, peak=0.7)
-        c = compress_ctc(
+        c = compress(
             p, CompressConfig(mode="ioo_nb", nb_onehot="all", nb_threshold=0.9)
         )
         for row, src in zip(c.values, c.source_map):
@@ -261,7 +255,7 @@ class TestCompressCtc:
 
     def test_ioo_nb_max_keeps_one_onehot_per_block(self):
         p = matrix_from_argmax(self.PATTERN, peak=0.7)
-        c = compress_ctc(p, CompressConfig(mode="ioo_nb", nb_onehot="max"))
+        c = compress(p, CompressConfig(mode="ioo_nb", nb_onehot="max"))
         assert c.frames == 4 and c.nonblank_count == 2
         assert c.values[1].max() == 1.0 and c.values[3].max() == 1.0
 
@@ -269,51 +263,51 @@ class TestCompressCtc:
 class TestCompressAed:
     def test_two_rows_make_five(self):
         p = matrix_from_argmax([A, B])
-        c = compress_aed(p)
+        c = compress(p, CompressConfig(mode="aed_ioo"))
         assert c.frames == 5
         assert [is_custom_blank(r) for r in c.values] == [True, False, True, False, True]
 
     def test_empty_input_single_blank(self):
-        c = compress_aed(matrix_from_argmax([]))
+        c = compress(matrix_from_argmax([]), CompressConfig(mode="aed_ioo"))
         assert c.frames == 1 and is_custom_blank(c.values[0])
 
     def test_source_map_alternates(self):
-        c = compress_aed(matrix_from_argmax([A, B, A]))
+        c = compress(matrix_from_argmax([A, B, A]), CompressConfig(mode="aed_ioo"))
         assert c.source_map == (CUSTOM_BLANK, 0, CUSTOM_BLANK, 1, CUSTOM_BLANK, 2, CUSTOM_BLANK)
 
     def test_length_always_odd(self):
         rng = np.random.default_rng(2)
         for t in (0, 1, 7, 33):
             p = PosteriorMatrix(rng.dirichlet(np.ones(6), size=t))
-            assert compress_aed(p).frames == 2 * t + 1
+            assert compress(p, CompressConfig(mode="aed_ioo")).frames == 2 * t + 1
 
 
 class TestBaselines:
     def test_discard_definition(self):
         p = matrix_from_argmax([BLK, A, BLK, B])
-        c = baseline_discard(p)
+        c = compress(p, CompressConfig(mode="discard"))
         assert c.source_map == (1, 3)
 
     def test_discard_all_blank_empty(self):
-        c = baseline_discard(matrix_from_argmax([BLK] * 4))
+        c = compress(matrix_from_argmax([BLK] * 4), CompressConfig(mode="discard"))
         assert c.frames == 0
 
     def test_discard_matches_filter_oracle(self):
         rng = np.random.default_rng(3)
         pattern = [int(rng.integers(0, 3)) for _ in range(50)]
         p = matrix_from_argmax(pattern)
-        c = baseline_discard(p)
+        c = compress(p, CompressConfig(mode="discard"))
         assert list(c.source_map) == [t for t, tok in enumerate(pattern) if tok != BLK]
 
     def test_average_arithmetic_mean(self):
         p = PosteriorMatrix(np.array([[1.0, 0.0], [0.8, 0.2]]))
-        c = baseline_average(p)
+        c = compress(p, CompressConfig(mode="average"))
         assert c.frames == 1
         np.testing.assert_allclose(c.values[0], [0.9, 0.1])
 
     def test_average_single_frame_run_unchanged(self):
         p = matrix_from_argmax([BLK, A])
-        c = baseline_average(p)
+        c = compress(p, CompressConfig(mode="average"))
         np.testing.assert_array_equal(c.values[0], p.values[0])
 
     def test_average_rows_stay_stochastic(self):
@@ -321,41 +315,42 @@ class TestBaselines:
         p = synth_posteriors(
             LabelSequence((1, 2)), SynthConfig(vocab_size=4, noise=0.2, peak=0.8), 1
         )
-        c = baseline_average(p)
+        c = compress(p, CompressConfig(mode="average"))
         np.testing.assert_allclose(c.values.sum(axis=1), 1.0, atol=1e-6)
 
     def test_lsd_drops_confident_blanks(self):
         p = PosteriorMatrix(np.array([[0.995, 0.005], [0.5, 0.5]]))
-        c = baseline_lsd(p, 0.99)
+        c = compress(p, CompressConfig(mode="lsd", lsd_threshold=0.99))
         assert c.source_map == (1,)
 
     def test_lsd_threshold_one_drops_exact_ones(self):
         p = PosteriorMatrix(np.array([[1.0, 0.0], [0.9, 0.1]]))
-        c = baseline_lsd(p, 1.0)
+        c = compress(p, CompressConfig(mode="lsd", lsd_threshold=1.0))
         assert c.source_map == (1,)
 
     def test_lsd_threshold_zero_empties(self):
         p = matrix_from_argmax([A, B])
-        assert baseline_lsd(p, 0.0).frames == 0
+        assert compress(p, CompressConfig(mode="lsd", lsd_threshold=0.0)).frames == 0
 
     def test_lsd_rejects_bad_threshold(self):
         with pytest.raises(ValidationError):
-            baseline_lsd(matrix_from_argmax([A]), 1.5)
+            CompressConfig(mode="lsd", lsd_threshold=1.5)
 
     def test_swd_window_one(self):
         p = matrix_from_argmax([BLK, BLK, A, BLK, BLK])
-        c = baseline_swd(p, 1)
+        c = compress(p, CompressConfig(mode="swd", swd_window=1))
         assert c.source_map == (1, 2, 3)
 
     def test_swd_window_zero_equals_discard(self):
         rng = np.random.default_rng(6)
         pattern = [int(rng.integers(0, 3)) for _ in range(60)]
         p = matrix_from_argmax(pattern)
-        assert baseline_swd(p, 0).source_map == baseline_discard(p).source_map
+        swd = compress(p, CompressConfig(mode="swd", swd_window=0))
+        assert swd.source_map == compress(p, CompressConfig(mode="discard")).source_map
 
     def test_swd_overlapping_windows_dedup(self):
         p = matrix_from_argmax([A, BLK, B, BLK])
-        c = baseline_swd(p, 1)
+        c = compress(p, CompressConfig(mode="swd", swd_window=1))
         # union oracle over {t-1..t+1}
         expected = sorted({0, 1} | {1, 2, 3})
         assert list(c.source_map) == expected
@@ -370,7 +365,8 @@ class TestBaselines:
             for t, tok in enumerate(pattern):
                 if tok != BLK:
                     keep |= set(range(max(0, t - w), min(len(pattern), t + w + 1)))
-            assert list(baseline_swd(p, w).source_map) == sorted(keep)
+            swd = compress(p, CompressConfig(mode="swd", swd_window=w))
+            assert list(swd.source_map) == sorted(keep)
 
 
 class TestSerialization:
@@ -382,7 +378,7 @@ class TestSerialization:
             SynthConfig(vocab_size=5, noise=0.1, peak=0.9),
             seed=21,
         )
-        c = compress_ctc(p, CompressConfig(mode="ioo_koo"))
+        c = compress(p, CompressConfig(mode="ioo_koo"))
         path = tmp_path / "utt.spkf"
         save_compressed(c, path)
         assert (tmp_path / "utt.spkf.map").exists()
@@ -467,7 +463,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("first", [
         "# nonblank", "# nonblank two", "# nonblank -1", "# nonblank 1 2",
-        "# blanks 1", "#nonblank 1", "# nonblank 9",
+        "# blanks 1", "#nonblank 1", "# nonblank 9", "# nonblank \u00b2",
     ])
     def test_malformed_count_line_is_a_data_error(self, tmp_path, first):
         from spikefst import load_compressed, save_compressed
@@ -476,7 +472,8 @@ class TestSerialization:
         path = tmp_path / "utt.spkf"
         save_compressed(c, path)
         rows = (tmp_path / "utt.spkf.map").read_text().splitlines()[1:]
-        (tmp_path / "utt.spkf.map").write_text("\n".join([first, *rows]) + "\n")
+        (tmp_path / "utt.spkf.map").write_text("\n".join([first, *rows]) + "\n",
+                                               encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_compressed(path)
 
@@ -565,6 +562,22 @@ class TestDispatcher:
         assert CompressConfig(mode="ioo_nb").label() == "ioo_nb/all"
         with pytest.raises(ValidationError, match=r"all\|max"):
             CompressConfig(mode="ioo_nb", nb_onehot="off")
+
+    def test_argmax_labels_is_taken_once_per_call(self, monkeypatch):
+        # the package's name ``compress`` is the function, not the module
+        compress_module = sys.modules["spikefst.compress"]
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return argmax_labels(p)
+
+        monkeypatch.setattr(compress_module, "argmax_labels", counted)
+        p = matrix_from_argmax([BLK, A, A, BLK, BLK, B, BLK, A])
+        for mode in MODES:
+            calls.clear()
+            compress(p, CompressConfig(mode=mode))
+            assert calls == [p], mode
 
     def test_all_modes_deterministic(self):
         p = synth_posteriors(

@@ -146,6 +146,17 @@ class TestLexiconFst:
         with pytest.raises(FstError, match=f"^{re.escape(match)}$"):
             Lexicon(entries)
 
+    @pytest.mark.parametrize("line, what", [
+        ("<eps>\tk a", "word '<eps>'"), ("ka\t<eps> a", "token '<eps>'"),
+        ("ka\t<blk> a", "token '<blk>'"), ("ka\t#1 a", "token '#1'"),
+    ], ids=["epsilon_word", "epsilon_token", "blank_token", "disambig_token"])
+    def test_from_file_refuses_a_reserved_name_on_its_line(self, tmp_path, line, what):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"se\ts e\n{line}\n")
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(f'{path}: line 2: {what} is reserved')}$"):
+            Lexicon.from_file(path)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "lexicon.txt"
         path.write_text("ka\tk a\nse\ts e\n")

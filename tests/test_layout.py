@@ -5,7 +5,8 @@ and ``decoder.py`` holds the search and nothing else: it does not score,
 and of ``compress`` it needs only the type that carries a source map.
 Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and the public
 names of ``Fst`` and ``SymbolTable`` are pinned, so that no mutator comes
-back unnoticed.  Only
+back unnoticed.  ``compress.py``'s public names are pinned too, so that
+``compress`` stays the one way to compress.  Only
 ``errors.py`` writes a file: everything else calls ``errors.write_file``.
 """
 
@@ -101,6 +102,17 @@ def test_symbol_table_public_names_are_pinned():
     init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
     assert [a.arg for a in init.args.args] == ["self", "symbols"]
     assert not init.args.kwonlyargs and not init.args.vararg and not init.args.kwarg
+
+
+def test_compress_public_names_are_pinned():
+    tree = ast.parse((SRC / "compress.py").read_text())
+    functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert {n for n in functions if not n.startswith("_")} == {
+        "custom_blank", "segment_blocks", "koo_select", "compress", "save_source_map",
+        "load_source_map", "save_compressed", "load_compressed"}
+    assert {n for n in classes if not n.startswith("_")} == {
+        "CompressedPosteriors", "CompressConfig"}
 
 
 _WRITES = {"write_text", "write_bytes", "open", "mkstemp", "atomic_write"}
