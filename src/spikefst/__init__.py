@@ -7,17 +7,7 @@ frame-synchronous Viterbi beam search over far fewer frames.
 """
 
 from .bench import BenchReport, BenchRow, SweepPoint, bench, score_batch, sweep_params, word_syms
-from .compress import (
-    CUSTOM_BLANK,
-    CompressConfig,
-    CompressedPosteriors,
-    compress,
-    custom_blank,
-    koo_select,
-    load_compressed,
-    save_compressed,
-    segment_blocks,
-)
+from .compress import CompressConfig, compress, koo_select, segment_blocks
 from .decoder import (
     BatchResult,
     DecodeResult,
@@ -48,10 +38,13 @@ from .graph import (
 )
 from .posterior import (
     BLANK_ID,
+    CUSTOM_BLANK,
+    CompressedPosteriors,
     LabelSequence,
     PosteriorMatrix,
     SynthConfig,
     argmax_labels,
+    custom_blank,
     load_labels,
     load_posteriors,
     save_posteriors,

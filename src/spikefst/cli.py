@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import bench, sweep_params, word_syms
-from .compress import MODES, CompressConfig, compress, load_compressed, save_compressed
+from .compress import MODES, CompressConfig, compress
 from .decoder import DecoderConfig, decode_batch
 from .errors import DecodeError, SpikefstError, ValidationError, write_file
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
@@ -177,7 +177,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out_dir)
     for i, seq in enumerate(labels):
         mat = synth_posteriors(seq, cfg, seed=args.seed + i)
-        save_posteriors(mat, out / f"utt{i:05d}.spkf", "binary")
+        save_posteriors(mat, out / f"utt{i:05d}.spkf")
     log.info("wrote %d posterior files to %s", len(labels), out)
     return EXIT_OK
 
@@ -188,8 +188,8 @@ def cmd_compress(args) -> int:
     pairs = _iter_corpus(args.input)
     multi = Path(args.input).is_dir()
     for utt, path in pairs:
-        comp = compress(load_posteriors(path, "binary"), cfg)
-        save_compressed(comp, (out / f"{utt}.spkf") if multi else out)
+        comp = compress(load_posteriors(path), cfg)
+        save_posteriors(comp, (out / f"{utt}.spkf") if multi else out)
     log.info("compressed %d utterances with mode %s", len(pairs), cfg.label())
     print(json.dumps({"utterances": len(pairs), "mode": cfg.label()}), file=sys.stderr)
     return EXIT_OK
@@ -198,7 +198,7 @@ def cmd_compress(args) -> int:
 def cmd_decode(args) -> int:
     graph = _load_graph(args.graph_dir)
     cfg = _decoder_config(args)
-    utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
+    utts = [(u, load_posteriors(p)) for u, p in _iter_corpus(args.input)]
     batch = decode_batch(graph, utts, cfg)
 
     lines = []
@@ -262,7 +262,7 @@ _BENCH_DEFAULT_MODES = "dense,ioo,ioo_koo,discard,average,lsd,swd"
 def cmd_bench(args) -> int:
     graph = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
-    utts = [(u, load_posteriors(p, "binary")) for u, p in _iter_corpus(args.input)]
+    utts = [(u, load_posteriors(p)) for u, p in _iter_corpus(args.input)]
     modes = [_compress_config(args, mode=name) for name in args.modes]
     report = bench(graph, utts, refs, modes, _decoder_config(args),
                    repeats=args.repeats, unit=args.unit)
@@ -276,7 +276,7 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     graph = _load_graph(args.graph_dir)
     refs = read_trans_file(args.refs)
-    utts = [(u, load_compressed(p)) for u, p in _iter_corpus(args.input)]
+    utts = [(u, load_posteriors(p)) for u, p in _iter_corpus(args.input)]
     grid = [
         DecoderConfig(beam=b, max_active=ma, acoustic_scale=args.acoustic_scale)
         for b in args.beams

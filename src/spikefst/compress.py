@@ -29,49 +29,25 @@ also the source map: every output row records its source frame and time
 alignments survive compression.  ``nonblank_count`` has one rule: the
 kept source frames whose argmax is not blank, or every input row for
 ``aed_ioo``, whose input has no native blank.  All transforms are pure
-and deterministic.
+and deterministic, and none reads or writes a file: ``save_posteriors``
+writes a compressed matrix and its source map as one file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, read_file, write_file
+from .errors import ValidationError
 from .posterior import (
     BLANK_ID,
+    CUSTOM_BLANK,
+    CompressedPosteriors,
     PosteriorMatrix,
     argmax_labels,
-    load_posteriors,
-    save_posteriors,
+    custom_blank,
 )
-
-# source_map marker for inserted one-hot blank rows
-CUSTOM_BLANK = -1
-
-
-
-@dataclass(frozen=True)
-class CompressedPosteriors(PosteriorMatrix):
-    """A compressed frame sequence: a :class:`PosteriorMatrix` whose rows
-    (kept frames and inserted one-hot blanks) carry their provenance.
-
-    ``source_map[i]`` is the input frame the i-th row came from, or
-    ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count``
-    counts the kept source frames whose argmax is not blank, or every
-    input row for ``aed_ioo``, whose input has no native blank.
-    """
-
-    source_map: tuple[int, ...]
-    nonblank_count: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.source_map) != self.frames:
-            raise ValidationError("source_map length must match row count")
-        object.__setattr__(self, "source_map", tuple(map(int, self.source_map)))
 
 
 @dataclass(frozen=True)
@@ -112,15 +88,6 @@ class CompressConfig:
         if self.mode == "swd":
             return f"swd/{self.swd_window}"
         return self.mode
-
-
-def custom_blank(vocab_size: int) -> np.ndarray:
-    """The deterministic inserted blank: probability 1 on the blank token."""
-    if vocab_size < 2:
-        raise ValidationError("vocab_size must be >= 2")
-    row = np.zeros(vocab_size, dtype=np.float64)
-    row[BLANK_ID] = 1.0
-    return row
 
 
 def segment_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,76 +233,3 @@ def compress(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
     out[inserted] = custom_blank(p.vocab_size)
     return CompressedPosteriors(out, rows.tolist(), nonblank)
 
-
-def save_source_map(c: CompressedPosteriors, path) -> None:
-    """Sidecar text file: a '# nonblank N' line with ``nonblank_count``,
-    then one line per output row, frame index or 'B'."""
-    lines = [f"# nonblank {c.nonblank_count}"]
-    lines += ["B" if s == CUSTOM_BLANK else str(s) for s in c.source_map]
-    write_file(path, "\n".join(lines) + "\n")
-
-
-def load_source_map(path) -> tuple[tuple[int, ...], int, list[int]]:
-    """Read a sidecar.  Returns the source map, ``nonblank_count`` and
-    the line number of each row.  Frame indices must strictly
-    increase."""
-    rows = read_file(path).splitlines() or [""]
-    head = rows[0].split()
-    if len(head) != 3 or head[:2] != ["#", "nonblank"] or not head[2].isdecimal():
-        raise DataFormatError(
-            f"{path}: line 1: expected '# nonblank N' as the first line, got {rows[0]!r}")
-    nonblank = int(head[2])
-    out, lines, last = [], [], -1
-    for no, line in enumerate(rows[1:], 2):
-        line = line.strip()
-        if not line:
-            continue
-        if line == "B":
-            out.append(CUSTOM_BLANK)
-        elif not line.isdecimal():  # a sign, so a negative frame, fails too
-            raise DataFormatError(
-                f"{path}: line {no}: expected a frame index or 'B', got {line!r}")
-        elif int(line) <= last:
-            raise DataFormatError(
-                f"{path}: line {no}: frame indices must strictly increase, got {line} after {last}")
-        else:
-            last = int(line)
-            out.append(last)
-        lines.append(no)
-    if nonblank > len(out):
-        raise DataFormatError(f"{path}: {nonblank} content rows but only {len(out)} rows")
-    return tuple(out), nonblank, lines
-
-
-def save_compressed(c: CompressedPosteriors, path) -> None:
-    """Write the frame matrix in the standard binary posterior format plus
-    a '<path>.map' provenance sidecar.  An old sidecar is removed first, so
-    a failed write never leaves the new matrix beside the old map."""
-    sidecar = Path(f"{path}.map")
-    try:
-        sidecar.unlink(missing_ok=True)
-    except OSError as exc:
-        raise DataFormatError(f"{sidecar}: cannot remove: {exc.strerror or exc}") from None
-    save_posteriors(c, path, "binary")
-    save_source_map(c, sidecar)
-
-
-def load_compressed(path):
-    """Load a compressed corpus file; without its sidecar the provenance is
-    gone and a plain :class:`PosteriorMatrix` is returned instead.  A row
-    the sidecar marks 'B' must hold the inserted blank exactly."""
-    path = Path(path)
-    mat = load_posteriors(path, "binary")
-    sidecar = Path(str(path) + ".map")
-    if not sidecar.exists():
-        return mat
-    smap, nonblank, lines = load_source_map(sidecar)
-    if len(smap) != mat.frames:
-        raise DataFormatError(f"{sidecar}: {len(smap)} rows but {path} has {mat.frames}")
-    marked = np.flatnonzero(np.asarray(smap, dtype=np.int64) == CUSTOM_BLANK)
-    wrong = marked[np.any(mat.values[marked] != custom_blank(mat.vocab_size), axis=1)]
-    if wrong.size:
-        raise DataFormatError(
-            f"{sidecar}: line {lines[wrong[0]]}: row {wrong[0]} is marked 'B' but its "
-            "values are not the inserted blank")
-    return CompressedPosteriors(mat.values, smap, nonblank)

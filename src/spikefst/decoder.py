@@ -94,8 +94,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compress import CompressedPosteriors
 from .errors import DecodeError, FstError, ValidationError
+from .posterior import CompressedPosteriors
 from .wfst import EPSILON, ZERO, Arc, Fst
 
 

@@ -2,8 +2,13 @@
 
 A posterior matrix is a T x V row-stochastic matrix: one probability
 distribution over the token vocabulary per acoustic frame.  Column 0 is
-always the blank token.  All operations here are pure; matrices are
-treated as immutable after construction.
+always the blank token.  A :class:`CompressedPosteriors` is a matrix whose
+rows also record the source frame each came from.  All operations here
+are pure; matrices are treated as immutable after construction.
+
+This module owns the one posterior file format.  Version 1 holds a plain
+matrix; version 2 holds a compressed one, its source map and content
+count in the same file, so a copied file keeps its provenance.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import numpy as np
 from .errors import DataFormatError, ValidationError, read_file, write_file
 
 BLANK_ID = 0
+# source_map marker for inserted one-hot blank rows
+CUSTOM_BLANK = -1
 
 _MAGIC = b"SPKF"
-_VERSION = 1
 # Refuse headers that would allocate unreasonably large payloads.
 _MAX_CELLS = 1 << 28
 
@@ -69,6 +75,36 @@ class PosteriorMatrix:
 
 
 @dataclass(frozen=True)
+class CompressedPosteriors(PosteriorMatrix):
+    """A compressed frame sequence: a :class:`PosteriorMatrix` whose rows
+    (kept frames and inserted one-hot blanks) carry their provenance.
+
+    ``source_map[i]`` is the input frame the i-th row came from, or
+    ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count``
+    counts the kept source frames whose argmax is not blank, or every
+    input row for ``aed_ioo``, whose input has no native blank.
+    """
+
+    source_map: tuple[int, ...]
+    nonblank_count: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.source_map) != self.frames:
+            raise ValidationError("source_map length must match row count")
+        object.__setattr__(self, "source_map", tuple(map(int, self.source_map)))
+
+
+def custom_blank(vocab_size: int) -> np.ndarray:
+    """The deterministic inserted blank: probability 1 on the blank token."""
+    if vocab_size < 2:
+        raise ValidationError("vocab_size must be >= 2")
+    row = np.zeros(vocab_size, dtype=np.float64)
+    row[BLANK_ID] = 1.0
+    return row
+
+
+@dataclass(frozen=True)
 class LabelSequence:
     """Blank-free token indices for one utterance, optionally with reference text."""
 
@@ -107,14 +143,26 @@ def argmax_labels(p: PosteriorMatrix) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def save_posteriors(p: PosteriorMatrix, path, format: str = "binary") -> None:
-    """Write *p* as magic, version, T and V, then T x V little-endian f32."""
+    """Write *p* as magic, version, T and V, then T x V little-endian f32.
+    A plain matrix is version 1.  A :class:`CompressedPosteriors` is
+    version 2, and its matrix is followed by its u32 ``nonblank_count``
+    and its T i32 source frames."""
     if format != "binary":
         raise ValidationError(f"unknown posterior format {format!r}")
-    header = struct.pack("<4sIII", _MAGIC, _VERSION, p.frames, p.vocab_size)
-    write_file(path, header + np.ascontiguousarray(p.values, dtype="<f4").tobytes())
+    compressed = isinstance(p, CompressedPosteriors)
+    header = struct.pack("<4sIII", _MAGIC, 2 if compressed else 1, p.frames, p.vocab_size)
+    data = header + np.ascontiguousarray(p.values, dtype="<f4").tobytes()
+    if compressed:
+        data += struct.pack("<I", p.nonblank_count) + np.asarray(p.source_map, "<i4").tobytes()
+    write_file(path, data)
 
 
 def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
+    """Read a file :func:`save_posteriors` wrote: version 1 as a
+    :class:`PosteriorMatrix`, version 2 as a :class:`CompressedPosteriors`.
+    A version-2 map must count no more content rows than there are rows,
+    hold no frame below ``CUSTOM_BLANK``, strictly increase over its kept
+    frames, and mark only rows that hold the inserted blank exactly."""
     if format != "binary":
         raise ValidationError(f"unknown posterior format {format!r}")
     raw = read_file(path, binary=True)
@@ -123,23 +171,49 @@ def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
     magic, version, frames, vocab = struct.unpack_from("<4sIII", raw)
     if magic != _MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
+    if version not in (1, 2):
         raise DataFormatError(f"{path}: unsupported format version {version}")
     if frames * vocab > _MAX_CELLS:
         raise DataFormatError(f"{path}: dimension overflow ({frames} x {vocab})")
-    want = 16 + 4 * frames * vocab
+    end = 16 + 4 * frames * vocab
+    want = end if version == 1 else end + 4 + 4 * frames
     if len(raw) < want:
         raise DataFormatError(f"{path}: truncated payload ({len(raw)} of {want} bytes)")
     if len(raw) > want:
         raise DataFormatError(f"{path}: {len(raw) - want} trailing bytes after payload")
-    values = np.frombuffer(raw, dtype="<f4", offset=16).reshape(frames, vocab)
-    return PosteriorMatrix(values.astype(np.float64))
+    values = np.frombuffer(raw, dtype="<f4", count=frames * vocab, offset=16)
+    values = values.reshape(frames, vocab).astype(np.float64)
+    if version == 1:
+        return PosteriorMatrix(values)
+    (nonblank,) = struct.unpack_from("<I", raw, end)
+    smap = np.frombuffer(raw, dtype="<i4", offset=end + 4)
+    if nonblank > frames:
+        raise DataFormatError(f"{path}: {nonblank} content rows but only {frames} rows")
+    below = np.flatnonzero(smap < CUSTOM_BLANK)
+    if below.size:
+        raise DataFormatError(
+            f"{path}: row {below[0]}: source frame {smap[below[0]]} is below {CUSTOM_BLANK}")
+    kept = np.flatnonzero(smap != CUSTOM_BLANK)
+    down = np.flatnonzero(np.diff(smap[kept]) <= 0)
+    if down.size:
+        row, prev = kept[down[0] + 1], kept[down[0]]
+        raise DataFormatError(
+            f"{path}: row {row}: source frames must strictly increase, "
+            f"got {smap[row]} after {smap[prev]}")
+    marked = np.flatnonzero(smap == CUSTOM_BLANK)
+    wrong = marked[np.any(values[marked] != custom_blank(vocab), axis=1)]
+    if wrong.size:
+        raise DataFormatError(
+            f"{path}: row {wrong[0]}: marked {CUSTOM_BLANK} but its values are not the "
+            "inserted blank")
+    return CompressedPosteriors(values, smap.tolist(), nonblank)
 
 
 def load_labels(path, token_table=None) -> list[LabelSequence]:
-    """One utterance per line: space-separated token indices, or symbols
-    resolved against *token_table* (graph ids are shifted down by one to
-    posterior column indices)."""
+    """One utterance per line: space-separated symbols resolved against
+    *token_table* (graph ids are shifted down by one to posterior column
+    indices), or token indices.  A symbol of the table wins over the
+    integer it spells."""
     out = []
     for ln, line in enumerate(read_file(path).splitlines(), start=1):
         line = line.strip()
@@ -147,17 +221,17 @@ def load_labels(path, token_table=None) -> list[LabelSequence]:
             continue
         toks = []
         for part in line.split():
-            if token_table is not None and not part.lstrip("-").isdigit():
-                if part not in token_table:
-                    raise DataFormatError(f"{path}: line {ln}: unknown token {part!r}")
+            if token_table is not None and part in token_table:
                 toks.append(token_table.find_id(part) - 1)
-            else:
-                try:
-                    toks.append(int(part))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {ln}: token {part!r} is not an integer "
-                        "(symbols need a token table)") from None
+                continue
+            try:
+                toks.append(int(part))
+            except ValueError:
+                if token_table is not None:
+                    raise DataFormatError(f"{path}: line {ln}: unknown token {part!r}") from None
+                raise DataFormatError(
+                    f"{path}: line {ln}: token {part!r} is not an integer "
+                    "(symbols need a token table)") from None
         out.append(LabelSequence(tuple(toks)))
     return out
 

@@ -28,11 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from spikefst import LabelSequence, PosteriorMatrix, SynthConfig, synth_posteriors
-from spikefst.compress import CUSTOM_BLANK
 from spikefst.decoder import DecodeResult
 from spikefst.errors import DataFormatError, DecodeError, FstError, ValidationError
 from spikefst.graph import Lexicon, build_grammar_fst, build_lexicon_fst, build_token_fst, parse_arpa
-from spikefst.posterior import ROW_SUM_TOL
+from spikefst.posterior import CUSTOM_BLANK, ROW_SUM_TOL
 from spikefst.wfst import EPSILON, ONE, ZERO, Arc, Fst, wplus, wtimes
 from spikefst.wfst.ops import _QUANT, _relax
 

@@ -14,7 +14,6 @@ from helpers import ToyLang, sample_sentences, toy_lexicon_text, TOY_WORDS
 from spikefst import (CompressConfig, DataFormatError, DecoderConfig, SymbolTable, load_labels,
                       load_posteriors)
 from spikefst.cli import _compress_config, _decoder_config, build_parser, main
-from spikefst.compress import load_source_map
 from spikefst.graph import Lexicon, load_arpa
 from spikefst.scoring import read_trans_file
 from spikefst.wfst import read_fst_text, write_fst_text
@@ -112,6 +111,26 @@ class TestSynth:
         n_labels = len((workdir / "labels.txt").read_text().splitlines())
         assert len(list(posterior_dir.glob("*.spkf"))) == n_labels
 
+    def test_label_symbols_resolve_before_integers(self, tmp_path, caplog):
+        # '\u00b2' and '7' are bound symbols, so they name their table ids;
+        # '1' is not, so it still reads as column 1
+        from spikefst import argmax_labels, load_posteriors
+
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("<eps>\t0\n<blk>\t1\na\t2\n\u00b2\t3\n7\t4\n", encoding="utf-8")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("a \u00b2 7 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--labels", str(labels), "--tokens", str(tokens),
+                     "--out-dir", str(out)]) == 0
+        frames = argmax_labels(load_posteriors(out / "utt00000.spkf"))
+        runs = [int(t) for i, t in enumerate(frames) if i == 0 or t != frames[i - 1]]
+        assert [t for t in runs if t != 0] == [1, 2, 3, 1]
+        labels.write_text("a b\n")
+        assert main(["synth", "--labels", str(labels), "--tokens", str(tokens),
+                     "--out-dir", str(out)]) == 2
+        assert any(f"{labels}: line 1: unknown token 'b'" in r.message for r in caplog.records)
+
     def test_fixed_seed_reproduces_bytes(self, workdir, graph_dir, posterior_dir):
         again = workdir / "dense_again"
         rc = main(["synth", "--labels", str(workdir / "labels.txt"),
@@ -168,22 +187,43 @@ class TestPipeline:
             assert rec["frames"] == expect.frames_processed
 
     def test_compress_writes_what_save_compressed_writes(self, workdir, posterior_dir):
-        from spikefst import CompressConfig, compress, load_compressed, load_posteriors, save_compressed
+        # one file per utterance, the same bytes that save_posteriors writes
+        from spikefst import CompressConfig, compress, load_posteriors, save_posteriors
 
         comp_dir = workdir / "comp_aed"
         assert main(["compress", "--input", str(posterior_dir), "--out", str(comp_dir),
                      "--mode", "aed_ioo"]) == 0
         ref_dir = workdir / "ref_aed"
-        ref_dir.mkdir()
-        written = sorted(comp_dir.iterdir())
-        assert written and not [f for f in written if f.name.startswith(".")]
-        for path in sorted(posterior_dir.glob("*.spkf")):
-            comp = compress(load_posteriors(path, "binary"), CompressConfig(mode="aed_ioo"))
-            save_compressed(comp, ref_dir / path.name)
-            for suffix in ("", ".map"):
-                got = (comp_dir / (path.name + suffix)).read_bytes()
-                assert got == (ref_dir / (path.name + suffix)).read_bytes()
-            assert load_compressed(comp_dir / path.name).nonblank_count == comp.nonblank_count
+        inputs = sorted(posterior_dir.glob("*.spkf"))
+        assert [f.name for f in sorted(comp_dir.iterdir())] == [f.name for f in inputs]
+        for path in inputs:
+            comp = compress(load_posteriors(path), CompressConfig(mode="aed_ioo"))
+            save_posteriors(comp, ref_dir / path.name)
+            assert (comp_dir / path.name).read_bytes() == (ref_dir / path.name).read_bytes()
+            assert load_posteriors(comp_dir / path.name).nonblank_count == comp.nonblank_count
+
+    def test_a_copied_file_keeps_its_alignment(self, graph_dir, posterior_dir, tmp_path):
+        # the source map travels inside the .spkf, so one file copied alone
+        # still reports source frames, not row indices
+        import shutil
+
+        from spikefst import CompressConfig, DecoderConfig, compress, decode, load_posteriors
+
+        assert main(["compress", "--input", str(posterior_dir), "--out", str(tmp_path / "comp"),
+                     "--mode", "ioo_koo"]) == 0
+        name = sorted(posterior_dir.glob("*.spkf"))[2].name
+        (tmp_path / "alone").mkdir()
+        shutil.copy(tmp_path / "comp" / name, tmp_path / "alone" / name)
+        out = tmp_path / "out.jsonl"
+        assert main(["decode", "--graph-dir", str(graph_dir), "--input", str(tmp_path / "alone"),
+                     "--out", str(out), "--alignment", "--beam", "12"]) == 0
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        graph = read_fst_text(graph_dir / "tlg.fst.txt", SymbolTable.from_file(
+            graph_dir / "tokens.txt"), SymbolTable.from_file(graph_dir / "words.txt"))
+        comp = compress(load_posteriors(posterior_dir / name), CompressConfig(mode="ioo_koo"))
+        expect = decode(graph, comp, DecoderConfig(beam=12.0)).tokens
+        assert -1 in [frame for frame, _ in expect]
+        assert record["alignment"] == [list(pair) for pair in expect]
 
     def test_score_identical_files_is_zero(self, workdir, capsys):
         rc = main(["score", "--refs", str(workdir / "refs.txt"),
@@ -299,14 +339,15 @@ class TestExitCodes:
         comp_dir = tmp_path / "comp"
         assert main(["compress", "--input", str(posterior_dir), "--out", str(comp_dir),
                      "--mode", "ioo_koo"]) == 0
-        sidecar = sorted(comp_dir.glob("*.map"))[0]
-        lines = sidecar.read_text().splitlines()
-        lines[2] = "-7"
-        sidecar.write_text("\n".join(lines) + "\n")
+        bad = sorted(comp_dir.glob("*.spkf"))[0]
+        raw = bytearray(bad.read_bytes())
+        _, _, rows, vocab = struct.unpack_from("<4sIII", raw)
+        struct.pack_into("<i", raw, 16 + 4 * rows * vocab + 4 + 4 * 2, -7)  # row 2's frame
+        bad.write_bytes(bytes(raw))
         rc = main(["decode", "--graph-dir", str(graph_dir), "--input", str(comp_dir),
                    "--out", str(tmp_path / "out.jsonl")])
         assert rc == 2
-        assert any(f"{sidecar.name}: line 3: expected a frame index or 'B', got '-7'" in r.message
+        assert any(f"{bad}: row 2: source frame -7 is below -1" in r.message
                    for r in caplog.records)
 
     @pytest.mark.parametrize("command", [
@@ -386,7 +427,6 @@ class TestExitCodes:
 LOADERS = {
     "posteriors_binary": lambda path: load_posteriors(path, "binary"),
     "labels": load_labels,
-    "source_map": load_source_map,
     "lexicon": Lexicon.from_file,
     "arpa": load_arpa,
     "symbols": SymbolTable.from_file,
@@ -517,6 +557,27 @@ class TestLoaderFuzz:
             if k <= 16 or k % 64 == 0:  # the whole header, then a spread of payloads
                 assert main(["compress", "--input", str(bad),
                              "--out", str(tmp_path / "out")]) == 2
+
+    def test_every_prefix_of_a_compressed_file(self, graph_dir, posterior_dir, tmp_path):
+        from spikefst import DataFormatError, load_posteriors
+
+        source = min(posterior_dir.glob("*.spkf"), key=lambda f: f.stat().st_size)
+        assert main(["compress", "--input", str(source), "--out", str(tmp_path / "c.spkf"),
+                     "--mode", "ioo_koo"]) == 0
+        raw = (tmp_path / "c.spkf").read_bytes()
+        _, version, rows, vocab = struct.unpack_from("<4sIII", raw)
+        assert version == 2 and len(raw) == 16 + 4 * rows * vocab + 4 + 4 * rows
+        (tmp_path / "bad").mkdir()
+        bad = tmp_path / "bad" / "bad.spkf"
+        for k in range(len(raw)):
+            bad.write_bytes(raw[:k])
+            with pytest.raises(DataFormatError):
+                load_posteriors(bad)
+            # the whole header, a spread of the matrix, then the count and the map
+            if k <= 16 or k % 64 == 0 or k >= len(raw) - 4 * rows - 4 and k % 4 == 0:
+                assert main(["decode", "--graph-dir", str(graph_dir), "--input",
+                             str(bad.parent), "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("field, match", [
         (0, "bad magic"), (1, "unsupported format version 2147483648"),

@@ -1,4 +1,4 @@
-import re
+import struct
 import sys
 
 import numpy as np
@@ -18,8 +18,8 @@ from spikefst import (
     compress,
     custom_blank,
     koo_select,
-    load_compressed,
-    save_compressed,
+    load_posteriors,
+    save_posteriors,
     segment_blocks,
     synth_posteriors,
 )
@@ -369,10 +369,22 @@ class TestBaselines:
             assert list(swd.source_map) == sorted(keep)
 
 
+def rewrite_map(path, frames=None, count=None):
+    """Patch the source map or the content count of the version-2 file at
+    *path*: *frames* replaces every byte after the count."""
+    raw = bytearray(path.read_bytes())
+    _, _, rows, vocab = struct.unpack_from("<4sIII", raw)
+    end = 16 + 4 * rows * vocab
+    if count is not None:
+        struct.pack_into("<I", raw, end, count)
+    if frames is not None:
+        raw[end + 4:] = np.asarray(frames, dtype="<i4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
 class TestSerialization:
     def test_round_trip_with_sidecar(self, tmp_path):
-        from spikefst import load_compressed, save_compressed
-
+        # the source map rides in the matrix's own file: no sidecar is written
         p = synth_posteriors(
             LabelSequence((1, 2, 1)),
             SynthConfig(vocab_size=5, noise=0.1, peak=0.9),
@@ -380,164 +392,123 @@ class TestSerialization:
         )
         c = compress(p, CompressConfig(mode="ioo_koo"))
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        assert (tmp_path / "utt.spkf.map").exists()
-        back = load_compressed(path)
+        save_posteriors(c, path)
+        assert [f.name for f in tmp_path.iterdir()] == ["utt.spkf"]
+        back = load_posteriors(path)
+        assert type(back) is CompressedPosteriors
         assert back.source_map == c.source_map
         assert back.nonblank_count == c.nonblank_count
         np.testing.assert_allclose(back.values, c.values, atol=1e-7)
 
     def test_without_sidecar_degrades_to_plain_matrix(self, tmp_path):
-        from spikefst import load_compressed, save_compressed
-
-        p = matrix_from_argmax([BLK, A, B])
-        c = compress(p, CompressConfig(mode="dense"))
-        path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        (tmp_path / "utt.spkf.map").unlink()
-        back = load_compressed(path)
+        # a plain matrix is version 1; version 2 adds only the version and the map
+        c = compress(matrix_from_argmax([BLK, A, B]), CompressConfig(mode="ioo_koo"))
+        save_posteriors(c, tmp_path / "v2.spkf")
+        save_posteriors(PosteriorMatrix(c.values), tmp_path / "v1.spkf")
+        back = load_posteriors(tmp_path / "v1.spkf")
         assert type(back) is PosteriorMatrix
-
-    def test_failed_sidecar_write_leaves_no_old_map(self, tmp_path, monkeypatch):
-        # the package's name ``compress`` is the function, not the module
-        compress_module = sys.modules["spikefst.compress"]
-        cfg = CompressConfig(mode="ioo_koo")
-        old = compress(matrix_from_argmax([BLK, A, BLK, BLK, B, BLK]), cfg)
-        new = compress(matrix_from_argmax([BLK, BLK, A, BLK, B, BLK]), cfg)
-        assert (old.source_map, new.source_map) == ((-1, 1, -1, 4, -1), (-1, 2, -1, 4, -1))
-        path = tmp_path / "utt.spkf"
-        save_compressed(old, path)
-        write_file = compress_module.write_file
-
-        def no_sidecar(target, data):
-            if str(target).endswith(".map"):
-                raise DataFormatError(f"{target}: cannot write: injected")
-            write_file(target, data)
-
-        monkeypatch.setattr(compress_module, "write_file", no_sidecar)
-        with pytest.raises(DataFormatError, match="utt.spkf.map: cannot write: injected"):
-            save_compressed(new, path)
-        back = load_compressed(path)
-        assert type(back) is PosteriorMatrix
-        np.testing.assert_allclose(back.values, new.values, atol=1e-7)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["utt.spkf"]
-
-    def test_sidecar_that_cannot_be_removed_is_a_data_error(self, tmp_path):
-        c = compress(matrix_from_argmax([BLK, A, BLK]), CompressConfig(mode="ioo_koo"))
-        path = tmp_path / "utt.spkf"
-        (tmp_path / "utt.spkf.map").mkdir()
-        with pytest.raises(DataFormatError, match=re.escape(f"{path}.map: cannot remove: ")):
-            save_compressed(c, path)
-        assert not path.exists()
-
+        np.testing.assert_array_equal(back.values, load_posteriors(tmp_path / "v2.spkf").values)
+        v1, v2 = (tmp_path / "v1.spkf").read_bytes(), (tmp_path / "v2.spkf").read_bytes()
+        assert struct.unpack_from("<I", v1, 4) == (1,) and struct.unpack_from("<I", v2, 4) == (2,)
+        assert v2[:4] + v2[8:len(v1)] == v1[:4] + v1[8:]
+        assert c.source_map == (CUSTOM_BLANK, 1, 2)
+        assert v2[len(v1):] == struct.pack("<I3i", 2, CUSTOM_BLANK, 1, 2)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_round_trip_keeps_source_map_and_content_count(self, tmp_path, mode):
-        from spikefst import load_compressed, save_compressed
-
         p = matrix_from_argmax([BLK, A, A, BLK, BLK, B, BLK, A])
         c = compress(p, CompressConfig(mode=mode))
-        save_compressed(c, tmp_path / "utt.spkf")
-        back = load_compressed(tmp_path / "utt.spkf")
+        save_posteriors(c, tmp_path / "utt.spkf")
+        back = load_posteriors(tmp_path / "utt.spkf")
         assert back.source_map == c.source_map
         assert back.nonblank_count == c.nonblank_count
 
     def test_aed_content_count_survives_round_trip(self, tmp_path):
         # Content rows are the source frames, blank-argmax or not, which
-        # the argmax cannot tell, so a sidecar without its count line is
-        # refused rather than given a count rebuilt from the argmax (1).
-        from spikefst import load_compressed, save_compressed
-
+        # the argmax cannot tell, so a file without its count is refused
+        # rather than given a count rebuilt from the argmax (1).
         c = compress(PosteriorMatrix(np.array([[0.6, 0.4], [0.3, 0.7]])),
                      CompressConfig(mode="aed_ioo"))
         assert c.nonblank_count == 2
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        assert (tmp_path / "utt.spkf.map").read_text().splitlines()[0] == "# nonblank 2"
-        assert load_compressed(path).nonblank_count == 2
-        sidecar = tmp_path / "utt.spkf.map"
-        sidecar.write_text("".join(line + "\n" for line in sidecar.read_text().splitlines()[1:]))
-        with pytest.raises(DataFormatError,
-                           match=r"utt\.spkf\.map: line 1: expected '# nonblank N' .*'B'"):
-            load_compressed(path)
+        save_posteriors(c, path)
+        raw = path.read_bytes()
+        end = 16 + 4 * c.frames * c.vocab_size
+        assert struct.unpack_from("<I", raw, end) == (2,)
+        assert load_posteriors(path).nonblank_count == 2
+        path.write_bytes(raw[:end] + raw[end + 4:])
+        with pytest.raises(DataFormatError, match=r"utt\.spkf: truncated payload"):
+            load_posteriors(path)
 
-    @pytest.mark.parametrize("first", [
-        "# nonblank", "# nonblank two", "# nonblank -1", "# nonblank 1 2",
-        "# blanks 1", "#nonblank 1", "# nonblank 9", "# nonblank \u00b2",
-    ])
-    def test_malformed_count_line_is_a_data_error(self, tmp_path, first):
-        from spikefst import load_compressed, save_compressed
-
-        c = compress(matrix_from_argmax([BLK, A, BLK]), CompressConfig(mode="ioo_koo"))
+    @pytest.mark.parametrize("count", [5, 6, 2**32 - 1])
+    def test_count_above_the_rows_is_a_data_error(self, tmp_path, count):
+        c = compress(matrix_from_argmax([BLK, A, BLK, B, BLK]), CompressConfig(mode="ioo_koo"))
+        assert c.frames == 5
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        rows = (tmp_path / "utt.spkf.map").read_text().splitlines()[1:]
-        (tmp_path / "utt.spkf.map").write_text("\n".join([first, *rows]) + "\n",
-                                               encoding="utf-8")
-        with pytest.raises(DataFormatError):
-            load_compressed(path)
+        save_posteriors(c, path)
+        rewrite_map(path, count=count)
+        if count == c.frames:  # every row may count
+            assert load_posteriors(path).nonblank_count == 5
+            return
+        with pytest.raises(DataFormatError, match=rf"utt\.spkf: {count} content rows but only 5"):
+            load_posteriors(path)
 
-    def test_count_line_after_rows_or_bad_row_is_a_data_error(self, tmp_path):
-        from spikefst import load_compressed, save_compressed
-
-        c = compress(matrix_from_argmax([BLK, A, BLK]), CompressConfig(mode="ioo_koo"))
-        path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        sidecar = tmp_path / "utt.spkf.map"
-        first, *rows = sidecar.read_text().splitlines()
-        for lines in ([*rows, first], [first, "x", *rows[1:]]):
-            sidecar.write_text("\n".join(lines) + "\n")
-            with pytest.raises(DataFormatError, match="line"):
-                load_compressed(path)
-
-    @pytest.mark.parametrize("row", ["-7", "-1", "+7"])
+    @pytest.mark.parametrize("row", ["-7", "-1", "+7", "-2", str(-2**31)])
     def test_signed_frame_is_a_data_error(self, tmp_path, row):
         c = compress(matrix_from_argmax([BLK, A, BLK, B]), CompressConfig(mode="ioo_koo"))
+        assert c.source_map == (CUSTOM_BLANK, 1, CUSTOM_BLANK, 3)
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        sidecar = tmp_path / "utt.spkf.map"
-        lines = sidecar.read_text().splitlines()
-        k = next(i for i, line in enumerate(lines) if line.isdigit())
-        lines[k] = row
-        sidecar.write_text("\n".join(lines) + "\n")
-        where = rf"utt\.spkf\.map: line {k + 1}: .*{re.escape(repr(row))}"
-        with pytest.raises(DataFormatError, match=where):
-            load_compressed(path)
+        save_posteriors(c, path)
+        rewrite_map(path, frames=[CUSTOM_BLANK, int(row), CUSTOM_BLANK, 3])
+        if row == "-1":
+            where = "row 1: marked -1 but its values are not the inserted blank"
+        elif row == "+7":
+            where = "row 3: source frames must strictly increase, got 3 after 7"
+        else:
+            where = f"row 1: source frame {row} is below -1"
+        with pytest.raises(DataFormatError, match=rf"utt\.spkf: {where}"):
+            load_posteriors(path)
 
     @pytest.mark.parametrize("rows, bad", [
-        (["B", "999", "B", "0", "B"], r"line 5: .*got 0 after 999"),
-        (["B", "1", "B", "1", "B"], r"line 5: .*got 1 after 1"),
+        ([CUSTOM_BLANK, 999, CUSTOM_BLANK, 0, CUSTOM_BLANK], r"row 3: .*got 0 after 999"),
+        ([CUSTOM_BLANK, 1, CUSTOM_BLANK, 1, CUSTOM_BLANK], r"row 3: .*got 1 after 1"),
     ])
     def test_frames_not_increasing_are_a_data_error(self, tmp_path, rows, bad):
         c = compress(matrix_from_argmax([BLK, A, BLK, B, BLK]), CompressConfig(mode="ioo_koo"))
         assert c.source_map == (CUSTOM_BLANK, 1, CUSTOM_BLANK, 3, CUSTOM_BLANK)
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        sidecar = tmp_path / "utt.spkf.map"
-        sidecar.write_text("\n".join(["# nonblank 2", *rows]) + "\n")
-        with pytest.raises(DataFormatError, match=rf"utt\.spkf\.map: {bad}"):
-            load_compressed(path)
+        save_posteriors(c, path)
+        rewrite_map(path, frames=rows)
+        with pytest.raises(DataFormatError, match=rf"utt\.spkf: {bad}"):
+            load_posteriors(path)
 
-    @pytest.mark.parametrize("rows", [["B", "1", "B", "3"], ["B", "1", "B", "3", "B", "7"]])
+    @pytest.mark.parametrize("rows", [[CUSTOM_BLANK, 1, CUSTOM_BLANK, 3],
+                                      [CUSTOM_BLANK, 1, CUSTOM_BLANK, 3, CUSTOM_BLANK, 7]])
     def test_row_count_must_match_the_matrix(self, tmp_path, rows):
         c = compress(matrix_from_argmax([BLK, A, BLK, B, BLK]), CompressConfig(mode="ioo_koo"))
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        sidecar = tmp_path / "utt.spkf.map"
-        sidecar.write_text("\n".join(["# nonblank 2", *rows]) + "\n")
-        with pytest.raises(DataFormatError,
-                           match=rf"utt\.spkf\.map: {len(rows)} rows but .*utt\.spkf has 5"):
-            load_compressed(path)
+        save_posteriors(c, path)
+        rewrite_map(path, frames=rows)
+        bad = "truncated payload" if len(rows) < 5 else "4 trailing bytes after payload"
+        with pytest.raises(DataFormatError, match=rf"utt\.spkf: {bad}"):
+            load_posteriors(path)
+
+    def test_trailing_byte_after_the_map_is_a_data_error(self, tmp_path):
+        c = compress(matrix_from_argmax([BLK, A, BLK, B]), CompressConfig(mode="ioo_koo"))
+        path = tmp_path / "utt.spkf"
+        save_posteriors(c, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataFormatError, match=r"utt\.spkf: 1 trailing bytes after payload"):
+            load_posteriors(path)
 
     def test_blank_mark_on_a_content_row_is_a_data_error(self, tmp_path):
         c = compress(matrix_from_argmax([BLK, A, BLK, B]), CompressConfig(mode="ioo_koo"))
         assert c.source_map == (CUSTOM_BLANK, 1, CUSTOM_BLANK, 3)
         path = tmp_path / "utt.spkf"
-        save_compressed(c, path)
-        sidecar = tmp_path / "utt.spkf.map"
-        sidecar.write_text(sidecar.read_text().replace("\n3\n", "\nB\n"))
-        with pytest.raises(DataFormatError, match=r"utt\.spkf\.map: line 5: row 3 is marked 'B'"):
-            load_compressed(path)
+        save_posteriors(c, path)
+        rewrite_map(path, frames=[CUSTOM_BLANK, 1, CUSTOM_BLANK, CUSTOM_BLANK])
+        with pytest.raises(DataFormatError, match=r"utt\.spkf: row 3: marked -1 but its values"):
+            load_posteriors(path)
 
 
 class TestDispatcher:
@@ -703,10 +674,9 @@ class TestSavedBytes:
         mats = list(perfbench_style_matrices())
         for cfg in oracle_configs():
             for i, p in enumerate(mats):
-                save_compressed(compress(p, cfg), tmp_path / "got.spkf")
+                save_posteriors(compress(p, cfg), tmp_path / "got.spkf")
                 values, source_map, nonblank = compress_oracle(p, cfg)
-                save_compressed(CompressedPosteriors(values, source_map, nonblank),
+                save_posteriors(CompressedPosteriors(values, source_map, nonblank),
                                 tmp_path / "want.spkf")
-                for suffix in ("", ".map"):
-                    got = (tmp_path / f"got.spkf{suffix}").read_bytes()
-                    assert got == (tmp_path / f"want.spkf{suffix}").read_bytes(), (cfg, i)
+                got = (tmp_path / "got.spkf").read_bytes()
+                assert got == (tmp_path / "want.spkf").read_bytes(), (cfg, i)

@@ -31,8 +31,8 @@ from spikefst import (
     compress,
     decode,
     decode_batch,
-    load_compressed,
-    save_compressed,
+    load_posteriors,
+    save_posteriors,
     sweep_params,
 )
 from spikefst.wfst import Arc
@@ -622,11 +622,11 @@ class TestBlankFold:
         marked = CompressedPosteriors(comp.values, smap, comp.nonblank_count)
         plain = PosteriorMatrix(comp.values)
         assert marked.source_map[k] == CUSTOM_BLANK and marked.values[k].max() < 1.0
-        # such a sidecar is refused on load (row k is on line k + 2, after the count line)
+        # such a source map is refused on load
         path = tmp_path / "u.spkf"
-        save_compressed(marked, path)
-        with pytest.raises(DataFormatError, match=rf"u\.spkf\.map: line {k + 2}: row {k} is "):
-            load_compressed(path)
+        save_posteriors(marked, path)
+        with pytest.raises(DataFormatError, match=rf"u\.spkf: row {k}: marked -1 but "):
+            load_posteriors(path)
         cfg = DecoderConfig(beam=12.0)
         ref = decode(tlg, plain, cfg)
         assert len(ref.tokens_alive_histogram) == self.steps(comp.source_map) < comp.frames

@@ -2,12 +2,13 @@
 
 No module imports an underscore name from another ``spikefst`` module,
 and ``decoder.py`` holds the search and nothing else: it does not score,
-and of ``compress`` it needs only the type that carries a source map.
-Only ``spikefst.wfst`` touches an ``Fst``'s arc rows, and the public
-names of ``Fst`` and ``SymbolTable`` are pinned, so that no mutator comes
-back unnoticed.  ``compress.py``'s public names are pinned too, so that
-``compress`` stays the one way to compress.  Only
-``errors.py`` writes a file: everything else calls ``errors.write_file``.
+and it imports nothing from ``compress``.  Only ``spikefst.wfst``
+touches an ``Fst``'s arc rows, and the public names of ``Fst`` and
+``SymbolTable`` are pinned, so that no mutator comes back unnoticed.
+``compress.py``'s public names are pinned too, so that ``compress``
+stays the one way to compress, and it reads and writes no file: the
+posterior file format is ``posterior.py``'s alone.  Only ``errors.py``
+writes a file: everything else calls ``errors.write_file``.
 """
 
 import ast
@@ -59,10 +60,10 @@ def test_decoder_holds_only_the_search():
         "DecoderConfig", "DecodeResult", "decode", "BatchResult", "decode_batch"}
 
 
-def test_decoder_reads_only_the_compressed_type_from_compress():
+def test_decoder_imports_nothing_from_compress():
     tree = ast.parse((SRC / "decoder.py").read_text())
-    assert [name for _, module, name in _package_imports(tree)
-            if module.split(".")[-1] == "compress"] == ["CompressedPosteriors"]
+    assert not [name for _, module, name in _package_imports(tree)
+                if module.split(".")[-1] == "compress" or name == "compress"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.parent.name != "wfst"] + TESTS,
@@ -109,10 +110,17 @@ def test_compress_public_names_are_pinned():
     functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
     classes = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
     assert {n for n in functions if not n.startswith("_")} == {
-        "custom_blank", "segment_blocks", "koo_select", "compress", "save_source_map",
-        "load_source_map", "save_compressed", "load_compressed"}
-    assert {n for n in classes if not n.startswith("_")} == {
-        "CompressedPosteriors", "CompressConfig"}
+        "segment_blocks", "koo_select", "compress"}
+    assert {n for n in classes if not n.startswith("_")} == {"CompressConfig"}
+
+
+def test_compress_does_no_file_io():
+    tree = ast.parse((SRC / "compress.py").read_text())
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = [name for _, _, name in _package_imports(tree)]
+    assert not [c for c in calls + names
+                if c.split(".")[-1] in ("read_file", "write_file", "load_posteriors",
+                                        "save_posteriors", "open", "read_bytes", "read_text")]
 
 
 _WRITES = {"write_text", "write_bytes", "open", "mkstemp", "atomic_write"}
