@@ -20,7 +20,7 @@ from . import __version__
 from .bench import bench, sweep_params, word_syms
 from .compress import MODES, CompressConfig, compress
 from .decoder import DecoderConfig, decode_batch
-from .errors import DecodeError, SpikefstError, ValidationError, write_file
+from .errors import SpikefstError, ValidationError, write_file
 from .graph import BuildReport, Lexicon, build_grammar_fst, build_lexicon_fst, build_tlg, build_token_fst, load_arpa, posterior_vocab_size
 from .posterior import SynthConfig, load_labels, load_posteriors, save_posteriors, synth_posteriors
 from .scoring import read_trans_file, score_corpus
@@ -131,7 +131,7 @@ def cmd_build_graph(args) -> int:
     lex.token_table.to_file(out / "tokens.txt")
     lex.word_table.to_file(out / "words.txt")
     manifest = {
-        "pushed": report.pushed,
+        "pushed": args.push,
         "lm_order": model.order,
         "stages": report.stages,
         "tokens": len(lex.token_table),
@@ -393,9 +393,6 @@ def main(argv=None) -> int:
     )
     try:
         return args.fn(args)
-    except DecodeError as exc:
-        log.error("%s", exc)
-        return EXIT_DECODE
     except SpikefstError as exc:
         log.error("%s", exc)
         return EXIT_DATA

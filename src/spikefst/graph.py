@@ -344,7 +344,11 @@ def parse_arpa(text: str) -> NGramModel:
 
 
 def load_arpa(path) -> NGramModel:
-    return parse_arpa(read_file(path))
+    try:
+        return parse_arpa(read_file(path))
+    except ArpaError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def build_grammar_fst(model: NGramModel, word_table: SymbolTable) -> Fst:
@@ -411,7 +415,6 @@ class BuildReport:
     """Per-stage state/arc counts and wall time, for the build manifest."""
 
     stages: list[dict] = field(default_factory=list)
-    pushed: bool = False
 
     def note(self, name: str, f: Fst, seconds: float) -> None:
         self.stages.append({"stage": name, "states": f.num_states, "arcs": f.num_arcs,
@@ -439,7 +442,6 @@ def build_tlg(t: Fst, l: Fst, g: Fst, use_pushing: bool = False,
     The pushed and unpushed variants accept the same weighted language.
     """
     report = report if report is not None else BuildReport()
-    report.pushed = use_pushing
 
     def stage(name: str, fn, *args) -> Fst:
         t0 = time.perf_counter()

@@ -6,9 +6,9 @@ always the blank token.  A :class:`CompressedPosteriors` is a matrix whose
 rows also record the source frame each came from.  All operations here
 are pure; matrices are treated as immutable after construction.
 
-This module owns the one posterior file format.  Version 1 holds a plain
-matrix; version 2 holds a compressed one, its source map and content
-count in the same file, so a copied file keeps its provenance.
+This module owns the one posterior file format: version 1 holds a plain
+matrix, version 2 a compressed one with its source map and content count,
+so a copied file keeps its provenance.  A loader's errors name its file.
 """
 
 from __future__ import annotations
@@ -106,10 +106,9 @@ def custom_blank(vocab_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabelSequence:
-    """Blank-free token indices for one utterance, optionally with reference text."""
+    """Blank-free token indices for one utterance."""
 
     tokens: tuple[int, ...]
-    text: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
@@ -123,11 +122,11 @@ def softmax(logits: np.ndarray) -> PosteriorMatrix:
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim != 2:
         raise ValidationError(f"logits must be 2-D, got shape {x.shape}")
+    if x.shape[1] < 2:
+        raise ValidationError("vocab size must be >= 2 (blank plus one token)")
     if not np.all(np.isfinite(x)):
         frame = int(np.flatnonzero(~np.all(np.isfinite(x), axis=1))[0])
         raise ValidationError(f"non-finite logits at frame {frame}")
-    if x.shape[0] == 0:
-        return PosteriorMatrix(x)
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return PosteriorMatrix(e / e.sum(axis=1, keepdims=True))
@@ -157,14 +156,20 @@ def save_posteriors(p: PosteriorMatrix, path, format: str = "binary") -> None:
     write_file(path, data)
 
 
-def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
+def _checked(where: str, fn, *args):
+    """``fn(*args)``, a :class:`ValidationError` re-raised as a :class:`DataFormatError`."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
+
+
+def load_posteriors(path) -> PosteriorMatrix:
     """Read a file :func:`save_posteriors` wrote: version 1 as a
     :class:`PosteriorMatrix`, version 2 as a :class:`CompressedPosteriors`.
     A version-2 map must count no more content rows than there are rows,
     hold no frame below ``CUSTOM_BLANK``, strictly increase over its kept
     frames, and mark only rows that hold the inserted blank exactly."""
-    if format != "binary":
-        raise ValidationError(f"unknown posterior format {format!r}")
     raw = read_file(path, binary=True)
     if len(raw) < 16:
         raise DataFormatError(f"{path}: header truncated ({len(raw)} bytes)")
@@ -184,7 +189,7 @@ def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
     values = np.frombuffer(raw, dtype="<f4", count=frames * vocab, offset=16)
     values = values.reshape(frames, vocab).astype(np.float64)
     if version == 1:
-        return PosteriorMatrix(values)
+        return _checked(path, PosteriorMatrix, values)
     (nonblank,) = struct.unpack_from("<I", raw, end)
     smap = np.frombuffer(raw, dtype="<i4", offset=end + 4)
     if nonblank > frames:
@@ -201,12 +206,12 @@ def load_posteriors(path, format: str = "binary") -> PosteriorMatrix:
             f"{path}: row {row}: source frames must strictly increase, "
             f"got {smap[row]} after {smap[prev]}")
     marked = np.flatnonzero(smap == CUSTOM_BLANK)
-    wrong = marked[np.any(values[marked] != custom_blank(vocab), axis=1)]
+    wrong = marked[np.any(values[marked] != _checked(path, custom_blank, vocab), axis=1)]
     if wrong.size:
         raise DataFormatError(
             f"{path}: row {wrong[0]}: marked {CUSTOM_BLANK} but its values are not the "
             "inserted blank")
-    return CompressedPosteriors(values, smap.tolist(), nonblank)
+    return _checked(path, CompressedPosteriors, values, smap.tolist(), nonblank)
 
 
 def load_labels(path, token_table=None) -> list[LabelSequence]:
@@ -232,7 +237,7 @@ def load_labels(path, token_table=None) -> list[LabelSequence]:
                 raise DataFormatError(
                     f"{path}: line {ln}: token {part!r} is not an integer "
                     "(symbols need a token table)") from None
-        out.append(LabelSequence(tuple(toks)))
+        out.append(_checked(f"{path}: line {ln}", LabelSequence, toks))
     return out
 
 

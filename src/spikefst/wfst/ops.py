@@ -102,16 +102,10 @@ def compose(a: Fst, b: Fst) -> Fst:
     if a.osyms is not None and b.isyms is not None and a.osyms != b.isyms:
         raise FstError("compose: output symbols of a do not match input symbols of b")
 
-    b_by_label: list[dict[int, list[Arc]] | None] = [None] * b.num_states
-
-    def b_arcs(state: int) -> dict[int, list[Arc]]:
-        grouped = b_by_label[state]
-        if grouped is None:
-            grouped = {}
-            for arc in b._arcs[state]:
-                grouped.setdefault(arc.ilabel, []).append(arc)
-            b_by_label[state] = grouped
-        return grouped
+    b_by_label: list[dict[int, list[Arc]]] = [{} for _ in range(b.num_states)]
+    for sb, row in enumerate(b._arcs):
+        for arc in row:
+            b_by_label[sb].setdefault(arc.ilabel, []).append(arc)
 
     key0 = (a.start, b.start, 0)
     ids: dict[tuple[int, int, int], int] = {key0: 0}
@@ -132,7 +126,7 @@ def compose(a: Fst, b: Fst) -> Fst:
         sa, sb, filt = key
         src = ids[key]
         row = arcs[src]
-        grouped = b_arcs(sb)
+        grouped = b_by_label[sb]
         for arc_a in a._arcs[sa]:
             if arc_a.olabel != EPSILON:
                 for arc_b in grouped.get(arc_a.olabel, ()):

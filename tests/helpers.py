@@ -1067,7 +1067,7 @@ class ToyLang:
         for w in words:
             toks.extend(self.lexicon.token_table.find_id(t) - 1
                         for t in TOY_WORDS[w].split())
-        return LabelSequence(tuple(toks), text=" ".join(words))
+        return LabelSequence(tuple(toks))
 
     @property
     def vocab_size(self) -> int:

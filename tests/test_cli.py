@@ -151,7 +151,7 @@ class TestSynth:
 
         blanks = frames = 0
         for f in out.glob("*.spkf"):
-            mat = load_posteriors(f, "binary")
+            mat = load_posteriors(f)
             labels = argmax_labels(mat)
             blanks += int(np.count_nonzero(labels == 0))
             frames += mat.frames
@@ -179,7 +179,7 @@ class TestPipeline:
         graph = read_fst_text(graph_dir / "tlg.fst.txt", tokens, words)
         for line in results.read_text().splitlines():
             rec = json.loads(line)
-            mat = load_posteriors(posterior_dir / f"{rec['utt']}.spkf", "binary")
+            mat = load_posteriors(posterior_dir / f"{rec['utt']}.spkf")
             comp = compress(mat, CompressConfig(mode="ioo_koo"))
             expect = decode(graph, comp, DecoderConfig(beam=12.0))
             assert rec["words"] == word_syms(graph, expect.words)
@@ -257,13 +257,29 @@ class TestPipeline:
         payload = json.loads((out / "bench.json").read_text())
         assert len(payload["rows"]) == 7
 
-    def test_sweep_emits_grid_rows(self, workdir, graph_dir, posterior_dir, capsys):
+    def test_sweep_emits_grid_rows(self, workdir, graph_dir, posterior_dir, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--graph-dir", str(graph_dir), "--input", str(posterior_dir),
                    "--refs", str(workdir / "refs.txt"), "--beams", "8,16",
-                   "--max-actives", "5000"])
+                   "--max-actives", "5000", "--out", str(out)])
         assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3  # header + 2 beams
+        text = capsys.readouterr().out
+        assert out.read_text() == text
+        assert len(text.strip().splitlines()) == 3  # header + 2 beams
+
+    def test_decode_without_out_writes_results_to_stdout(self, workdir, graph_dir,
+                                                         posterior_dir, capsys):
+        results = workdir / "results_stdout.jsonl"
+        assert main(["decode", "--graph-dir", str(graph_dir), "--input", str(posterior_dir),
+                     "--out", str(results), "--beam", "12"]) == 0
+        capsys.readouterr()
+        assert main(["decode", "--graph-dir", str(graph_dir), "--input", str(posterior_dir),
+                     "--beam", "12"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        expect = [json.loads(line) for line in results.read_text().splitlines()]
+        for rec in records + expect:
+            del rec["wall_time_ms"]
+        assert records == expect and len(records) == 8
 
 
 class TestExitCodes:
@@ -324,6 +340,22 @@ class TestExitCodes:
         rc = main(["score", "--refs", str(workdir / "nope.txt"),
                    "--hyps", str(workdir / "refs.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compress", "--input", "{empty}", "--out", "{out}"], "{empty}: no .spkf files found"),
+        (["synth", "--labels", "{labels}", "--out-dir", "{out}"],
+         "synth needs --tokens or --vocab-size"),
+        (["synth", "--labels", "{labels}", "--tokens", "{tokens}", "--out-dir", "{out}",
+          "--blank-ratio", "1.0"], "--blank-ratio must be in (0, 1)"),
+    ], ids=["no_spkf_files", "synth_without_a_vocabulary", "blank_ratio_out_of_range"])
+    def test_bad_value_is_two_before_any_output(self, workdir, graph_dir, tmp_path, caplog,
+                                                argv, message):
+        paths = {"empty": tmp_path / "empty", "out": tmp_path / "out",
+                 "labels": workdir / "labels.txt", "tokens": graph_dir / "tokens.txt"}
+        paths["empty"].mkdir()
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert [r.message for r in caplog.records] == [message.format(**paths)]
+        assert not paths["out"].exists()
 
     def test_non_numeric_label_without_tokens_is_two(self, tmp_path, caplog):
         labels = tmp_path / "l.txt"
@@ -425,7 +457,7 @@ class TestExitCodes:
 
 
 LOADERS = {
-    "posteriors_binary": lambda path: load_posteriors(path, "binary"),
+    "posteriors_binary": load_posteriors,
     "labels": load_labels,
     "lexicon": Lexicon.from_file,
     "arpa": load_arpa,
@@ -450,6 +482,24 @@ class TestUnreadableFiles:
             path.mkdir()
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             LOADERS[loader](path)
+
+    @pytest.mark.parametrize("loader, content", [
+        # row 0 sums to 1.3
+        ("posteriors_binary", struct.pack("<4sIII2f", b"SPKF", 1, 1, 2, 0.8, 0.5)),
+        ("labels", b"1 2\n1 0\n"),
+        ("lexicon", b"se\ts e\nka\n"),
+        ("arpa", b"\\data\\\nngram 1=1\n\n\\1-grams:\n0.5 se\n\n\\end\\\n"),
+        ("symbols", b"<eps>\t0\na\t-1\n"),
+        ("fst_text", b"0 1 x 0\n"),
+        ("transcripts", b"u1\ta\nu1\tb\n"),
+    ], ids=list(LOADERS))
+    def test_malformed_input_raises_a_data_error_naming_the_path(self, tmp_path, loader,
+                                                                 content):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError) as err:
+            LOADERS[loader](path)
+        assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("case, source", [
         ("lexicon", "lexicon.txt"), ("arpa", "lm.arpa"), ("refs", "refs.txt"),
@@ -553,7 +603,7 @@ class TestLoaderFuzz:
         for k in range(len(raw)):
             bad.write_bytes(raw[:k])
             with pytest.raises(DataFormatError):
-                load_posteriors(bad, "binary")
+                load_posteriors(bad)
             if k <= 16 or k % 64 == 0:  # the whole header, then a spread of payloads
                 assert main(["compress", "--input", str(bad),
                              "--out", str(tmp_path / "out")]) == 2
@@ -591,7 +641,7 @@ class TestLoaderFuzz:
         bad = tmp_path / "bad.spkf"
         bad.write_bytes(raw)
         with pytest.raises(DataFormatError, match=match):
-            load_posteriors(bad, "binary")
+            load_posteriors(bad)
         assert main(["compress", "--input", str(bad), "--out", str(tmp_path / "out")]) == 2
 
     def test_every_prefix_of_an_arpa_file(self, workdir, tmp_path):

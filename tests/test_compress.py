@@ -336,6 +336,18 @@ class TestBaselines:
         with pytest.raises(ValidationError):
             CompressConfig(mode="lsd", lsd_threshold=1.5)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("mode", "foo", "unknown compression mode 'foo'"),
+        ("koo_strategy", "median", "koo_strategy must be 'max' or 'min'"),
+        ("blanks_per_region", 3, "blanks_per_region must be 1 or 2"),
+        ("nb_onehot", "off", "nb_onehot must be all|max"),
+        ("nb_threshold", 1.5, r"nb_threshold must lie in \[0, 1\]"),
+        ("swd_window", -1, "swd_window must be >= 0"),
+    ])
+    def test_config_rejects_a_bad_field(self, field, value, match):
+        with pytest.raises(ValidationError, match=match):
+            CompressConfig(**{field: value})
+
     def test_swd_window_one(self):
         p = matrix_from_argmax([BLK, BLK, A, BLK, BLK])
         c = compress(p, CompressConfig(mode="swd", swd_window=1))

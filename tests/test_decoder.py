@@ -644,6 +644,16 @@ class TestBlankFold:
         assert dense.same_search(decode(tlg, wrapped, cfg))
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("beam", 0.0, "beam and acoustic_scale must be positive"),
+    ("acoustic_scale", -1.0, "beam and acoustic_scale must be positive"),
+    ("max_active", 0, "max_active must be >= 1"),
+])
+def test_decoder_config_rejects_a_bad_field(field, value, match):
+    with pytest.raises(ValidationError, match=match):
+        DecoderConfig(**{field: value})
+
+
 class TestBatch:
     def test_batch_of_one_equals_single(self, tlg, clean_corpus):
         utt, words, mat = clean_corpus[0]
@@ -732,6 +742,35 @@ class TestSweep:
         partial = {u: text for u, text in refs.items() if u != gone}
         with pytest.raises(ValidationError, match=rf"1 utterance\(s\): \['{gone}'\]"):
             sweep_params(tlg, utts, partial, [DecoderConfig(beam=12.0)])
+
+    @pytest.mark.parametrize("modes, repeats, match", [
+        (["ioo_koo"], 1, "bench requires the dense mode as its baseline"),
+        (["dense"], 0, "repeats must be >= 1"),
+    ], ids=["no_dense", "no_repeats"])
+    def test_bench_refuses_a_bad_plan(self, tlg, sweep_corpus, modes, repeats, match):
+        from spikefst import bench
+
+        utts, refs = sweep_corpus
+        with pytest.raises(ValidationError, match=match):
+            bench(tlg, utts, refs, [CompressConfig(mode=m) for m in modes],
+                  DecoderConfig(beam=12.0), repeats=repeats)
+
+    def test_bench_row_of_an_unrun_mode_is_a_key_error(self, tlg, sweep_corpus):
+        from spikefst import bench
+
+        utts, refs = sweep_corpus
+        report = bench(tlg, utts[:2], refs, [CompressConfig(mode="dense")],
+                       DecoderConfig(beam=12.0), repeats=1)
+        assert report.row("dense").speedup == 1.0
+        with pytest.raises(KeyError):
+            report.row("ioo_koo/max")
+
+    def test_word_syms_without_an_output_table_are_ids(self):
+        from spikefst import word_syms
+
+        graph = one_word_graph()
+        assert graph.osyms is None
+        assert word_syms(graph, (5, 12)) == ["5", "12"]
 
     @pytest.mark.parametrize("run", ["bench", "sweep"])
     def test_refs_lacking_an_utterance_refused_before_any_decode(self, tlg, sweep_corpus,

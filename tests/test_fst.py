@@ -94,6 +94,27 @@ class TestStructure:
         g = read_fst_text(path)
         assert (g.start, dict(g.finals), g.num_arcs) == (start, {1: 0.75, 2: 0.0}, 2)
 
+    def test_empty_machine_round_trips_as_an_empty_file(self, tmp_path):
+        path = tmp_path / "m.fst.txt"
+        write_fst_text(Fst([[]], 0, {}), path)
+        assert path.read_text() == ""
+        g = read_fst_text(path)
+        assert (g.num_states, g.start, dict(g.finals), g.num_arcs) == (1, 0, {}, 0)
+
+    def test_start_without_arcs_that_is_not_final_is_not_written(self, tmp_path):
+        f = Fst([[], [Arc(1, 1, 0.0, 1)]], 0, {1: 0.0})
+        with pytest.raises(FstError, match="start state has no arcs and is not final"):
+            write_fst_text(f, tmp_path / "m.fst.txt")
+        assert not (tmp_path / "m.fst.txt").exists()
+
+    def test_repr_counts_the_machine(self):
+        f = Fst([[Arc(1, 1, 0.5, 1)], []], 0, {1: 0.0})
+        assert repr(f) == "Fst(states=2, arcs=1, finals=1, start=0)"
+
+    def test_arcsort_rejects_an_unknown_key(self):
+        with pytest.raises(FstError, match="arcsort key must be 'ilabel' or 'olabel'"):
+            arcsort(Fst([[]], 0, {}), "weight")
+
     def test_malformed_text_line(self, tmp_path):
         path = tmp_path / "bad.fst.txt"
         path.write_text("0 1 2\n")
@@ -219,7 +240,9 @@ class TestStructure:
     @pytest.mark.parametrize("text, match", [
         ("<eps> 0\na 1\nb 1\n", "line 3: id 1 already bound to 'a'"),
         ("<eps> 0\na 1\na 2\n", "line 3: symbol 'a' already bound to id 1"),
-    ], ids=["repeated id", "repeated symbol"])
+        ("<eps> 0\n\n  \na b c\n", "line 4: expected 'symbol<TAB>id'"),
+        ("a 1\n\n", "no symbol bound to id 0"),
+    ], ids=["repeated id", "repeated symbol", "three_fields", "no_epsilon"])
     def test_symbol_table_rejects_repeated_symbol_or_id(self, tmp_path, text, match):
         path = tmp_path / "syms.txt"
         path.write_text(text)

@@ -80,6 +80,10 @@ class TestTokenFst:
         with pytest.raises(GraphError, match="id 1"):
             build_token_fst(bad)
 
+    def test_requires_a_real_token(self):
+        with pytest.raises(GraphError, match="token table has no real tokens"):
+            build_token_fst(make_token_table([], n_disambig=1))
+
     def test_smallest_token_set(self):
         t = build_token_fst(make_token_table(["a"]))
         assert t.num_states == 2
@@ -117,6 +121,10 @@ class TestLexiconFst:
         used = {arc.ilabel for s in range(l.num_states) for arc in l.arcs(s)}
         assert used & aux
         determinize(l, state_budget_factor=50)  # must not diverge
+
+    def test_no_entries_rejected(self):
+        with pytest.raises(GraphError, match="lexicon has no entries"):
+            Lexicon([])
 
     def test_empty_pronunciation_rejected(self):
         with pytest.raises(GraphError, match="empty pronunciation"):
@@ -159,9 +167,12 @@ class TestLexiconFst:
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lexicon.txt"
-        path.write_text("ka\tk a\nse\ts e\n")
+        path.write_text("ka\tk a\n\n  \nse\ts e\n")
         lex = Lexicon.from_file(path)
         assert [w for w, _ in lex.entries] == ["ka", "se"]
+        path.write_text("\n  \n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: empty lexicon')}$"):
+            Lexicon.from_file(path)
         bad = tmp_path / "bad.txt"
         bad.write_text("wordonly\n")
         with pytest.raises(DataFormatError, match="line 1"):
@@ -228,7 +239,12 @@ class TestParseArpa:
         ("", 1, "missing \\\\data"),
         ("\\data\\\nngram 2=1\n", 2, "non-contiguous"),
         ("\\data\\\nngram 1=1\n\nngram 3=1\n\n", 4, "non-contiguous"),
-    ], ids=["empty", "orders_from_two", "orders_skip_two"])
+        ("\n\n\\data\\\nngram 2=1\n", 4, "non-contiguous"),
+        ("\\data\\\nngram 1=1\n\n\\x-grams:\n", 4, "malformed section header"),
+        ("\\data\\\nngram 1=1\n\n\\2-grams:\n", 4, "section order 2 outside declared 1..1"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\nx a\n", 5, "malformed probability 'x'"),
+    ], ids=["empty", "orders_from_two", "orders_skip_two", "blank_lines_before_data",
+            "section_header", "section_order", "probability"])
     def test_error_names_a_line_of_the_text(self, text, line, match):
         with pytest.raises(ArpaError, match=match) as err:
             parse_arpa(text)
@@ -240,6 +256,8 @@ class TestParseArpa:
         assert model.log10_prob(("a",), "b") == pytest.approx(-0.3)
         # missing bigram (b, a): backoff(b) + unigram(a) = -0.1 + -0.4
         assert model.log10_prob(("b",), "a") == pytest.approx(-0.5)
+        # a word the model never saw
+        assert model.log10_prob(("a",), "zz") == -math.inf
 
     def test_sentence_score_composes_terms(self):
         model = parse_arpa(MINI_BIGRAM)
@@ -249,6 +267,21 @@ class TestParseArpa:
 
 
 class TestGrammarFst:
+    def test_ngram_without_its_context_entry_rejected(self):
+        model = parse_arpa(MINI_BIGRAM.replace("ngram 2=2", "ngram 2=3")
+                           .replace("-0.3 a b\n", "-0.3 a b\n-0.3 zz b\n"))
+        with pytest.raises(GraphError, match="ngram 'zz b' has no context entry 'zz'"):
+            build_grammar_fst(model, SymbolTable(["a", "b"]))
+
+    def test_lm_word_missing_from_the_lexicon_is_skipped_with_a_warning(self, caplog):
+        model = parse_arpa(MINI_UNIGRAM)
+        wt = SymbolTable(["a", "b"])
+        with caplog.at_level("WARNING", logger="spikefst.graph"):
+            g = build_grammar_fst(model, wt)
+        assert [r.getMessage() for r in caplog.records] == [
+            "grammar skipped 1 LM words missing from the lexicon: c"]
+        assert {a.olabel for s in range(g.num_states) for a in g.arcs(s)} == {1, 2}
+
     def test_unigram_sentence_weight(self):
         model = parse_arpa(MINI_UNIGRAM)
         from spikefst.wfst import SymbolTable

@@ -7,12 +7,15 @@ import pytest
 
 from helpers import collapse_oracle, stochastic_oracle
 from spikefst import (
+    CompressedPosteriors,
     DataFormatError,
     LabelSequence,
     PosteriorMatrix,
     SynthConfig,
     ValidationError,
     argmax_labels,
+    custom_blank,
+    load_labels,
     load_posteriors,
     save_posteriors,
     softmax,
@@ -53,6 +56,39 @@ class TestSoftmax:
         p = softmax(np.zeros((7, 5)))
         assert (p.frames, p.vocab_size) == (7, 5)
 
+    def test_no_frames(self):
+        p = softmax(np.zeros((0, 5)))
+        assert (p.frames, p.vocab_size) == (0, 5)
+
+
+# Each constructor's checks, one bad value each.
+INVALID = {
+    "matrix_not_2d": (lambda: PosteriorMatrix(np.full(4, 0.25)), "must be 2-D"),
+    "source_map_length": (
+        lambda: CompressedPosteriors(np.full((2, 2), 0.5), (0,), 1), "source_map length"),
+    "custom_blank_width": (lambda: custom_blank(1), "vocab_size must be >= 2"),
+    "label_below_one": (lambda: LabelSequence((2, 0)), "label token 0 out of range"),
+    "logits_not_2d": (lambda: softmax(np.zeros(3)), "logits must be 2-D"),
+    "logits_no_columns": (lambda: softmax(np.zeros((3, 0))), "vocab size must be >= 2"),
+    "logits_one_column": (lambda: softmax(np.zeros((3, 1))), "vocab size must be >= 2"),
+    "synth_vocab": (lambda: SynthConfig(vocab_size=1), "vocab_size must be >= 2"),
+    "synth_peak": (lambda: SynthConfig(vocab_size=4, peak=0.5), "peak probability"),
+    "synth_peak_minus_noise": (
+        lambda: SynthConfig(vocab_size=4, peak=0.6, noise=0.4), "peak - noise"),
+    "synth_range": (lambda: SynthConfig(vocab_size=4, blank_run=(3, 2)), "length ranges"),
+    "synth_spike": (lambda: SynthConfig(vocab_size=4, spike_len=(0, 2)), "spike length"),
+    "synth_label": (
+        lambda: synth_posteriors(LabelSequence((1, 4)), SynthConfig(vocab_size=4), 0),
+        re.escape("label token 4 outside vocabulary [1, 4)")),
+}
+
+
+@pytest.mark.parametrize("case", INVALID)
+def test_invalid_value_is_a_validation_error(case):
+    make, match = INVALID[case]
+    with pytest.raises(ValidationError, match=match):
+        make()
+
 
 class TestArgmaxLabels:
     def test_one_hot_rows(self):
@@ -85,14 +121,14 @@ class TestPosteriorIO:
         p = PosteriorMatrix(raw)
         path = tmp_path / "m.spkf"
         save_posteriors(p, path, "binary")
-        q = load_posteriors(path, "binary")
+        q = load_posteriors(path)
         assert np.array_equal(p.values, q.values)
 
     def test_empty_matrix_round_trip(self, tmp_path):
         p = PosteriorMatrix(np.empty((0, 6)))
         path = tmp_path / "m.spkf"
         save_posteriors(p, path, "binary")
-        q = load_posteriors(path, "binary")
+        q = load_posteriors(path)
         assert q.frames == 0 and q.vocab_size == 6
 
     def test_truncated_payload(self, tmp_path):
@@ -101,21 +137,36 @@ class TestPosteriorIO:
         save_posteriors(p, path, "binary")
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(DataFormatError, match="truncated"):
-            load_posteriors(path, "binary")
+            load_posteriors(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.spkf"
         path.write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(DataFormatError, match="magic"):
-            load_posteriors(path, "binary")
+            load_posteriors(path)
 
     def test_unknown_format_is_a_validation_error(self, tmp_path):
         path = tmp_path / "m.spkf"
         with pytest.raises(ValidationError, match="unknown posterior format 'csv'"):
             save_posteriors(PosteriorMatrix(np.full((1, 2), 0.5)), path, "csv")
         assert not path.exists()
-        with pytest.raises(ValidationError, match="unknown posterior format 'csv'"):
-            load_posteriors(path, "csv")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_vocab_below_two_is_a_data_error_naming_the_file(self, tmp_path, version):
+        import struct
+
+        path = tmp_path / "m.spkf"
+        raw = struct.pack("<4sIII2f", b"SPKF", version, 2, 1, 1.0, 1.0)
+        if version == 2:  # both rows marked as inserted blanks
+            raw += struct.pack("<I2i", 0, -1, -1)
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: vocab"):
+            load_posteriors(path)
+
+    def test_labels_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("1 2\n\n  \n3\n")
+        assert [l.tokens for l in load_labels(path)] == [(1, 2), (3,)]
 
     def test_dimension_overflow(self, tmp_path):
         import struct
@@ -123,7 +174,7 @@ class TestPosteriorIO:
         path = tmp_path / "m.spkf"
         path.write_bytes(struct.pack("<4sIII", b"SPKF", 1, 2**20, 2**20))
         with pytest.raises(DataFormatError, match="overflow"):
-            load_posteriors(path, "binary")
+            load_posteriors(path)
 
 
 class TestAtomicWrite:

@@ -72,6 +72,10 @@ class TestScoreCorpus:
         report = score_corpus({"u": "ab cd"}, {"u": "abcd"}, unit="char")
         assert report.rate == 0.0
 
+    def test_unknown_unit_rejected(self):
+        with pytest.raises(ValidationError, match="scoring unit must be 'word' or 'char'"):
+            score_corpus({"u": "a"}, {"u": "a"}, unit="phone")
+
     def test_id_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="mismatch"):
             score_corpus({"a": "x"}, {"b": "x"})
@@ -96,6 +100,17 @@ class TestTransFile:
         path = tmp_path / "refs.txt"
         path.write_text("utt1\n")
         assert read_trans_file(path) == {"utt1": ""}
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text("utt1\tka se\n\n   \nutt2\tmu\n")
+        assert read_trans_file(path) == {"utt1": "ka se", "utt2": "mu"}
+
+    def test_empty_utterance_id_names_line(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text("utt1\tka se\n\tmu\n")
+        with pytest.raises(DataFormatError, match=r"refs\.txt: line 2: empty utterance id"):
+            read_trans_file(path)
 
     def test_repeated_utterance_id_names_line(self, tmp_path):
         path = tmp_path / "refs.txt"
