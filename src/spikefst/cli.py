@@ -46,9 +46,6 @@ def _add_compress_flags(p: argparse.ArgumentParser) -> None:
     # default mode is dense.
     p.add_argument("--mode", default="ioo_koo", choices=MODES)
     p.add_argument("--koo-strategy", default=CompressConfig.koo_strategy, choices=["max", "min"])
-    p.add_argument("--blanks-per-region", type=int, default=CompressConfig.blanks_per_region,
-                   choices=[1, 2])
-    p.add_argument("--nb-onehot", default=CompressConfig.nb_onehot, choices=["all", "max"])
     p.add_argument("--nb-threshold", type=float, default=CompressConfig.nb_threshold,
                    help="peak-probability gate for one-hot rewrites (best known: 0.99)")
     p.add_argument("--lsd-threshold", type=float, default=CompressConfig.lsd_threshold)
@@ -59,8 +56,6 @@ def _compress_config(args, mode: str | None = None) -> CompressConfig:
     return CompressConfig(
         mode=mode if mode is not None else args.mode,
         koo_strategy=args.koo_strategy,
-        blanks_per_region=args.blanks_per_region,
-        nb_onehot=args.nb_onehot,
         nb_threshold=args.nb_threshold,
         lsd_threshold=args.lsd_threshold,
         swd_window=args.swd_window,
@@ -241,11 +236,15 @@ def cmd_score(args) -> int:
     refs = read_trans_file(args.refs)
     hyps = read_trans_file(args.hyps)
     report = score_corpus(refs, hyps, unit=args.unit)
+    counts = report.per_utt.values()
     payload = {
         "unit": report.unit,
         "rate": report.rate,
         "percent": report.percent,
         "edits": report.total_edits,
+        "substitutions": sum(c.substitutions for c in counts),
+        "insertions": sum(c.insertions for c in counts),
+        "deletions": sum(c.deletions for c in counts),
         "ref_len": report.total_ref_len,
         "utterances": len(report.per_utt),
     }

@@ -9,9 +9,8 @@ reaches the search:
   one-hot blank row.
 * ``ioo_koo``: additionally keep one representative frame per non-blank
   run (max- or min-probability).
-* ``ioo_nb``: rewrite non-blank frames to one-hot rows, optionally gated
-  by a peak-probability threshold (``nb_onehot`` ``all`` keeps every
-  frame of a run, ``max`` only its max-probability frame).
+* ``ioo_nb``: ``ioo``, with every non-blank frame rewritten to a
+  one-hot row, optionally gated by a peak-probability threshold.
 * ``aed_ioo``: interleave a one-hot blank row around every row of a
   per-emission matrix that has no native blanks.
 * ``discard`` / ``average`` / ``lsd`` / ``swd``: reference heuristics
@@ -54,8 +53,6 @@ from .posterior import (
 class CompressConfig:
     mode: str = "dense"
     koo_strategy: str = "max"
-    blanks_per_region: int = 1
-    nb_onehot: str = "all"  # all | max
     nb_threshold: float | None = None
     lsd_threshold: float = 0.99
     swd_window: int = 1
@@ -65,10 +62,6 @@ class CompressConfig:
             raise ValidationError(f"unknown compression mode {self.mode!r}")
         if self.koo_strategy not in ("max", "min"):
             raise ValidationError(f"koo_strategy must be 'max' or 'min', got {self.koo_strategy!r}")
-        if self.blanks_per_region not in (1, 2):
-            raise ValidationError("blanks_per_region must be 1 or 2")
-        if self.nb_onehot not in ("all", "max"):
-            raise ValidationError(f"nb_onehot must be all|max, got {self.nb_onehot!r}")
         if self.nb_threshold is not None and not (0.0 <= self.nb_threshold <= 1.0):
             raise ValidationError("nb_threshold must lie in [0, 1]")
         if not (0.0 <= self.lsd_threshold <= 1.0):
@@ -80,9 +73,8 @@ class CompressConfig:
         """Short human-readable mode tag for reports."""
         if self.mode == "ioo_koo":
             return f"ioo_koo/{self.koo_strategy}"
-        if self.mode == "ioo_nb":
-            tag = f"ioo_nb/{self.nb_onehot}"
-            return tag if self.nb_threshold is None else f"{tag}@{self.nb_threshold:g}"
+        if self.mode == "ioo_nb" and self.nb_threshold is not None:
+            return f"ioo_nb@{self.nb_threshold:g}"
         if self.mode == "lsd":
             return f"lsd@{self.lsd_threshold:g}"
         if self.mode == "swd":
@@ -129,34 +121,29 @@ def _ctc_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
     """Blank-run compression of a CTC posterior matrix (``ioo``,
     ``ioo_koo``, ``ioo_nb``).
 
-    The output always opens with ``blanks_per_region`` custom blank rows;
-    a leading blank run in the input is absorbed by them.  Every later
-    maximal blank run becomes ``blanks_per_region`` custom blank rows.
-    Non-blank runs emit, per ``cfg.mode``:
+    The output always opens with one custom blank row; a leading blank
+    run in the input is absorbed by it.  Every later maximal blank run
+    becomes one custom blank row.  Non-blank runs emit, per ``cfg.mode``:
 
     * ``ioo``: every frame verbatim;
     * ``ioo_koo``: only the ``koo_select`` representative;
-    * ``ioo_nb``: with ``nb_onehot='all'`` every frame, rewritten to a
-      one-hot of its argmax when its peak probability passes
-      ``nb_threshold`` (always, when the threshold is unset); with
-      ``'max'``, only the max-probability representative, same rewrite rule.
+    * ``ioo_nb``: every frame, rewritten to a one-hot of its argmax when
+      its peak probability passes ``nb_threshold`` (always, when the
+      threshold is unset).
 
-    With ``blanks_per_region=1`` the output length M obeys M <= 2K+1,
-    where K is the number of content rows emitted.
+    So the output length M obeys M <= 2K+1, where K is the number of
+    content rows emitted.
     """
     tokens, starts, ends = segment_blocks(labels)
     content = tokens != BLANK_ID
-    if cfg.mode == "ioo" or (cfg.mode == "ioo_nb" and cfg.nb_onehot == "all"):
-        keep = labels != BLANK_ID
-    else:
-        strategy = cfg.koo_strategy if cfg.mode == "ioo_koo" else "max"
+    if cfg.mode == "ioo_koo":
         keep = np.zeros(p.frames, dtype=bool)
-        keep[koo_select(p, tokens[content], starts[content], ends[content], strategy)] = True
+        keep[koo_select(p, tokens[content], starts[content], ends[content], cfg.koo_strategy)] = True
+    else:
+        keep = labels != BLANK_ID
     keep[starts[~content & (starts > 0)]] = True  # one head per later blank run
     frames = np.flatnonzero(keep)
     rows = np.concatenate(([CUSTOM_BLANK], np.where(labels[frames] == BLANK_ID, CUSTOM_BLANK, frames)))
-    if cfg.blanks_per_region > 1:
-        rows = np.repeat(rows, np.where(rows == CUSTOM_BLANK, cfg.blanks_per_region, 1))
     values = p.values
     if cfg.mode == "ioo_nb":
         hot = labels != BLANK_ID

@@ -27,6 +27,8 @@ CUSTOM_BLANK = -1
 _MAGIC = b"SPKF"
 # Refuse headers that would allocate unreasonably large payloads.
 _MAX_CELLS = 1 << 28
+# A source frame is stored as an i32.
+_FRAME_LIMIT = 1 << 31
 
 ROW_SUM_TOL = 1e-4
 
@@ -82,7 +84,9 @@ class CompressedPosteriors(PosteriorMatrix):
     ``source_map[i]`` is the input frame the i-th row came from, or
     ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count``
     counts the kept source frames whose argmax is not blank, or every
-    input row for ``aed_ioo``, whose input has no native blank.
+    input row for ``aed_ioo``, whose input has no native blank.  The
+    count lies in ``[0, frames]`` and every source frame in
+    ``[CUSTOM_BLANK, 2**31)``, so :func:`save_posteriors` can write both.
     """
 
     source_map: tuple[int, ...]
@@ -90,9 +94,18 @@ class CompressedPosteriors(PosteriorMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.source_map) != self.frames:
+        smap = tuple(map(int, self.source_map))
+        if len(smap) != self.frames:
             raise ValidationError("source_map length must match row count")
-        object.__setattr__(self, "source_map", tuple(map(int, self.source_map)))
+        if self.nonblank_count > self.frames:
+            raise ValidationError(f"{self.nonblank_count} content rows but only {self.frames} rows")
+        if self.nonblank_count < 0:
+            raise ValidationError(f"content row count {self.nonblank_count} is negative")
+        if smap and not (CUSTOM_BLANK <= min(smap) and max(smap) < _FRAME_LIMIT):
+            row = next(i for i, f in enumerate(smap) if not CUSTOM_BLANK <= f < _FRAME_LIMIT)
+            side = f"below {CUSTOM_BLANK}" if smap[row] < CUSTOM_BLANK else "not below 2**31"
+            raise ValidationError(f"row {row}: source frame {smap[row]} is {side}")
+        object.__setattr__(self, "source_map", smap)
 
 
 def custom_blank(vocab_size: int) -> np.ndarray:
@@ -167,9 +180,9 @@ def _checked(where: str, fn, *args):
 def load_posteriors(path) -> PosteriorMatrix:
     """Read a file :func:`save_posteriors` wrote: version 1 as a
     :class:`PosteriorMatrix`, version 2 as a :class:`CompressedPosteriors`.
-    A version-2 map must count no more content rows than there are rows,
-    hold no frame below ``CUSTOM_BLANK``, strictly increase over its kept
-    frames, and mark only rows that hold the inserted blank exactly."""
+    A version-2 map must also pass that constructor's checks, strictly
+    increase over its kept frames, and mark only rows that hold the
+    inserted blank exactly."""
     raw = read_file(path, binary=True)
     if len(raw) < 16:
         raise DataFormatError(f"{path}: header truncated ({len(raw)} bytes)")
@@ -192,12 +205,7 @@ def load_posteriors(path) -> PosteriorMatrix:
         return _checked(path, PosteriorMatrix, values)
     (nonblank,) = struct.unpack_from("<I", raw, end)
     smap = np.frombuffer(raw, dtype="<i4", offset=end + 4)
-    if nonblank > frames:
-        raise DataFormatError(f"{path}: {nonblank} content rows but only {frames} rows")
-    below = np.flatnonzero(smap < CUSTOM_BLANK)
-    if below.size:
-        raise DataFormatError(
-            f"{path}: row {below[0]}: source frame {smap[below[0]]} is below {CUSTOM_BLANK}")
+    p = _checked(path, CompressedPosteriors, values, smap.tolist(), nonblank)
     kept = np.flatnonzero(smap != CUSTOM_BLANK)
     down = np.flatnonzero(np.diff(smap[kept]) <= 0)
     if down.size:
@@ -206,12 +214,12 @@ def load_posteriors(path) -> PosteriorMatrix:
             f"{path}: row {row}: source frames must strictly increase, "
             f"got {smap[row]} after {smap[prev]}")
     marked = np.flatnonzero(smap == CUSTOM_BLANK)
-    wrong = marked[np.any(values[marked] != _checked(path, custom_blank, vocab), axis=1)]
+    wrong = marked[np.any(values[marked] != custom_blank(vocab), axis=1)]
     if wrong.size:
         raise DataFormatError(
             f"{path}: row {wrong[0]}: marked {CUSTOM_BLANK} but its values are not the "
             "inserted blank")
-    return _checked(path, CompressedPosteriors, values, smap.tolist(), nonblank)
+    return p
 
 
 def load_labels(path, token_table=None) -> list[LabelSequence]:

@@ -126,20 +126,20 @@ def compress_oracle(p: PosteriorMatrix, cfg) -> tuple[np.ndarray, tuple[int, ...
     if cfg.mode == "dense":
         return vals, tuple(range(T)), len(content)
     if cfg.mode in ("ioo", "ioo_koo", "ioo_nb"):
-        rows += [onehot(0)] * cfg.blanks_per_region
-        srcs += [-1] * cfg.blanks_per_region
+        rows.append(onehot(0))
+        srcs.append(-1)
         for i, (tok, s, e) in enumerate(runs):
             if tok == 0:
                 if i > 0:
-                    rows += [onehot(0)] * cfg.blanks_per_region
-                    srcs += [-1] * cfg.blanks_per_region
+                    rows.append(onehot(0))
+                    srcs.append(-1)
                 continue
-            if cfg.mode == "ioo" or (cfg.mode == "ioo_nb" and cfg.nb_onehot == "all"):
-                picks = range(s, e)
-            else:
+            if cfg.mode == "ioo_koo":
                 probs = [float(vals[f, tok]) for f in range(s, e)]
-                pick_max = cfg.mode == "ioo_nb" or cfg.koo_strategy == "max"
-                picks = [s + probs.index(max(probs) if pick_max else min(probs))]
+                extreme = max if cfg.koo_strategy == "max" else min
+                picks = [s + probs.index(extreme(probs))]
+            else:
+                picks = range(s, e)
             for f in picks:
                 hot = cfg.mode == "ioo_nb" and (
                     cfg.nb_threshold is None or vals[f, tok] >= cfg.nb_threshold)

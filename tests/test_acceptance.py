@@ -66,7 +66,7 @@ def test_c01_length_bound_over_thousand_matrices():
                           peak=0.9, noise=0.05)
         p = synth_posteriors(labels, cfg, seed=trial)
         assert 50 <= p.frames <= 2000
-        c = compress(p, CompressConfig(mode="ioo_koo", blanks_per_region=1))
+        c = compress(p, CompressConfig(mode="ioo_koo"))
         assert c.frames <= 2 * c.nonblank_count + 1, f"violation at trial {trial}"
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -284,7 +284,7 @@ def test_c09_nonblank_threshold_sweep_direction(lang, tlg):
 
     cers = []
     for tau in (0.8, 0.9, 0.95, 0.99):
-        mode_cfg = CompressConfig(mode="ioo_nb", nb_onehot="all", nb_threshold=tau)
+        mode_cfg = CompressConfig(mode="ioo_nb", nb_threshold=tau)
         cers.append(corpus_cer(lang, tlg, corpus, mode_cfg))
     for lo_tau, hi_tau in zip(cers, cers[1:]):
         assert hi_tau <= lo_tau + 1e-12, f"CER not monotone: {cers}"

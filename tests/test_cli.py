@@ -232,6 +232,16 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rate"] == 0.0
 
+    def test_score_reports_each_kind_of_edit(self, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.txt", tmp_path / "hyps.txt"
+        refs.write_text("u1\ta b c\nu2\td e\nu3\tf\n")
+        hyps.write_text("u1\ta x c\nu2\td e g h\nu3\t\n")
+        assert main(["score", "--refs", str(refs), "--hyps", str(hyps)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        counts = [payload[k] for k in ("substitutions", "insertions", "deletions")]
+        assert counts == [1, 2, 1]
+        assert sum(counts) == payload["edits"] == 4
+
     def test_decode_then_score_end_to_end(self, workdir, graph_dir, posterior_dir, capsys):
         hyps = workdir / "hyps_dense.txt"
         rc = main(["decode", "--graph-dir", str(graph_dir), "--input", str(posterior_dir),
@@ -334,7 +344,10 @@ class TestExitCodes:
 
     def test_seed_only_on_synth_and_no_nb_onehot_off(self):
         assert main(["score", "--refs", "r.txt", "--hyps", "h.txt", "--seed", "1"]) == 1
-        assert main(["compress", "--input", "in", "--out", "out", "--nb-onehot", "off"]) == 1
+        # one blank per region and every frame of an ioo_nb run are not flags
+        for flag, value in (("--nb-onehot", "off"), ("--nb-onehot", "max"),
+                            ("--blanks-per-region", "2")):
+            assert main(["compress", "--input", "in", "--out", "out", flag, value]) == 1
 
     def test_data_error_is_two(self, workdir):
         rc = main(["score", "--refs", str(workdir / "nope.txt"),

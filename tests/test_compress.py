@@ -178,14 +178,6 @@ class TestCompressCtc:
         np.testing.assert_array_equal(c.values[1], p.values[1])
         np.testing.assert_array_equal(c.values[2], p.values[2])
 
-    def test_two_blanks_per_region_doubles_everywhere(self):
-        p = matrix_from_argmax(self.PATTERN)
-        c = compress(p, CompressConfig(mode="ioo_koo", blanks_per_region=2))
-        assert [is_custom_blank(r) for r in c.values] == [
-            True, True, False, True, True, False,
-        ]
-        assert c.source_map[:2] == (CUSTOM_BLANK, CUSTOM_BLANK)
-
     def test_empty_input_single_custom_blank(self):
         p = matrix_from_argmax([])
         c = compress(p, CompressConfig(mode="ioo_koo"))
@@ -204,7 +196,7 @@ class TestCompressCtc:
             cfg = SynthConfig(vocab_size=v, spike_len=(1, 3), blank_run=(0, 5),
                               peak=0.9, noise=0.05)
             p = synth_posteriors(LabelSequence(labels), cfg, seed=trial)
-            for mode in ("ioo", "ioo_koo"):
+            for mode in ("ioo", "ioo_koo", "ioo_nb"):
                 c = compress(p, CompressConfig(mode=mode))
                 assert c.frames <= 2 * c.nonblank_count + 1
 
@@ -238,7 +230,7 @@ class TestCompressCtc:
 
     def test_ioo_nb_all_rewrites_every_frame(self):
         p = matrix_from_argmax(self.PATTERN, peak=0.7)
-        c = compress(p, CompressConfig(mode="ioo_nb", nb_onehot="all"))
+        c = compress(p, CompressConfig(mode="ioo_nb"))
         assert c.frames == 5
         for row, src in zip(c.values, c.source_map):
             if src != CUSTOM_BLANK:
@@ -246,19 +238,10 @@ class TestCompressCtc:
 
     def test_ioo_nb_threshold_gates_rewrites(self):
         p = matrix_from_argmax(self.PATTERN, peak=0.7)
-        c = compress(
-            p, CompressConfig(mode="ioo_nb", nb_onehot="all", nb_threshold=0.9)
-        )
+        c = compress(p, CompressConfig(mode="ioo_nb", nb_threshold=0.9))
         for row, src in zip(c.values, c.source_map):
             if src != CUSTOM_BLANK:
                 np.testing.assert_array_equal(row, p.values[src])  # kept verbatim
-
-    def test_ioo_nb_max_keeps_one_onehot_per_block(self):
-        p = matrix_from_argmax(self.PATTERN, peak=0.7)
-        c = compress(p, CompressConfig(mode="ioo_nb", nb_onehot="max"))
-        assert c.frames == 4 and c.nonblank_count == 2
-        assert c.values[1].max() == 1.0 and c.values[3].max() == 1.0
-
 
 class TestCompressAed:
     def test_two_rows_make_five(self):
@@ -339,8 +322,6 @@ class TestBaselines:
     @pytest.mark.parametrize("field, value, match", [
         ("mode", "foo", "unknown compression mode 'foo'"),
         ("koo_strategy", "median", "koo_strategy must be 'max' or 'min'"),
-        ("blanks_per_region", 3, "blanks_per_region must be 1 or 2"),
-        ("nb_onehot", "off", "nb_onehot must be all|max"),
         ("nb_threshold", 1.5, r"nb_threshold must lie in \[0, 1\]"),
         ("swd_window", -1, "swd_window must be >= 0"),
     ])
@@ -541,10 +522,9 @@ class TestDispatcher:
         with pytest.raises(ValidationError, match=match):
             PosteriorMatrix(np.array(rows))
 
-    def test_nb_onehot_is_all_or_max(self):
-        assert CompressConfig(mode="ioo_nb").label() == "ioo_nb/all"
-        with pytest.raises(ValidationError, match=r"all\|max"):
-            CompressConfig(mode="ioo_nb", nb_onehot="off")
+    def test_ioo_nb_label_is_the_mode_and_its_threshold(self):
+        assert CompressConfig(mode="ioo_nb").label() == "ioo_nb"
+        assert CompressConfig(mode="ioo_nb", nb_threshold=0.9).label() == "ioo_nb@0.9"
 
     def test_argmax_labels_is_taken_once_per_call(self, monkeypatch):
         # the package's name ``compress`` is the function, not the module
@@ -603,11 +583,8 @@ def oracle_matrices():
 def oracle_configs():
     for mode in MODES:
         for koo in ("max", "min"):
-            for bpr in (1, 2):
-                for nb in ("all", "max"):
-                    for thr in (None, 0.5, 0.9):
-                        yield CompressConfig(mode=mode, koo_strategy=koo, blanks_per_region=bpr,
-                                             nb_onehot=nb, nb_threshold=thr)
+            for thr in (None, 0.5, 0.9):
+                yield CompressConfig(mode=mode, koo_strategy=koo, nb_threshold=thr)
     for x in (0.0, 0.5, 0.9, 1.0):
         yield CompressConfig(mode="lsd", lsd_threshold=x)
     for w in (0, 2, 5):

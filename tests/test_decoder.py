@@ -29,6 +29,7 @@ from spikefst import (
     SynthConfig,
     ValidationError,
     compress,
+    custom_blank,
     decode,
     decode_batch,
     load_posteriors,
@@ -47,6 +48,14 @@ def assert_one_token_per_row(r, frames):
     assert len(r.tokens) == r.frames_processed == frames.frames
     rows = frames.source_map if isinstance(frames, CompressedPosteriors) else range(frames.frames)
     assert [frame for frame, _ in r.tokens] == list(rows)
+
+
+def doubled_blanks(comp):
+    """*comp* with every inserted blank row repeated, so that the search
+    meets runs of two pure-blank rows."""
+    smap = np.asarray(comp.source_map)
+    rows = np.repeat(np.arange(comp.frames), np.where(smap == CUSTOM_BLANK, 2, 1))
+    return CompressedPosteriors(comp.values[rows], smap[rows], comp.nonblank_count)
 
 
 def one_word_graph(*extra, n=3, finals=None):
@@ -148,7 +157,7 @@ class TestViterbiOracle:
         for trial in range(200):
             g = random_decodable_graph(rng, max_states=30, vocab=5)
             p = random_posteriors(rng, int(rng.integers(0, 8)), 5)
-            comp = compress(p, CompressConfig(mode="ioo_nb", nb_onehot="all"))
+            comp = compress(p, CompressConfig(mode="ioo_nb"))
             expected = viterbi_oracle(g, comp.values)
             if math.isfinite(expected):
                 got = decode(g, comp, WIDE).total_cost
@@ -163,19 +172,23 @@ class TestViterbiOracle:
     def test_folded_steps_match_exhaustive_dp(self):
         # Each inserted blank row is folded into the next row's step (see
         # decoder.py); at beam inf the fold must still find the best path.
+        # Doubling the inserted blanks makes runs of two pure-blank rows,
+        # of which only the second is folded.
         rng = np.random.default_rng(1212)
         modes = (
-            CompressConfig(mode="ioo"),
-            CompressConfig(mode="ioo_koo", koo_strategy="max"),
-            CompressConfig(mode="ioo_koo", koo_strategy="min"),
-            CompressConfig(mode="ioo", blanks_per_region=2),
-            CompressConfig(mode="ioo_koo", koo_strategy="min", blanks_per_region=2),
+            (CompressConfig(mode="ioo"), False),
+            (CompressConfig(mode="ioo_koo", koo_strategy="max"), False),
+            (CompressConfig(mode="ioo_koo", koo_strategy="min"), False),
+            (CompressConfig(mode="ioo"), True),
+            (CompressConfig(mode="ioo_koo", koo_strategy="min"), True),
         )
-        finite = folded = 0
+        finite = folded = blank_runs = 0
         for trial in range(250):
             g = random_decodable_graph(rng, max_states=30, vocab=3)
-            comp = compress(random_posteriors(rng, int(rng.integers(1, 16)), 3),
-                            modes[trial % len(modes)])
+            cfg, double = modes[trial % len(modes)]
+            comp = compress(random_posteriors(rng, int(rng.integers(1, 16)), 3), cfg)
+            if double:
+                comp = doubled_blanks(comp)
             expected = viterbi_oracle(g, comp.values)
             if not math.isfinite(expected):
                 with pytest.raises(DecodeError):
@@ -186,7 +199,9 @@ class TestViterbiOracle:
             assert_one_token_per_row(r, comp)
             finite += 1
             folded += r.frames_processed - len(r.tokens_alive_histogram)
-        assert finite >= 100 and folded >= 200
+            pure = np.all(comp.values == custom_blank(3), axis=1)
+            blank_runs += bool(np.any(pure[1:] & pure[:-1]))
+        assert finite >= 100 and folded >= 200 and blank_runs >= 30
 
     def test_acoustic_scale_respected(self):
         rng = np.random.default_rng(7)

@@ -5,8 +5,9 @@ and ``decoder.py`` holds the search and nothing else: it does not score,
 and it imports nothing from ``compress``.  Only ``spikefst.wfst``
 touches an ``Fst``'s arc rows, and the public names of ``Fst`` and
 ``SymbolTable`` are pinned, so that no mutator comes back unnoticed.
-``compress.py``'s public names are pinned too, so that ``compress``
-stays the one way to compress, and it reads and writes no file: the
+``compress.py``'s public names and ``CompressConfig``'s fields are
+pinned too, so that ``compress`` stays the one way to compress and no
+knob comes back unnoticed, and it reads and writes no file: the
 posterior file format is ``posterior.py``'s alone.  Only ``errors.py``
 writes a file: everything else calls ``errors.write_file``.
 """
@@ -112,6 +113,14 @@ def test_compress_public_names_are_pinned():
     assert {n for n in functions if not n.startswith("_")} == {
         "segment_blocks", "koo_select", "compress"}
     assert {n for n in classes if not n.startswith("_")} == {"CompressConfig"}
+
+
+def test_compress_config_fields_are_the_papers_knobs():
+    # one inserted blank per blank run, and every frame of an ioo_nb run, are not knobs
+    tree = ast.parse((SRC / "compress.py").read_text())
+    (config,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "CompressConfig"]
+    fields = {n.target.id for n in config.body if isinstance(n, ast.AnnAssign)}
+    assert fields == {"mode", "koo_strategy", "nb_threshold", "lsd_threshold", "swd_window"}
 
 
 def test_compress_does_no_file_io():

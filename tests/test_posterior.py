@@ -66,6 +66,15 @@ INVALID = {
     "matrix_not_2d": (lambda: PosteriorMatrix(np.full(4, 0.25)), "must be 2-D"),
     "source_map_length": (
         lambda: CompressedPosteriors(np.full((2, 2), 0.5), (0,), 1), "source_map length"),
+    "content_count_above_rows": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 1), 3), "3 content rows but only 2 rows"),
+    "content_count_negative": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 1), -1), "content row count -1 is negative"),
+    "source_frame_below_blank": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, -2), 0), "row 1: source frame -2 is below -1"),
+    "source_frame_past_i32": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 2**31), 1),
+        re.escape("row 1: source frame 2147483648 is not below 2**31")),
     "custom_blank_width": (lambda: custom_blank(1), "vocab_size must be >= 2"),
     "label_below_one": (lambda: LabelSequence((2, 0)), "label token 0 out of range"),
     "logits_not_2d": (lambda: softmax(np.zeros(3)), "logits must be 2-D"),
@@ -149,6 +158,16 @@ class TestPosteriorIO:
         path = tmp_path / "m.spkf"
         with pytest.raises(ValidationError, match="unknown posterior format 'csv'"):
             save_posteriors(PosteriorMatrix(np.full((1, 2), 0.5)), path, "csv")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("source_map, count", [
+        ((-1, 1), -1), ((-1, 1), 2**32), ((-1, 2**31), 1), ((-1, -2**31 - 1), 1),
+    ], ids=["count_negative", "count_past_u32", "frame_past_i32", "frame_below_i32"])
+    def test_map_the_file_cannot_hold_is_refused_before_saving(self, tmp_path, source_map,
+                                                                count):
+        path = tmp_path / "m.spkf"
+        with pytest.raises(ValidationError):
+            save_posteriors(CompressedPosteriors(np.eye(2), source_map, count), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("version", [1, 2])
