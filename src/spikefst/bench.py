@@ -61,6 +61,9 @@ class BenchRow:
     speedup: float
     median_ms: float
     failures: int
+    substitutions: int
+    insertions: int
+    deletions: int
 
 
 @dataclass
@@ -108,7 +111,7 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
         raise ValidationError("repeats must be >= 1")
     _check_refs([u for u, _ in utts], refs)
 
-    measured = []  # per mode: label, cer, mean frames, median seconds, failures
+    measured = []  # per mode: label, cer, mean frames, median seconds, failures, S/I/D
     for mode_cfg in modes:
         samples = []
         for _ in range(repeats):
@@ -122,9 +125,9 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
             sum(c.frames for _, c in compressed) / len(compressed) if compressed else 0.0
         )
         measured.append((mode_cfg.label(), report.rate, mean_frames,
-                         statistics.median(samples), len(batch.failures)))
+                         statistics.median(samples), len(batch.failures), report.breakdown))
 
-    _, _, dense_frames, dense_s, _ = next(
+    _, _, dense_frames, dense_s, _, _ = next(
         m for m, mode_cfg in zip(measured, modes) if mode_cfg.mode == "dense"
     )
     rows = [
@@ -132,9 +135,9 @@ def bench(graph, utts, refs: dict[str, str], modes: list[CompressConfig],
             mode=label, cer=cer, mean_frames=frames,
             frame_reduction=dense_frames / frames if frames else float("inf"),
             speedup=dense_s / median_s if median_s > 0 else float("inf"),
-            median_ms=median_s * 1000.0, failures=failures,
+            median_ms=median_s * 1000.0, failures=failures, **breakdown,
         )
-        for label, cer, frames, median_s, failures in measured
+        for label, cer, frames, median_s, failures, breakdown in measured
     ]
     return BenchReport(rows, unit=unit, repeats=repeats)
 

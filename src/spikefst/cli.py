@@ -236,15 +236,12 @@ def cmd_score(args) -> int:
     refs = read_trans_file(args.refs)
     hyps = read_trans_file(args.hyps)
     report = score_corpus(refs, hyps, unit=args.unit)
-    counts = report.per_utt.values()
     payload = {
         "unit": report.unit,
         "rate": report.rate,
         "percent": report.percent,
         "edits": report.total_edits,
-        "substitutions": sum(c.substitutions for c in counts),
-        "insertions": sum(c.insertions for c in counts),
-        "deletions": sum(c.deletions for c in counts),
+        **report.breakdown,
         "ref_len": report.total_ref_len,
         "utterances": len(report.per_utt),
     }

@@ -25,13 +25,33 @@ the initial tokens.  A negative-weight epsilon cycle anywhere in the
 graph raises :class:`FstError` when the table is compiled, whether or
 not a token would reach it.
 
-Token costs live in two lists indexed by state, swapped each frame, with
-``inf`` for "no token"; the frame's traces live in a state -> trace dict
-whose keys are the states reached.  After a frame's expansion the old
-list is reset at exactly those keys, so it is all ``inf`` again when it
-is reused.  A candidate is stored only when it is strictly cheaper than
-the state's current cost, so zero-probability (``inf``) candidates are
-never stored.
+Token costs live in two lists indexed by state, swapped each step, with
+``inf`` for "no token".  A live state's cost is reset to ``inf`` as it
+is expanded, and a reached state that pruning drops is reset when it is
+dropped, so the list is all ``inf`` again when it is reused.  A
+candidate is stored only when it is strictly cheaper than the state's
+current cost, so zero-probability (``inf``) candidates are never stored.
+
+Every entry carries its *origin*, ``(p, *arcs crossed)``: the state it
+leaves and the arcs it crosses, built once when the table is compiled.
+Storing a candidate writes its cost and its entry's origin, so a store
+creates no object.  A step's origins live in a state ->
+origin dict, the step table, whose keys are the states reached.  Step
+tables are kept for traceback, which starts at the best final state and
+reads the tables from the last back, each origin naming the state to
+read in the table before it.  The first table holds the initial tokens:
+``(start,)`` for the start state and ``(start, *arcs)`` for each state
+of its epsilon closure.
+
+Kept tables grow with steps times reached states, so every
+``_SETTLE_EVERY`` steps the live tokens' ancestors are walked back
+through the tables, no further than the step of the previous try, to
+the latest step where they meet in one state.  The path up to that
+state is the *settled prefix*: it is resolved into a flat list of arcs,
+and the tables it crosses are dropped.  If the ancestors do not meet,
+nothing is dropped.  A decode thus holds its acoustic rows plus the
+step tables since the last settled step (Kaldi's partial traceback,
+Povey et al., 2011).
 
 Before the expansion, the entries of the previous frame's best token
 are relaxed; the cheapest of those costs plus the beam bounds this
@@ -64,9 +84,9 @@ blank row must be consumed by a blank arc, and no prune happens between
 the two rows; the bound, the per-column views and ``minw`` work as on
 any step, over the through-blank entries and the second row's costs.
 A trailing pure-blank row, and each but the last of a run of them, keep
-an ordinary step.  A through-blank entry's arcs crossed are its blank
-arcs followed by its arcs, so every step stores the same trace ``(prev
-trace, arcs crossed)`` and no trace stores a row.  Traceback needs none:
+an ordinary step.  A through-blank entry's origin is ``s`` followed by
+its blank arcs and then its arcs, so every step stores one origin per
+reached state and no step stores a row.  Traceback needs none:
 a direct entry crosses one emitting arc, a through-blank entry two and
 the start closure none, so the path crosses exactly one emitting arc
 per row, in row order.  Its k-th emitting arc is row k's token, which
@@ -154,16 +174,19 @@ class _Entries(NamedTuple):
 class _Table:
     """Search-time view of a graph, epsilon arcs compiled away (see the
     module doc).  ``direct`` holds the entries ``(column, weight, next,
-    arcs crossed)`` of an ordinary step and ``thru`` the through-blank
-    entries of a folded step in the same shape, their arcs crossed being
-    the blank arcs then the arcs; ``start`` is the start state's epsilon
-    closure as ``(state, cost, arcs crossed)``."""
+    origin)`` of an ordinary step and ``thru`` the through-blank entries
+    of a folded step in the same shape, an origin being ``(state, *arcs
+    crossed)``; ``start`` holds the initial tokens, the start state and
+    its epsilon closure, as ``(state, cost, origin)``."""
 
     max_ilabel: int
     direct: _Entries
     thru: _Entries
-    start: tuple[tuple[int, float, tuple[Arc, ...]], ...]
+    start: tuple[tuple[int, float, tuple], ...]
 
+
+# steps between tries to settle a prefix of the search; see the module doc
+_SETTLE_EVERY = 256
 
 _tables: weakref.WeakKeyDictionary[Fst, _Table] = weakref.WeakKeyDictionary()
 
@@ -208,24 +231,56 @@ def _compile(graph: Fst) -> _Table:
     emit = []
     for s in range(n):
         out = [a for a in graph.arcs(s) if a.ilabel != EPSILON]
-        entries = [(a.ilabel - 1, a.weight, a.nextstate, (a,)) for a in out]
+        entries = [(a.ilabel - 1, a.weight, a.nextstate, (s, a)) for a in out]
         for a in sorted(out, key=lambda a: a.nextstate):  # stable: arc order within one state
             for f, (v, _, _, via) in closure.get(a.nextstate, {}).items():
-                entries.append((a.ilabel - 1, a.weight + v, f, (a,) + via))
+                entries.append((a.ilabel - 1, a.weight + v, f, (s, a, *via)))
         emit.append(tuple(entries))
     max_ilabel = max((a.ilabel for _, a in arcs), default=0)
     direct = _Entries.of(emit, max_ilabel)
     # one through-blank entry per blank entry s -> m and per entry of m
-    thru = [tuple((x, wb + wx, f, bpath + xpath)
-                  for col, wb, m, bpath in entries if col == 0
-                  for x, wx, f, xpath in emit[m])
+    thru = [tuple((x, wb + wx, f, origin + xorigin[1:])
+                  for col, wb, m, origin in entries if col == 0
+                  for x, wx, f, xorigin in emit[m])
             for entries in emit]
+    start = graph.start
     return _Table(
         max_ilabel=max_ilabel,
         direct=direct,
         thru=_Entries.of(thru, max_ilabel),
-        start=tuple((f, v, via) for f, (v, _, _, via) in closure.get(graph.start, {}).items()),
+        start=((start, 0.0, (start,)),
+               *((f, v, (start, *via)) for f, (v, _, _, via) in closure.get(start, {}).items())),
     )
+
+
+def _walk(steps: list[dict], s: int) -> list[Arc]:
+    """The arcs crossed from the origins of the first of *steps* to
+    state *s* of the last."""
+    origins = []
+    for step in reversed(steps):
+        origin = step[s]
+        origins.append(origin)
+        s = origin[0]
+    return [a for origin in reversed(origins) for a in origin[1:]]
+
+
+def _settle(steps: list[dict], live: list[int], floor: int, prefix: list[Arc]) -> int:
+    """Walk the ancestors of the *live* tokens back through *steps*, no
+    further than step *floor*.  If they meet in one state, append the
+    arcs up to it to *prefix*, drop the steps they cross and return 0;
+    otherwise return the last step's index, the next try's floor."""
+    k = len(steps) - 1
+    states = live
+    while len(states) > 1 and k > floor:
+        step = steps[k]
+        states = {step[s][0] for s in states}
+        k -= 1
+    if len(states) > 1:
+        return len(steps) - 1
+    (s,) = states
+    prefix += _walk(steps[:k + 1], s)
+    del steps[:k + 1]
+    return 0
 
 
 def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
@@ -268,15 +323,17 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
 
     inf = math.inf
     beam, max_active = cfg.beam, cfg.max_active
-    # cost[s] is the live token's cost or inf; back maps each reached state
-    # to its trace, (prev trace, arcs crossed)
+    # cost[s] is the live token's cost or inf; steps[i][s] is the origin
+    # of state s's token after step i, steps[0] holding the initial tokens
     cost, nxt = [inf] * graph.num_states, [inf] * graph.num_states
-    cost[graph.start] = 0.0
-    back: dict[int, tuple | None] = {graph.start: None}
-    for s, v, path in table.start:
+    first = {}
+    for s, v, origin in table.start:
         cost[s] = v
-        back[s] = (None, path)
-    live = sorted(back)
+        first[s] = origin
+    steps = [first]
+    prefix: list[Arc] = []  # the settled prefix's arcs; see the module doc
+    floor = 0
+    live = sorted(first)
     best = min(live, key=cost.__getitem__)
     histogram: list[int] = []
 
@@ -298,15 +355,14 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         bound += beam
         nback: dict[int, tuple] = {}
         for s in live:
-            c, trace = cost[s], back[s]
+            c = cost[s]
+            cost[s] = inf
             # only entries on the cheapest column can pass the bound; see the module doc
-            for col, w, ns, path in (hot if c + minw[s] + second > bound else emit)[s]:
+            for col, w, ns, origin in (hot if c + minw[s] + second > bound else emit)[s]:
                 nc = c + w + row[col]
                 if nc <= bound and nc < nxt[ns]:
                     nxt[ns] = nc
-                    nback[ns] = (trace, path)
-        for s in back:
-            cost[s] = inf
+                    nback[ns] = origin
         if not nback:
             raise DecodeError(t)
         reached = sorted(nback)
@@ -315,8 +371,14 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         live = [s for s in reached if nxt[s] <= cutoff]
         if len(live) > max_active:
             live = sorted(s for _, s in heapq.nsmallest(max_active, [(nxt[s], s) for s in live]))
+        if len(live) < len(reached):
+            for s in nback.keys() - live:
+                nxt[s] = inf
         histogram.append(len(live))
-        cost, nxt, back = nxt, cost, nback
+        steps.append(nback)
+        cost, nxt = nxt, cost
+        if len(histogram) % _SETTLE_EVERY == 0:
+            floor = _settle(steps, live, floor, prefix)
 
     best_state = -1
     best_total = ZERO
@@ -332,12 +394,7 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
     if best_state < 0:
         raise DecodeError(n_frames, "no final state reachable at end of input")
 
-    paths = []
-    node = back[best_state]
-    while node is not None:
-        node, path = node
-        paths.append(path)
-    path = [a for p in reversed(paths) for a in p]
+    path = prefix + _walk(steps, best_state)
     words = tuple(a.olabel for a in path if a.olabel != EPSILON)
     # one emitting arc per row, in row order; see the module doc
     tokens = tuple(zip(source_map, [a.ilabel for a in path if a.ilabel != EPSILON]))

@@ -13,6 +13,7 @@ so a copied file keeps its provenance.  A loader's errors name its file.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -85,7 +86,7 @@ class CompressedPosteriors(PosteriorMatrix):
     ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count``
     counts the kept source frames whose argmax is not blank, or every
     input row for ``aed_ioo``, whose input has no native blank.  The
-    count lies in ``[0, frames]`` and every source frame in
+    count is an integer in ``[0, frames]`` and every source frame in
     ``[CUSTOM_BLANK, 2**31)``, so :func:`save_posteriors` can write both.
     """
 
@@ -97,6 +98,12 @@ class CompressedPosteriors(PosteriorMatrix):
         smap = tuple(map(int, self.source_map))
         if len(smap) != self.frames:
             raise ValidationError("source_map length must match row count")
+        try:
+            count = operator.index(self.nonblank_count)
+        except TypeError:
+            raise ValidationError(
+                f"content row count {self.nonblank_count!r} is not an integer") from None
+        object.__setattr__(self, "nonblank_count", count)
         if self.nonblank_count > self.frames:
             raise ValidationError(f"{self.nonblank_count} content rows but only {self.frames} rows")
         if self.nonblank_count < 0:

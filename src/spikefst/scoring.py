@@ -68,6 +68,14 @@ class ScoreReport:
         return sum(c.ref_len for c in self.per_utt.values())
 
     @property
+    def breakdown(self) -> dict[str, int]:
+        """Corpus totals of substitutions, insertions and deletions."""
+        counts = self.per_utt.values()
+        return {"substitutions": sum(c.substitutions for c in counts),
+                "insertions": sum(c.insertions for c in counts),
+                "deletions": sum(c.deletions for c in counts)}
+
+    @property
     def rate(self) -> float:
         denom = self.total_ref_len
         return self.total_edits / denom if denom else 0.0

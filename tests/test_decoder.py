@@ -480,6 +480,89 @@ class TestSearchOracle:
                          (0.5, 1.0, 2.0, 3.0, 4.0, 8.0))
 
 
+class TestSettledPrefix:
+    """``decode`` against ``search_oracle`` on inputs longer than the
+    decoder's settle interval, where it resolves the settled prefix and
+    drops the step tables before it (see ``decoder.py``)."""
+
+    every = importlib.import_module("spikefst.decoder")._SETTLE_EVERY
+
+    @pytest.fixture
+    def dropped(self, monkeypatch):
+        """Tables dropped by each try to settle a prefix, in try order."""
+        decoder_module = importlib.import_module("spikefst.decoder")
+        settle, dropped = decoder_module._settle, []
+
+        def counting(steps, *args):
+            kept = len(steps)
+            floor = settle(steps, *args)
+            dropped.append(kept - len(steps))
+            return floor
+
+        monkeypatch.setattr(decoder_module, "_settle", counting)
+        return dropped
+
+    @staticmethod
+    def same_as_oracle(g, frames, cfg):
+        """Assert the same search or the same DecodeError text; return the
+        number of search steps, 0 on an error."""
+        try:
+            expected = search_oracle(g, frames, cfg)
+        except DecodeError as exc:
+            with pytest.raises(DecodeError) as got:
+                decode(g, frames, cfg)
+            assert str(got.value) == str(exc)
+            return 0
+        got = decode(g, frames, cfg)
+        assert got.same_search(expected), f"{got} vs {expected}"
+        assert_one_token_per_row(got, frames)
+        return len(got.tokens_alive_histogram)
+
+    @pytest.mark.parametrize("mode", ["dense", "ioo_koo"])
+    @pytest.mark.parametrize("make", [random_search_case, spiky_search_case],
+                             ids=["random", "spiky"])
+    def test_rows_repeated_past_the_interval(self, make, mode, dropped):
+        rng = np.random.default_rng(20261020)
+        for max_active in (1, 2, 3, 5000):
+            long = 0
+            for _ in range(30):
+                g, frames = make(rng)
+                reps = 4 * self.every // max(1, frames.frames) + 1
+                rows = PosteriorMatrix(np.tile(frames.values, (reps, 1)))
+                cfg = DecoderConfig(beam=float(rng.choice((1.0, 4.0, 16.0))),
+                                    max_active=max_active)
+                steps = self.same_as_oracle(g, compress(rows, CompressConfig(mode=mode)), cfg)
+                long += steps > self.every
+                if long == 2:
+                    break
+            assert long == 2, max_active
+        assert sum(dropped) > 0
+
+    def test_parallel_branches_that_never_meet_settle_nothing(self, dropped):
+        # the start closure puts tokens on 1 and 2, and each loops on itself
+        # at equal cost, so no step has one ancestor of every live token
+        g = fst_of(3, [(0, 0, 10, 0.0, 1), (0, 0, 20, 0.0, 2),
+                       (1, 1, 0, 0.5, 1), (1, 2, 0, 0.5, 1),
+                       (2, 1, 0, 0.5, 2), (2, 2, 0, 0.5, 2)], {1: 0.0, 2: 0.0})
+        frames = random_posteriors(np.random.default_rng(5), 3 * self.every, 2)
+        assert self.same_as_oracle(g, frames, WIDE) == 3 * self.every
+        assert len(dropped) == 3 and not any(dropped)
+        assert decode(g, frames, WIDE).words == (10,)
+
+    def test_failure_after_a_settled_prefix_names_its_row(self, dropped):
+        # blanks up to row 3N, then a column no arc reads: the last blank
+        # row folds into that row's step, which stores nothing
+        g = fst_of(2, [(0, 1, 0, 0.1, 0), (0, 2, 7, 0.2, 1)], {1: 0.0})
+        t = 3 * self.every
+        rows = np.zeros((t + 1, 3))
+        rows[:t, 0] = 1.0
+        rows[t, 2] = 1.0
+        assert self.same_as_oracle(g, PosteriorMatrix(rows), WIDE) == 0
+        with pytest.raises(DecodeError, match=f"frame {t}"):
+            decode(g, PosteriorMatrix(rows), WIDE)
+        assert dropped and all(dropped)
+
+
 class TestFixpointOracle:
     """On graphs from ``build_tlg``, whose epsilon arcs are single
     epsilon:word flush arcs, the compiled closure gives exactly what the
@@ -779,6 +862,20 @@ class TestSweep:
         assert report.row("dense").speedup == 1.0
         with pytest.raises(KeyError):
             report.row("ioo_koo/max")
+
+    def test_bench_rows_carry_the_corpus_edit_breakdown(self):
+        import json
+
+        from spikefst import bench
+
+        # the graph always says "5": one exact, one substituted, one with a word dropped
+        utts = [(u, one_hot_rows([0, 1, 0])) for u in ("exact", "sub", "drop")]
+        refs = {"exact": "5", "sub": "7", "drop": "5 5"}
+        report = bench(one_word_graph(), utts, refs, [CompressConfig(mode="dense")],
+                       WIDE, repeats=1)
+        row = json.loads(report.to_json())["rows"][0]
+        assert (row["substitutions"], row["insertions"], row["deletions"]) == (1, 0, 1)
+        assert row["cer"] == 0.5
 
     def test_word_syms_without_an_output_table_are_ids(self):
         from spikefst import word_syms

@@ -70,6 +70,15 @@ INVALID = {
         lambda: CompressedPosteriors(np.eye(2), (-1, 1), 3), "3 content rows but only 2 rows"),
     "content_count_negative": (
         lambda: CompressedPosteriors(np.eye(2), (-1, 1), -1), "content row count -1 is negative"),
+    "content_count_float": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 1), 1.5),
+        "content row count 1.5 is not an integer"),
+    "content_count_numpy_float": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 1), np.float64(1.0)),
+        r"content row count \S*1\.0\S* is not an integer"),
+    "content_count_str": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 1), "1"),
+        "content row count '1' is not an integer"),
     "source_frame_below_blank": (
         lambda: CompressedPosteriors(np.eye(2), (-1, -2), 0), "row 1: source frame -2 is below -1"),
     "source_frame_past_i32": (
@@ -169,6 +178,13 @@ class TestPosteriorIO:
         with pytest.raises(ValidationError):
             save_posteriors(CompressedPosteriors(np.eye(2), source_map, count), path)
         assert not path.exists()
+
+    def test_numpy_integer_count_is_stored_as_int_and_saves_the_same_bytes(self, tmp_path):
+        p = CompressedPosteriors(np.eye(2), (-1, 1), np.int64(1))
+        assert type(p.nonblank_count) is int
+        save_posteriors(p, tmp_path / "a.spkf")
+        save_posteriors(CompressedPosteriors(np.eye(2), (-1, 1), 1), tmp_path / "b.spkf")
+        assert (tmp_path / "a.spkf").read_bytes() == (tmp_path / "b.spkf").read_bytes()
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_vocab_below_two_is_a_data_error_naming_the_file(self, tmp_path, version):
