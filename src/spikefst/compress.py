@@ -22,14 +22,18 @@ in one table of row choosers.  A chooser picks source-frame indices:
 ``dense`` all of them; the CTC modes runs from ``segment_blocks`` (a
 blank run carries only position, so it becomes one inserted blank; a
 non-blank run carries the content, so ``koo_select`` can keep one frame
-of it).  ``compress`` then gathers the rows in one step.  Index
-``CUSTOM_BLANK`` reads the inserted blank row, so the index array is
-also the source map: every output row records its source frame and time
-alignments survive compression.  ``nonblank_count`` has one rule: the
-kept source frames whose argmax is not blank, or every input row for
-``aed_ioo``, whose input has no native blank.  All transforms are pure
-and deterministic, and none reads or writes a file: ``save_posteriors``
-writes a compressed matrix and its source map as one file.
+of it).  ``ioo_koo`` is one row per run: ``koo_select`` picks a frame
+of every run, a blank run's pick becomes an inserted blank, and a
+leading blank run is the leading inserted blank, so M <= 2K+1 still
+holds for K content rows.  ``compress`` then gathers the rows in one
+step.  Index ``CUSTOM_BLANK`` reads the inserted blank row, so the index
+array is also the source map: every output row records its source frame
+and time alignments survive compression.  ``nonblank_count`` has one
+rule: the kept source frames whose argmax is not blank, or every input
+row for ``aed_ioo``, whose input has no native blank.  All transforms
+are pure and deterministic, and none reads or writes a file:
+``save_posteriors`` writes a compressed matrix and its source map as one
+file.
 """
 
 from __future__ import annotations
@@ -101,20 +105,26 @@ def segment_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def koo_select(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max") -> np.ndarray:
     """Representative frame of each run ``[starts[i], ends[i])``: its max-
     (or min-) probability frame for the run's token ``tokens[i]``; ties go
-    to the earliest frame."""
+    to the earliest frame.  The runs must tile *p*'s frames ``[0, T)`` in
+    order, as ``segment_blocks`` returns them, or :class:`ValidationError`
+    is raised."""
     if strategy == "max":
         extreme = np.maximum
     elif strategy == "min":
         extreme = np.minimum
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    lengths = np.asarray(ends) - starts
-    offsets = np.cumsum(lengths) - lengths  # each run's first slot in the flat layout
-    frames = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-    probs = p.values[frames, np.repeat(tokens, lengths)]
-    hits = np.flatnonzero(probs == np.repeat(extreme.reduceat(probs, offsets), lengths))
-    # every run holds a hit, so its first hit is the first at or after its offset
-    return frames[hits[np.searchsorted(hits, offsets)]]
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    n, frames = starts.size, p.frames
+    if not (len(tokens) == n == ends.size
+            and (starts[0] == 0 and ends[-1] == frames if n else frames == 0)
+            and (starts[1:] == ends[:-1]).all() and (ends > starts).all()):
+        raise ValidationError(f"runs do not tile frames [0, {frames}) in order")
+    lengths = ends - starts
+    probs = p.values[np.arange(frames), np.repeat(tokens, lengths)]
+    hits = np.flatnonzero(probs == np.repeat(extreme.reduceat(probs, starts), lengths))
+    # every run holds a hit, so its first hit is the first at or after its start
+    return hits[np.searchsorted(hits, starts)]
 
 
 def _ctc_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
@@ -122,28 +132,33 @@ def _ctc_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
     ``ioo_koo``, ``ioo_nb``).
 
     The output always opens with one custom blank row; a leading blank
-    run in the input is absorbed by it.  Every later maximal blank run
-    becomes one custom blank row.  Non-blank runs emit, per ``cfg.mode``:
+    run in the input is that row, and an input that opens with a content
+    run gets one inserted before it.  Every later maximal blank run
+    becomes one custom blank row.  Content runs emit, per ``cfg.mode``:
 
     * ``ioo``: every frame verbatim;
-    * ``ioo_koo``: only the ``koo_select`` representative;
+    * ``ioo_koo``: only the ``koo_select`` representative, so the output
+      is one row per run of the input, plus the leading blank when the
+      input opens with content;
     * ``ioo_nb``: every frame, rewritten to a one-hot of its argmax when
       its peak probability passes ``nb_threshold`` (always, when the
       threshold is unset).
 
     So the output length M obeys M <= 2K+1, where K is the number of
-    content rows emitted.
+    content rows emitted: every blank row but the first follows a
+    content row.
     """
     tokens, starts, ends = segment_blocks(labels)
-    content = tokens != BLANK_ID
-    if cfg.mode == "ioo_koo":
-        keep = np.zeros(p.frames, dtype=bool)
-        keep[koo_select(p, tokens[content], starts[content], ends[content], cfg.koo_strategy)] = True
+    if cfg.mode == "ioo_koo":  # one row per run
+        rows = koo_select(p, tokens, starts, ends, cfg.koo_strategy)
+        rows[tokens == BLANK_ID] = CUSTOM_BLANK
     else:
         keep = labels != BLANK_ID
-    keep[starts[~content & (starts > 0)]] = True  # one head per later blank run
-    frames = np.flatnonzero(keep)
-    rows = np.concatenate(([CUSTOM_BLANK], np.where(labels[frames] == BLANK_ID, CUSTOM_BLANK, frames)))
+        keep[starts[tokens == BLANK_ID]] = True  # one head per blank run
+        rows = np.flatnonzero(keep)
+        rows[labels[rows] == BLANK_ID] = CUSTOM_BLANK
+    if tokens.size == 0 or tokens[0] != BLANK_ID:
+        rows = np.concatenate(([CUSTOM_BLANK], rows))
     values = p.values
     if cfg.mode == "ioo_nb":
         hot = labels != BLANK_ID

@@ -57,7 +57,11 @@ Before the expansion, the entries of the previous frame's best token
 are relaxed; the cheapest of those costs plus the beam bounds this
 frame's cutoff from above (those candidates are among the frame's), so a
 candidate above the bound could never survive pruning and is dropped
-instead of stored.
+instead of stored.  A state's cost only falls during a step, so every
+reached state ends at or below the bound, and when the cutoff is at or
+above the bound the beam prune would keep every reached state: it runs
+only when the cutoff is below the bound, that is when another token
+gives a candidate strictly cheaper than every one of the previous best's.
 
 Each row's cheapest column ``h`` and second-cheapest cost are found
 once per call.  A live state ``s`` reads the table's per-column view of
@@ -368,7 +372,8 @@ def decode(graph: Fst, frames, cfg: DecoderConfig) -> DecodeResult:
         reached = sorted(nback)
         best = min(reached, key=nxt.__getitem__)
         cutoff = nxt[best] + beam
-        live = [s for s in reached if nxt[s] <= cutoff]
+        # every reached state is at or below bound; see the module doc
+        live = [s for s in reached if nxt[s] <= cutoff] if cutoff < bound else reached
         if len(live) > max_active:
             live = sorted(s for _, s in heapq.nsmallest(max_active, [(nxt[s], s) for s in live]))
         if len(live) < len(reached):

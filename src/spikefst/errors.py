@@ -22,7 +22,8 @@ def read_file(path, binary: bool = False):
     """The bytes of *path*, or its text decoded as UTF-8.  A file that
     cannot be read or decoded raises :class:`DataFormatError` naming it."""
     try:
-        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") if binary else open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import os
@@ -14,6 +15,7 @@ from helpers import ToyLang, sample_sentences, toy_lexicon_text, TOY_WORDS
 from spikefst import (CompressConfig, DataFormatError, DecoderConfig, SymbolTable, load_labels,
                       load_posteriors)
 from spikefst.cli import _compress_config, _decoder_config, build_parser, main
+from spikefst.errors import read_file
 from spikefst.graph import Lexicon, load_arpa
 from spikefst.scoring import read_trans_file
 from spikefst.wfst import read_fst_text, write_fst_text
@@ -495,6 +497,31 @@ class TestUnreadableFiles:
             path.mkdir()
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             LOADERS[loader](path)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", os.strerror(errno.ENOENT)), ("directory", os.strerror(errno.EISDIR))])
+    def test_read_file_names_the_path_and_the_reason(self, tmp_path, kind, reason, binary):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(DataFormatError) as err:
+            read_file(path, binary=binary)
+        assert str(err.value) == f"{path}: cannot read: {reason}"
+
+    def test_read_file_names_the_first_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"caf\xe9\t1\n")
+        with pytest.raises(DataFormatError) as err:
+            read_file(path)
+        assert str(err.value) == f"{path}: byte 3 is not UTF-8 text"
+        assert read_file(path, binary=True) == b"caf\xe9\t1\n"
+
+    def test_read_file_text_mode_reads_every_line_ending_as_newline(self, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert read_file(path) == "a\nb\nc\n"
+        assert read_file(path, binary=True) == b"a\r\nb\rc\n"
 
     @pytest.mark.parametrize("loader, content", [
         # row 0 sums to 1.3

@@ -92,8 +92,8 @@ class TestCustomBlank:
 
 class TestKooSelect:
     def run(self, probs, token=A, start=10):
-        """A matrix whose frames [start, start + len(probs)) form one run of
-        *token* with the given peak probabilities, after *start* blank frames."""
+        """A matrix of *start* blank frames, all tied, then one run of
+        *token* with the given peak probabilities, and its run cover."""
         vocab = 4
         rows = [custom_blank(vocab)] * start
         for p in probs:
@@ -101,21 +101,42 @@ class TestKooSelect:
             row[token] = p
             rows.append(row)
         p = PosteriorMatrix(np.array(rows))
-        return p, np.array([token]), np.array([start]), np.array([start + len(probs)])
+        return p, np.array([BLK, token]), np.array([0, start]), np.array([start, start + len(probs)])
 
     def test_max_and_min(self):
         run = self.run([0.6, 0.9, 0.7])
-        assert koo_select(*run, "max").tolist() == [11]
-        assert koo_select(*run, "min").tolist() == [10]
+        assert koo_select(*run, "max").tolist() == [0, 11]
+        assert koo_select(*run, "min").tolist() == [0, 10]
 
     def test_singleton(self):
         run = self.run([0.8])
-        assert koo_select(*run, "max").tolist() == koo_select(*run, "min").tolist() == [10]
+        assert koo_select(*run, "max").tolist() == koo_select(*run, "min").tolist() == [0, 10]
 
     def test_tie_goes_earliest(self):
         run = self.run([0.8, 0.8])
-        assert koo_select(*run, "max").tolist() == [10]
-        assert koo_select(*run, "min").tolist() == [10]
+        assert koo_select(*run, "max").tolist() == [0, 10]
+        assert koo_select(*run, "min").tolist() == [0, 10]
+
+    def test_no_frames_no_runs(self):
+        p = PosteriorMatrix(np.empty((0, 4)))
+        none = np.empty(0, np.intp)
+        assert koo_select(p, none, none, none).tolist() == []
+
+    @pytest.mark.parametrize("tokens, starts, ends", [
+        ([A], [10], [13]),  # the content run alone
+        ([BLK, A], [0, 10], [10, 12]),  # stops short of T
+        ([BLK, A], [1, 10], [10, 13]),  # starts after 0
+        ([BLK, A], [0, 9], [10, 13]),  # overlap
+        ([BLK, A], [0, 11], [10, 13]),  # gap
+        ([BLK, BLK, A], [0, 10, 10], [10, 10, 13]),  # an empty run
+        ([BLK], [0, 10], [10, 13]),  # a token short
+        ([], [], []),  # no runs over 13 frames
+    ], ids=["content_only", "short", "late_start", "overlap", "gap", "empty_run",
+            "token_short", "no_runs"])
+    def test_runs_that_do_not_tile_the_frames_are_refused(self, tokens, starts, ends):
+        p = self.run([0.6, 0.9, 0.7])[0]
+        with pytest.raises(ValidationError, match=r"runs do not tile frames \[0, 13\) in order"):
+            koo_select(p, *(np.array(a, np.intp) for a in (tokens, starts, ends)))
 
     def test_exhaustive_scan_agreement(self):
         rng = np.random.default_rng(5)
@@ -638,12 +659,21 @@ class TestRunSplitOracles:
         rng = np.random.default_rng(32)
         for labels in label_cases(rng):
             p = tied_matrix(rng, labels)
-            tokens, starts, ends = segment_blocks(argmax_labels(p))
-            content = tokens != BLK
-            for run in ((tokens, starts, ends),
-                        (tokens[content], starts[content], ends[content])):
-                got = koo_select(p, *run, strategy)
-                assert same_arrays([got], [koo_select_oracle(p, *run, strategy)]), labels
+            run = segment_blocks(argmax_labels(p))
+            got = koo_select(p, *run, strategy)
+            assert same_arrays([got], [koo_select_oracle(p, *run, strategy)]), labels
+
+    @pytest.mark.parametrize("strategy", ["max", "min"])
+    def test_ioo_koo_is_one_row_per_run(self, strategy):
+        # label_cases opens with no frames, one frame, all blank and
+        # content first and last; a leading content run gets an inserted blank
+        cfg = CompressConfig(mode="ioo_koo", koo_strategy=strategy)
+        rng = np.random.default_rng(34)
+        for labels in label_cases(rng):
+            p = tied_matrix(rng, labels)
+            tokens, _, _ = segment_blocks(argmax_labels(p))
+            lead = tokens.size == 0 or tokens[0] != BLK
+            assert compress(p, cfg).frames == tokens.size + lead, labels
 
 
 def perfbench_style_matrices():

@@ -241,6 +241,26 @@ class TestPruning:
             for tight, wide in zip(costs, costs[1:]):
                 assert tight >= wide - 1e-9
 
+    @pytest.mark.parametrize("w4, words, histogram", [
+        # 2 -> 4 at 1 + 0 undercuts the previous best's 0 + 5, so the cutoff
+        # (1 + 2) falls below the bound (5 + 2) and drops state 3, reached at 5
+        (0.0, (40,), (2, 1)),
+        # the previous best gives the cheapest candidate, so the cutoff equals
+        # the bound (5 + 2), no reached state lies above it and none is dropped
+        (5.5, (30,), (2, 2)),
+    ], ids=["cutoff_below_bound", "cutoff_at_bound"])
+    def test_beam_prune_drops_only_states_above_the_cutoff(self, w4, words, histogram):
+        # step 0 reaches 1 at 0, the best, and 2 at 1; step 1 takes 1 -> 3 at
+        # 5 and 2 -> 4 at w4; state 4's final weight makes 3 the unpruned answer
+        g = fst_of(5, [(0, 2, 0, 0.0, 1), (0, 2, 0, 1.0, 2), (1, 2, 30, 5.0, 3),
+                       (2, 2, 40, w4, 4)], {3: 0.0, 4: 10.0})
+        p = one_hot_rows([1, 1])
+        cfg = DecoderConfig(beam=2.0)
+        r = decode(g, p, cfg)
+        assert (r.words, r.tokens_alive_histogram) == (words, histogram)
+        assert r.same_search(search_oracle(g, p, cfg))
+        assert decode(g, p, WIDE).words == (30,)
+
     def test_max_active_cap_enforced(self):
         rng = np.random.default_rng(4)
         g = random_decodable_graph(rng, max_states=40, vocab=4)
