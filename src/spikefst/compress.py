@@ -25,10 +25,11 @@ non-blank run carries the content, so ``koo_select`` can keep one frame
 of it).  ``ioo_koo`` is one row per run: ``koo_select`` picks a frame
 of every run, a blank run's pick becomes an inserted blank, and a
 leading blank run is the leading inserted blank, so M <= 2K+1 still
-holds for K content rows.  ``compress`` then gathers the rows in one
-step.  Index ``CUSTOM_BLANK`` reads the inserted blank row, so the index
-array is also the source map: every output row records its source frame
-and time alignments survive compression.  ``nonblank_count`` has one
+holds for K content rows.  ``compress`` then gathers the rows through
+``posterior.select_rows``, which builds the ``CompressedPosteriors``.
+Index ``CUSTOM_BLANK`` reads the inserted blank row, so the index array
+is also the source map: every output row records its source frame and
+time alignments survive compression.  ``nonblank_count`` has one
 rule: the kept source frames whose argmax is not blank, or every input
 row for ``aed_ioo``, whose input has no native blank.  All transforms
 are pure and deterministic, and none reads or writes a file:
@@ -42,14 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .posterior import (
     BLANK_ID,
     CUSTOM_BLANK,
     CompressedPosteriors,
     PosteriorMatrix,
     argmax_labels,
-    custom_blank,
+    select_rows,
 )
 
 
@@ -70,6 +71,7 @@ class CompressConfig:
             raise ValidationError("nb_threshold must lie in [0, 1]")
         if not (0.0 <= self.lsd_threshold <= 1.0):
             raise ValidationError("lsd_threshold must lie in [0, 1]")
+        object.__setattr__(self, "swd_window", integer(self.swd_window, "swd_window"))
         if self.swd_window < 0:
             raise ValidationError("swd_window must be >= 0")
 
@@ -94,12 +96,11 @@ def segment_blocks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     fuse two non-adjacent runs of the same token into one.
     """
     labels = np.asarray(labels)
-    if labels.shape[0] == 0:
-        none = np.empty(0, np.intp)
-        return labels[none], none, none
-    inner = np.flatnonzero(labels[1:] != labels[:-1]) + 1  # every start but the first
-    starts = np.concatenate(([0], inner))
-    return labels[starts], starts, np.concatenate((inner, [labels.shape[0]]))
+    edge = np.empty(labels.shape[0] + 1, dtype=bool)  # edge[t]: a run starts or ends at t
+    edge[0] = edge[-1] = True  # the same entry when there are no frames
+    np.not_equal(labels[1:], labels[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return labels[bounds[:-1]], bounds[:-1], bounds[1:]
 
 
 def koo_select(p: PosteriorMatrix, tokens, starts, ends, strategy: str = "max") -> np.ndarray:
@@ -159,14 +160,14 @@ def _ctc_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
         rows[labels[rows] == BLANK_ID] = CUSTOM_BLANK
     if tokens.size == 0 or tokens[0] != BLANK_ID:
         rows = np.concatenate(([CUSTOM_BLANK], rows))
-    values = p.values
-    if cfg.mode == "ioo_nb":
-        hot = labels != BLANK_ID
-        if cfg.nb_threshold is not None:
-            hot &= values.max(axis=1) >= cfg.nb_threshold
-        values = values.copy()
-        values[hot] = np.eye(p.vocab_size)[labels[hot]]
-    return rows, values
+    if cfg.mode != "ioo_nb":
+        return rows, p
+    hot = labels != BLANK_ID
+    if cfg.nb_threshold is not None:
+        hot &= p.values.max(axis=1) >= cfg.nb_threshold
+    values = p.values.copy()
+    values[hot] = np.eye(p.vocab_size)[labels[hot]]
+    return rows, PosteriorMatrix(values)
 
 
 def _aed_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
@@ -175,7 +176,7 @@ def _aed_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
     the temporal separation the graph search relies on."""
     rows = np.full(2 * p.frames + 1, CUSTOM_BLANK)
     rows[1::2] = np.arange(p.frames)
-    return rows, p.values
+    return rows, p
 
 
 def _average_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
@@ -187,7 +188,7 @@ def _average_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
     values = p.values.copy()
     for s, e in zip(starts[blank], ends[blank]):
         values[s] = p.values[s:e].mean(axis=0)
-    return np.flatnonzero(keep), values
+    return np.flatnonzero(keep), PosteriorMatrix(values)
 
 
 def _swd_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
@@ -196,21 +197,22 @@ def _swd_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
     keep = np.zeros(p.frames, dtype=bool)
     for t in np.flatnonzero(labels != BLANK_ID):
         keep[max(0, t - cfg.swd_window):t + cfg.swd_window + 1] = True
-    return np.flatnonzero(keep), p.values
+    return np.flatnonzero(keep), p
 
 
-# mode -> chooser(p, labels, cfg) -> (rows, values): the source frame of
+# mode -> chooser(p, labels, cfg) -> (rows, matrix): the source frame of
 # every output row, CUSTOM_BLANK for an inserted blank, and the matrix
-# the frames index.
+# the frames index: *p* itself, or for ``ioo_nb`` and ``average`` a
+# PosteriorMatrix of *p* with the chooser's rows rewritten.
 _CHOOSERS = {
-    "dense": lambda p, labels, cfg: (np.arange(p.frames), p.values),
+    "dense": lambda p, labels, cfg: (np.arange(p.frames), p),
     "ioo": _ctc_rows,
     "ioo_koo": _ctc_rows,
     "ioo_nb": _ctc_rows,
-    "discard": lambda p, labels, cfg: (np.flatnonzero(labels != BLANK_ID), p.values),
+    "discard": lambda p, labels, cfg: (np.flatnonzero(labels != BLANK_ID), p),
     "average": _average_rows,
     "lsd": lambda p, labels, cfg: (
-        np.flatnonzero(p.values[:, BLANK_ID] < cfg.lsd_threshold), p.values),
+        np.flatnonzero(p.values[:, BLANK_ID] < cfg.lsd_threshold), p),
     "swd": _swd_rows,
     "aed_ioo": _aed_rows,
 }
@@ -218,20 +220,14 @@ MODES = tuple(_CHOOSERS)
 
 
 def compress(p: PosteriorMatrix, cfg: CompressConfig) -> CompressedPosteriors:
-    """Compress *p* with ``cfg.mode``: choose its rows, then gather them in
-    one step.  Row ``CUSTOM_BLANK`` reads the custom blank, so the chosen
-    rows are also the source map."""
+    """Compress *p* with ``cfg.mode``: choose its rows, then gather them
+    with ``select_rows``.  Row ``CUSTOM_BLANK`` reads the custom blank, so
+    the chosen rows are also the source map."""
     labels = argmax_labels(p)
-    rows, values = _CHOOSERS[cfg.mode](p, labels, cfg)
-    inserted = rows == CUSTOM_BLANK
+    rows, matrix = _CHOOSERS[cfg.mode](p, labels, cfg)
     if cfg.mode == "aed_ioo":  # no native blank, so every input row is content
         nonblank = p.frames
-    else:
-        nonblank = int(np.count_nonzero(labels[rows[~inserted]] != BLANK_ID))
-    if p.frames:
-        out = values.take(rows, axis=0, mode="clip")  # clip reads row 0 for CUSTOM_BLANK
-    else:  # no frames, so every row is an inserted blank
-        out = np.empty((rows.size, p.vocab_size))
-    out[inserted] = custom_blank(p.vocab_size)
-    return CompressedPosteriors(out, rows.tolist(), nonblank)
+    else:  # row CUSTOM_BLANK reads the appended blank label
+        nonblank = int(np.count_nonzero(np.append(labels, BLANK_ID)[rows] != BLANK_ID))
+    return select_rows(matrix, rows, nonblank)
 

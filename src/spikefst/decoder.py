@@ -118,7 +118,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecodeError, FstError, ValidationError
+from .errors import DecodeError, FstError, ValidationError, integer
 from .posterior import CompressedPosteriors
 from .wfst import EPSILON, ZERO, Arc, Fst
 
@@ -135,6 +135,7 @@ class DecoderConfig:
     def __post_init__(self):
         if not (self.beam > 0 and self.acoustic_scale > 0):
             raise ValidationError("beam and acoustic_scale must be positive")
+        object.__setattr__(self, "max_active", integer(self.max_active, "max_active"))
         if self.max_active < 1:
             raise ValidationError("max_active must be >= 1")
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one file read and
-the one file write that every loader and every writer goes through."""
+"""Exception types shared across the package, the one integer check of
+a value, and the one file read and the one file write that every loader
+and every writer goes through."""
 
+import operator
 import os
 from pathlib import Path
 
@@ -16,6 +18,15 @@ class ValidationError(SpikefstError):
 class DataFormatError(SpikefstError):
     """Malformed or unreadable input file (posteriors, FST text, lexicon,
     symbol tables), or an output path that cannot be written."""
+
+
+def integer(value, name: str) -> int:
+    """*value* as an ``int`` through ``operator.index``, so numpy integers
+    pass; anything else raises :class:`ValidationError` naming *name*."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} {value!r} is not an integer") from None
 
 
 def read_file(path, binary: bool = False):

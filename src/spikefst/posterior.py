@@ -3,23 +3,25 @@
 A posterior matrix is a T x V row-stochastic matrix: one probability
 distribution over the token vocabulary per acoustic frame.  Column 0 is
 always the blank token.  A :class:`CompressedPosteriors` is a matrix whose
-rows also record the source frame each came from.  All operations here
-are pure; matrices are treated as immutable after construction.
+rows also record the source frame each came from; its constructor owns
+every source-map rule, and ``select_rows`` gathers one from a checked
+matrix.  All operations here are pure; matrices are treated as immutable
+after construction.
 
 This module owns the one posterior file format: version 1 holds a plain
 matrix, version 2 a compressed one with its source map and content count,
-so a copied file keeps its provenance.  A loader's errors name its file.
+so a copied file keeps its provenance.  The loader only parses, and the
+constructors check what it reads.  A loader's errors name its file.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, read_file, write_file
+from .errors import DataFormatError, ValidationError, integer, read_file, write_file
 
 BLANK_ID = 0
 # source_map marker for inserted one-hot blank rows
@@ -85,9 +87,14 @@ class CompressedPosteriors(PosteriorMatrix):
     ``source_map[i]`` is the input frame the i-th row came from, or
     ``CUSTOM_BLANK`` for an inserted blank row.  ``nonblank_count``
     counts the kept source frames whose argmax is not blank, or every
-    input row for ``aed_ioo``, whose input has no native blank.  The
-    count is an integer in ``[0, frames]`` and every source frame in
-    ``[CUSTOM_BLANK, 2**31)``, so :func:`save_posteriors` can write both.
+    input row for ``aed_ioo``, whose input has no native blank.  Every
+    rule on the map is checked here, in this order, after the matrix's
+    own checks: the map has one entry per row; the count is an integer
+    in ``[0, frames]``; every source frame is an integer in
+    ``[CUSTOM_BLANK, 2**31)``; the kept frames strictly increase; and a
+    row marked ``CUSTOM_BLANK`` holds the inserted blank exactly.  So
+    every value this type accepts, :func:`save_posteriors` writes and
+    :func:`load_posteriors` reads back equal.
     """
 
     source_map: tuple[int, ...]
@@ -95,24 +102,65 @@ class CompressedPosteriors(PosteriorMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        smap = tuple(map(int, self.source_map))
-        if len(smap) != self.frames:
+        smap = self._set_map(self.source_map, self.nonblank_count)
+        marked = np.flatnonzero(smap == CUSTOM_BLANK)
+        wrong = marked[np.any(self.values[marked] != custom_blank(self.vocab_size), axis=1)]
+        if wrong.size:
+            raise ValidationError(f"row {wrong[0]}: marked {CUSTOM_BLANK} but its values are "
+                                  "not the inserted blank")
+
+    def _set_map(self, source_map, count, limit: int = _FRAME_LIMIT) -> np.ndarray:
+        """Check and store *source_map* and the content *count* by every
+        map rule but the marked rows', with source frames below *limit*;
+        return the map as an array."""
+        smap = np.asarray(source_map)
+        if smap.shape != (self.frames,):
             raise ValidationError("source_map length must match row count")
-        try:
-            count = operator.index(self.nonblank_count)
-        except TypeError:
-            raise ValidationError(
-                f"content row count {self.nonblank_count!r} is not an integer") from None
+        count = integer(count, "content row count")
+        if count > smap.size:
+            raise ValidationError(f"{count} content rows but only {smap.size} rows")
+        if count < 0:
+            raise ValidationError(f"content row count {count} is negative")
+        inside = (smap >= CUSTOM_BLANK) & (smap < limit)
+        if not inside.all():
+            row = int(np.argmin(inside))
+            frame = source_map[row]  # as given: numpy may turn huge ints into floats
+            side = (f"below {CUSTOM_BLANK}" if frame < CUSTOM_BLANK else
+                    f"not below {'2**31' if limit == _FRAME_LIMIT else limit}")
+            raise ValidationError(f"row {row}: source frame {frame} is {side}")
+        if smap.size and smap.dtype.kind not in "iu":
+            raise ValidationError(f"source frames must be integers, got {smap.dtype}")
+        kept = np.flatnonzero(smap != CUSTOM_BLANK)
+        down = np.flatnonzero(smap[kept[1:]] <= smap[kept[:-1]])
+        if down.size:
+            row, prev = kept[down[0] + 1], kept[down[0]]
+            raise ValidationError(f"row {row}: source frames must strictly increase, "
+                                  f"got {smap[row]} after {smap[prev]}")
+        object.__setattr__(self, "source_map", tuple(smap.tolist()))
         object.__setattr__(self, "nonblank_count", count)
-        if self.nonblank_count > self.frames:
-            raise ValidationError(f"{self.nonblank_count} content rows but only {self.frames} rows")
-        if self.nonblank_count < 0:
-            raise ValidationError(f"content row count {self.nonblank_count} is negative")
-        if smap and not (CUSTOM_BLANK <= min(smap) and max(smap) < _FRAME_LIMIT):
-            row = next(i for i, f in enumerate(smap) if not CUSTOM_BLANK <= f < _FRAME_LIMIT)
-            side = f"below {CUSTOM_BLANK}" if smap[row] < CUSTOM_BLANK else "not below 2**31"
-            raise ValidationError(f"row {row}: source frame {smap[row]} is {side}")
-        object.__setattr__(self, "source_map", smap)
+        return smap
+
+
+def select_rows(p: PosteriorMatrix, rows, nonblank_count: int) -> CompressedPosteriors:
+    """The rows *rows* of *p*, row ``CUSTOM_BLANK`` read as the inserted
+    blank, as a :class:`CompressedPosteriors` whose source map is *rows*.
+
+    *p* was checked when it was made, and every row returned is one of
+    its rows or the exact inserted blank, so the matrix checks and the
+    marked-row check cannot fail and are not run.  The map and count
+    checks are, with ``p.frames`` as the frame limit: a row at or past
+    it is a :class:`ValidationError`.  The values are read-only.
+    """
+    rows = np.asarray(rows)
+    values = np.empty((rows.size, p.vocab_size))
+    out = object.__new__(CompressedPosteriors)
+    object.__setattr__(out, "values", values)
+    out._set_map(rows, nonblank_count, p.frames)
+    if p.frames:  # with no frames, every row is an inserted blank
+        p.values.take(rows, axis=0, out=values, mode="clip")
+    values[rows == CUSTOM_BLANK] = custom_blank(p.vocab_size)
+    values.setflags(write=False)
+    return out
 
 
 def custom_blank(vocab_size: int) -> np.ndarray:
@@ -187,9 +235,8 @@ def _checked(where: str, fn, *args):
 def load_posteriors(path) -> PosteriorMatrix:
     """Read a file :func:`save_posteriors` wrote: version 1 as a
     :class:`PosteriorMatrix`, version 2 as a :class:`CompressedPosteriors`.
-    A version-2 map must also pass that constructor's checks, strictly
-    increase over its kept frames, and mark only rows that hold the
-    inserted blank exactly."""
+    This only parses the header and the payload; the constructor checks
+    the matrix, and a version-2 file's source map and count."""
     raw = read_file(path, binary=True)
     if len(raw) < 16:
         raise DataFormatError(f"{path}: header truncated ({len(raw)} bytes)")
@@ -212,21 +259,7 @@ def load_posteriors(path) -> PosteriorMatrix:
         return _checked(path, PosteriorMatrix, values)
     (nonblank,) = struct.unpack_from("<I", raw, end)
     smap = np.frombuffer(raw, dtype="<i4", offset=end + 4)
-    p = _checked(path, CompressedPosteriors, values, smap.tolist(), nonblank)
-    kept = np.flatnonzero(smap != CUSTOM_BLANK)
-    down = np.flatnonzero(np.diff(smap[kept]) <= 0)
-    if down.size:
-        row, prev = kept[down[0] + 1], kept[down[0]]
-        raise DataFormatError(
-            f"{path}: row {row}: source frames must strictly increase, "
-            f"got {smap[row]} after {smap[prev]}")
-    marked = np.flatnonzero(smap == CUSTOM_BLANK)
-    wrong = marked[np.any(values[marked] != custom_blank(vocab), axis=1)]
-    if wrong.size:
-        raise DataFormatError(
-            f"{path}: row {wrong[0]}: marked {CUSTOM_BLANK} but its values are not the "
-            "inserted blank")
-    return p
+    return _checked(path, CompressedPosteriors, values, smap, nonblank)
 
 
 def load_labels(path, token_table=None) -> list[LabelSequence]:

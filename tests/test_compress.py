@@ -340,11 +340,26 @@ class TestBaselines:
         with pytest.raises(ValidationError):
             CompressConfig(mode="lsd", lsd_threshold=1.5)
 
+    def test_average_mean_past_the_row_sum_tolerance_is_refused(self):
+        # each row passes the check, but their mean does not
+        p = PosteriorMatrix(np.array([
+            [0.586276249616697, 0.3357864093775581, 0.07803734100574485],
+            [0.765876529632702, 0.1906894821821709, 0.04353398818512719],
+            [0.5198728074003468, 0.19986361649724413, 0.2803635761024091]]))
+        with pytest.raises(ValidationError,
+                           match=r"^row 0 sums to 1\.000100, expected 1 \+/- 0\.0001$"):
+            compress(p, CompressConfig(mode="average"))
+
+    def test_config_stores_a_numpy_integer_window_as_int(self):
+        cfg = CompressConfig(mode="swd", swd_window=np.int64(2))
+        assert cfg.swd_window == 2 and type(cfg.swd_window) is int
+
     @pytest.mark.parametrize("field, value, match", [
         ("mode", "foo", "unknown compression mode 'foo'"),
         ("koo_strategy", "median", "koo_strategy must be 'max' or 'min'"),
         ("nb_threshold", 1.5, r"nb_threshold must lie in \[0, 1\]"),
         ("swd_window", -1, "swd_window must be >= 0"),
+        ("swd_window", 1.5, "swd_window 1.5 is not an integer"),
     ])
     def test_config_rejects_a_bad_field(self, field, value, match):
         with pytest.raises(ValidationError, match=match):
@@ -624,6 +639,23 @@ class TestCompressOracle:
                 assert got.values.tobytes() == values.tobytes(), where
                 assert got.source_map == source_map, where
                 assert got.nonblank_count == nonblank, where
+
+
+class TestSelectRowsSkipsOnlyWhatCannotFail:
+    def test_every_output_equals_the_fully_checked_value(self):
+        # compress gathers through select_rows, which skips the matrix and
+        # marked-row checks: every row it returns is a row of a checked
+        # matrix or the exact inserted blank, so the full check passes
+        mats = oracle_matrices() + list(perfbench_style_matrices())
+        for cfg in oracle_configs():
+            for i, p in enumerate(mats):
+                c = compress(p, cfg)
+                full = CompressedPosteriors(c.values, c.source_map, c.nonblank_count)
+                where = f"{cfg} on matrix {i}"
+                assert full.values.tobytes() == c.values.tobytes(), where
+                assert (full.source_map, full.nonblank_count) == (
+                    c.source_map, c.nonblank_count), where
+                assert not c.values.flags.writeable, where
 
 
 def same_arrays(got, want) -> bool:

@@ -1,7 +1,6 @@
 import importlib
 import math
 import operator
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from spikefst import (
     CUSTOM_BLANK,
     CompressConfig,
     CompressedPosteriors,
-    DataFormatError,
     DecodeError,
     DecoderConfig,
     FstError,
@@ -32,8 +30,6 @@ from spikefst import (
     custom_blank,
     decode,
     decode_batch,
-    load_posteriors,
-    save_posteriors,
     sweep_params,
 )
 from spikefst.wfst import Arc
@@ -730,27 +726,17 @@ class TestBlankFold:
         pairs = zip(source_map, source_map[1:])
         return len(source_map) - sum(a == CUSTOM_BLANK != b for a, b in pairs)
 
-    def test_sidecar_marking_a_content_row_blank_folds_nothing_more(self, tlg, clean_corpus,
-                                                                    tmp_path):
+    def test_a_blank_mark_on_a_content_row_is_refused_when_made(self, clean_corpus):
+        # so no source map can mark a row that the fold would search as content
         _, _, mat = clean_corpus[3]
         comp = compress(mat, CompressConfig(mode="ioo_koo"))
         smap = list(comp.source_map)
         k = next(i for i, src in enumerate(smap) if src != CUSTOM_BLANK)
         smap[k] = CUSTOM_BLANK
-        marked = CompressedPosteriors(comp.values, smap, comp.nonblank_count)
-        plain = PosteriorMatrix(comp.values)
-        assert marked.source_map[k] == CUSTOM_BLANK and marked.values[k].max() < 1.0
-        # such a source map is refused on load
-        path = tmp_path / "u.spkf"
-        save_posteriors(marked, path)
-        with pytest.raises(DataFormatError, match=rf"u\.spkf: row {k}: marked -1 but "):
-            load_posteriors(path)
-        cfg = DecoderConfig(beam=12.0)
-        ref = decode(tlg, plain, cfg)
-        assert len(ref.tokens_alive_histogram) == self.steps(comp.source_map) < comp.frames
-        # the plain matrix reports rows; the marked one reads them through its map
-        ref = replace(ref, tokens=tuple((marked.source_map[t], tok) for t, tok in ref.tokens))
-        assert decode(tlg, marked, cfg).same_search(ref)
+        assert comp.values[k].max() < 1.0
+        with pytest.raises(ValidationError,
+                           match=rf"^row {k}: marked -1 but its values are not the inserted blank$"):
+            CompressedPosteriors(comp.values, smap, comp.nonblank_count)
 
     def test_exact_one_hot_blank_rows_fold_without_a_source_map(self, tlg, clean_corpus):
         _, _, mat = clean_corpus[3]
@@ -766,10 +752,17 @@ class TestBlankFold:
     ("beam", 0.0, "beam and acoustic_scale must be positive"),
     ("acoustic_scale", -1.0, "beam and acoustic_scale must be positive"),
     ("max_active", 0, "max_active must be >= 1"),
+    ("max_active", 2.5, "max_active 2.5 is not an integer"),
+    ("max_active", "7", "max_active '7' is not an integer"),
 ])
 def test_decoder_config_rejects_a_bad_field(field, value, match):
     with pytest.raises(ValidationError, match=match):
         DecoderConfig(**{field: value})
+
+
+def test_decoder_config_stores_a_numpy_integer_cap_as_int():
+    cfg = DecoderConfig(max_active=np.int64(3))
+    assert cfg.max_active == 3 and type(cfg.max_active) is int
 
 
 class TestBatch:

@@ -8,7 +8,10 @@ touches an ``Fst``'s arc rows, and the public names of ``Fst`` and
 ``compress.py``'s public names and ``CompressConfig``'s fields are
 pinned too, so that ``compress`` stays the one way to compress and no
 knob comes back unnoticed, and it reads and writes no file: the
-posterior file format is ``posterior.py``'s alone.  Only ``errors.py``
+posterior file format is ``posterior.py``'s alone.  So is the row
+gather: ``compress.py`` builds no ``CompressedPosteriors`` itself and
+never touches the inserted blank row, so a second gather cannot return
+unnoticed.  Only ``errors.py``
 writes a file: everything else calls ``errors.write_file``.
 """
 
@@ -130,6 +133,16 @@ def test_compress_does_no_file_io():
     assert not [c for c in calls + names
                 if c.split(".")[-1] in ("read_file", "write_file", "load_posteriors",
                                         "save_posteriors", "open", "read_bytes", "read_text")]
+
+
+def test_compress_gathers_only_through_select_rows():
+    tree = ast.parse((SRC / "compress.py").read_text())
+    calls = [ast.unparse(node.func).split(".")[-1]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = [name for _, _, name in _package_imports(tree)]
+    assert "CompressedPosteriors" not in calls
+    assert "custom_blank" not in calls + names
+    assert "select_rows" in calls
 
 
 _WRITES = {"write_text", "write_bytes", "open", "mkstemp", "atomic_write"}

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import collapse_oracle, stochastic_oracle
 from spikefst import (
+    CUSTOM_BLANK,
     CompressedPosteriors,
     DataFormatError,
     LabelSequence,
@@ -22,7 +23,7 @@ from spikefst import (
     synth_posteriors,
 )
 from spikefst.errors import write_file
-from spikefst.posterior import ROW_SUM_TOL, check_stochastic
+from spikefst.posterior import ROW_SUM_TOL, check_stochastic, select_rows
 
 
 class TestSoftmax:
@@ -61,6 +62,11 @@ class TestSoftmax:
         assert (p.frames, p.vocab_size) == (0, 5)
 
 
+# A blank row and a content row, neither the exact inserted blank: the
+# matrix of the two maps CompressedPosteriors once accepted and the
+# loader refused, (1, 0) and (-1, 0).
+TWO_ROWS = np.array([[0.9, 0.1], [0.2, 0.8]])
+
 # Each constructor's checks, one bad value each.
 INVALID = {
     "matrix_not_2d": (lambda: PosteriorMatrix(np.full(4, 0.25)), "must be 2-D"),
@@ -84,6 +90,30 @@ INVALID = {
     "source_frame_past_i32": (
         lambda: CompressedPosteriors(np.eye(2), (-1, 2**31), 1),
         re.escape("row 1: source frame 2147483648 is not below 2**31")),
+    # numpy reads the first map as floats and the second as objects
+    "source_frame_past_i64_beside_a_mark": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 2**63), 1),
+        re.escape("row 1: source frame 9223372036854775808 is not below 2**31")),
+    "source_frame_past_u64": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 2**64), 1),
+        re.escape("row 1: source frame 18446744073709551616 is not below 2**31")),
+    "source_frame_not_an_integer": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, 1.5), 1),
+        "source frames must be integers, got float64"),
+    "source_map_not_1d": (
+        lambda: CompressedPosteriors(np.eye(2), ((-1,), (1,)), 1), "source_map length"),
+    "source_frames_decrease": (
+        lambda: CompressedPosteriors(TWO_ROWS, (1, 0), 1),
+        "row 1: source frames must strictly increase, got 0 after 1"),
+    "source_frames_repeat_across_a_mark": (
+        lambda: CompressedPosteriors(np.eye(2)[[1, 0, 1]], (4, -1, 4), 2),
+        "row 2: source frames must strictly increase, got 4 after 4"),
+    "blank_mark_on_a_content_row": (
+        lambda: CompressedPosteriors(TWO_ROWS, (-1, 0), 1),
+        "row 0: marked -1 but its values are not the inserted blank"),
+    "blank_mark_on_a_blank_argmax_row": (
+        lambda: CompressedPosteriors(np.array([[1.0, 0.0], [0.6, 0.4]]), (-1, -1), 0),
+        "row 1: marked -1 but its values are not the inserted blank"),
     "custom_blank_width": (lambda: custom_blank(1), "vocab_size must be >= 2"),
     "label_below_one": (lambda: LabelSequence((2, 0)), "label token 0 out of range"),
     "logits_not_2d": (lambda: softmax(np.zeros(3)), "logits must be 2-D"),
@@ -178,6 +208,42 @@ class TestPosteriorIO:
         with pytest.raises(ValidationError):
             save_posteriors(CompressedPosteriors(np.eye(2), source_map, count), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("source_map", [(1, 0), (-1, 0)],
+                             ids=["frames_decrease", "blank_mark_on_content"])
+    def test_a_map_the_loader_would_refuse_is_never_saved(self, tmp_path, source_map):
+        path = tmp_path / "m.spkf"
+        with pytest.raises(ValidationError):
+            save_posteriors(CompressedPosteriors(TWO_ROWS, source_map, 1), path)
+        assert not path.exists()
+
+    def test_every_accepted_map_loads_back_equal(self, tmp_path):
+        # one owner for the map rules: the loader refuses nothing the type accepts
+        rng = np.random.default_rng(30)
+        palette = np.array([[1.0, 0.0, 0.0], [0.5, 0.25, 0.25], [0.125, 0.875, 0.0]])  # f32-exact
+        path = tmp_path / "m.spkf"
+        outcomes = {True: 0, False: 0}
+        for _ in range(600):
+            t = int(rng.integers(0, 6))
+            values = palette[rng.integers(0, 3, size=t)].reshape(t, 3)
+            smap = np.sort(rng.choice(9, size=t, replace=False)) - int(rng.integers(0, 2))
+            marked = rng.random(t) < 0.4
+            smap[marked] = CUSTOM_BLANK
+            values[marked & (rng.random(t) < 0.8)] = custom_blank(3)
+            if t > 1 and rng.random() < 0.2:
+                smap[[0, -1]] = smap[[-1, 0]]
+            try:
+                c = CompressedPosteriors(values, smap, int(rng.integers(-1, t + 2)))
+            except ValidationError:
+                outcomes[False] += 1
+                continue
+            outcomes[True] += 1
+            save_posteriors(c, path)
+            back = load_posteriors(path)
+            assert type(back) is CompressedPosteriors
+            assert back.values.tobytes() == c.values.tobytes()
+            assert (back.source_map, back.nonblank_count) == (c.source_map, c.nonblank_count)
+        assert min(outcomes.values()) > 100, outcomes
 
     def test_numpy_integer_count_is_stored_as_int_and_saves_the_same_bytes(self, tmp_path):
         p = CompressedPosteriors(np.eye(2), (-1, 1), np.int64(1))
@@ -288,6 +354,44 @@ class TestSynth:
     def test_weak_peak_rejected(self):
         with pytest.raises(ValidationError, match="argmax"):
             SynthConfig(vocab_size=2, peak=0.51, noise=0.05)
+
+
+class TestSelectRows:
+    P = PosteriorMatrix(np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]]))
+
+    def test_rows_of_the_matrix_and_inserted_blanks(self):
+        c = select_rows(self.P, np.array([CUSTOM_BLANK, 0, CUSTOM_BLANK, 2]), 1)
+        assert type(c) is CompressedPosteriors
+        assert c.values.tolist() == [[1.0, 0.0], [0.9, 0.1], [1.0, 0.0], [0.6, 0.4]]
+        assert c.source_map == (CUSTOM_BLANK, 0, CUSTOM_BLANK, 2) and c.nonblank_count == 1
+        assert type(c.source_map[1]) is int and type(c.nonblank_count) is int
+        assert not c.values.flags.writeable
+        full = CompressedPosteriors(c.values, c.source_map, c.nonblank_count)
+        assert full.values.tobytes() == c.values.tobytes()
+
+    def test_no_frames_gives_only_inserted_blanks(self):
+        c = select_rows(PosteriorMatrix(np.empty((0, 3))), np.array([CUSTOM_BLANK]), 0)
+        assert c.values.tolist() == [[1.0, 0.0, 0.0]] and c.source_map == (CUSTOM_BLANK,)
+        assert select_rows(PosteriorMatrix(np.empty((0, 3))), np.arange(0), 0).frames == 0
+
+    @pytest.mark.parametrize("rows, count, match", [
+        ([0, 3], 1, "row 1: source frame 3 is not below 3"),
+        ([CUSTOM_BLANK, 0, 7], 1, "row 2: source frame 7 is not below 3"),
+        ([-2, 0], 0, "row 0: source frame -2 is below -1"),
+        ([2, CUSTOM_BLANK, 1], 1, "row 2: source frames must strictly increase, got 1 after 2"),
+        ([1, 1], 1, "row 1: source frames must strictly increase, got 1 after 1"),
+        ([0, 1], 1.5, "content row count 1.5 is not an integer"),
+        ([0, 1], 3, "3 content rows but only 2 rows"),
+        ([0, 1], -1, "content row count -1 is negative"),
+        ([[0, 1]], 1, "source_map length must match row count"),
+    ])
+    def test_refused(self, rows, count, match):
+        with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
+            select_rows(self.P, np.array(rows), count)
+
+    def test_no_frames_refuses_every_kept_row(self):
+        with pytest.raises(ValidationError, match="^row 0: source frame 0 is not below 0$"):
+            select_rows(PosteriorMatrix(np.empty((0, 3))), np.array([0]), 0)
 
 
 class TestValidation:
