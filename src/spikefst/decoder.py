@@ -135,6 +135,8 @@ class DecoderConfig:
     def __post_init__(self):
         if not (self.beam > 0 and self.acoustic_scale > 0):
             raise ValidationError("beam and acoustic_scale must be positive")
+        if not math.isfinite(self.acoustic_scale):
+            raise ValidationError("acoustic_scale must be finite")
         object.__setattr__(self, "max_active", integer(self.max_active, "max_active"))
         if self.max_active < 1:
             raise ValidationError("max_active must be >= 1")

@@ -56,7 +56,13 @@ def check_stochastic(v: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class PosteriorMatrix:
-    """T x V matrix of per-frame token probabilities, blank in column 0."""
+    """T x V matrix of per-frame token probabilities, blank in column 0.
+
+    A float64 array is kept as given, without a copy, and made read-only,
+    so the caller's own array turns read-only too.  The checks run once,
+    here: a caller who sets that array's write flag back and changes it
+    changes this matrix past its checks.
+    """
 
     values: np.ndarray
 
@@ -121,7 +127,10 @@ class CompressedPosteriors(PosteriorMatrix):
             raise ValidationError(f"{count} content rows but only {smap.size} rows")
         if count < 0:
             raise ValidationError(f"content row count {count} is negative")
-        inside = (smap >= CUSTOM_BLANK) & (smap < limit)
+        try:
+            inside = (smap >= CUSTOM_BLANK) & (smap < limit)
+        except TypeError:
+            raise ValidationError(f"source frames must be integers, got {smap.dtype}") from None
         if not inside.all():
             row = int(np.argmin(inside))
             frame = source_map[row]  # as given: numpy may turn huge ints into floats
@@ -314,7 +323,7 @@ class SynthConfig:
             raise ValidationError("vocab_size must be >= 2")
         if not (0.5 < self.peak <= 1.0):
             raise ValidationError("peak probability must be in (0.5, 1]")
-        if self.noise < 0 or self.peak - self.noise <= 1.0 / self.vocab_size:
+        if not (self.noise >= 0) or self.peak - self.noise <= 1.0 / self.vocab_size:
             raise ValidationError(
                 "peak - noise must exceed 1/vocab_size or the argmax is not guaranteed"
             )

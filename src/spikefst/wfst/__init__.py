@@ -16,14 +16,11 @@ from .fst import (
     wtimes,
 )
 from .ops import (
-    BestPath,
     compose,
     determinize,
     minimize,
     push_weights,
     rm_epsilon,
-    shortest_distance,
-    shortest_path,
 )
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "ONE",
     "ZERO",
     "Arc",
-    "BestPath",
     "Fst",
     "SymbolTable",
     "arcsort",
@@ -42,8 +38,6 @@ __all__ = [
     "push_weights",
     "read_fst_text",
     "rm_epsilon",
-    "shortest_distance",
-    "shortest_path",
     "trim",
     "wplus",
     "write_fst_text",

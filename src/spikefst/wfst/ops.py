@@ -5,14 +5,12 @@ Each result is built whole, as per-state arc lists handed to the
 transformation that claims equivalence preserves, for every accepted
 (input, output) string pair, the minimum accepting-path weight.
 ``_relax`` is the one shortest-distance search: epsilon removal,
-determinization's epsilon closure, weight pushing and the best path all
-run through it.
+determinization's epsilon closure and weight pushing all run through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from ..errors import FstError
 from .fst import EPSILON, ONE, ZERO, Arc, Fst, trim, wplus, wtimes
@@ -22,41 +20,37 @@ from .fst import EPSILON, ONE, ZERO, Arc, Fst, trim, wplus, wtimes
 _QUANT = 10
 
 
-def _relax(seeds: dict, moves, limit: int, what: str) -> tuple[dict, dict]:
+def _relax(seeds: dict, moves, limit: int, what: str) -> dict:
     """Single-source shortest distances from *seeds* (key -> weight).
 
     FIFO label-correcting relaxation in the tropical semiring (Mohri,
     2002).  Keys are any hashable; ``moves(key)`` yields ``(next key,
-    weight, arc)``.  A key re-enters the queue each time its distance
-    improves by more than 1e-15, so negative weights are fine as long as
-    no cycle is negative.  Returns the distances and, for each key a move
-    reached, its ``(previous key, arc)``.  More than *limit* improvements
-    raise ``FstError(what)``.
+    weight)``.  A key re-enters the queue each time its distance improves
+    by more than 1e-15, so negative weights are fine as long as no cycle
+    is negative.  More than *limit* improvements raise ``FstError(what)``.
     """
     dist = dict(seeds)
-    back: dict = {}
     queue = deque(dist)
     steps = 0
     while queue:
         key = queue.popleft()
         base = dist[key]
-        for nxt, w, arc in moves(key):
+        for nxt, w in moves(key):
             nd = wtimes(base, w)
             if nd < dist.get(nxt, ZERO) - 1e-15:
                 dist[nxt] = nd
-                back[nxt] = (key, arc)
                 queue.append(nxt)
                 steps += 1
                 if steps > limit:
                     raise FstError(what)
-    return dist, back
+    return dist
 
 
 def rm_epsilon(f: Fst) -> Fst:
     """Remove eps:eps arcs, folding their weights into the arcs and final
     weights reachable through them; string weights are preserved."""
     eps = [
-        [(a.nextstate, a.weight, a) for a in row
+        [(a.nextstate, a.weight) for a in row
          if a.ilabel == EPSILON and a.olabel == EPSILON]
         for row in f._arcs
     ]
@@ -64,7 +58,7 @@ def rm_epsilon(f: Fst) -> Fst:
     arcs: list[list[Arc]] = []
     finals: dict[int, float] = {}
     for s in range(f.num_states):
-        closure, _ = _relax(
+        closure = _relax(
             {s: ONE}, eps.__getitem__, limit,
             "epsilon-closure did not converge (negative cycle?)",
         )
@@ -182,9 +176,9 @@ def _close_elems(eps: list, elems: list[tuple], limit: int) -> list[tuple]:
     if not any(eps[s] for s, _ in seeds):
         # Nothing to close: exactly what the relaxation returns with no move.
         return [(s, w, z) for (s, z), w in seeds.items()]
-    best, _ = _relax(
+    best = _relax(
         seeds,
-        lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
+        lambda key: [((t, key[1] + z), w) for t, w, z in eps[key[0]]],
         limit,
         "determinize: epsilon closure diverged (cyclic epsilon output?)",
     )
@@ -195,17 +189,17 @@ def _subset_key(elems: list[tuple]) -> tuple:
     return tuple(sorted((s, z, round(w, _QUANT)) for s, w, z in elems))
 
 
-def determinize(f: Fst, state_budget_factor: int = 10) -> Fst:
+def determinize(f: Fst) -> Fst:
     """Weighted subset construction producing an input-deterministic
     machine with the same weighted transduction.
 
     Subset elements carry a residual weight and a delayed output string,
     so outputs that differ across merged paths (homophones) are emitted
-    only once the input disambiguates them.  A hard state budget
-    (``state_budget_factor`` x input states) turns divergence into a
-    diagnostic instead of a hang.
+    only once the input disambiguates them.  A hard state budget of 10 x
+    input states (at least 64) turns divergence into a diagnostic instead
+    of a hang.
     """
-    budget = max(64, state_budget_factor * max(1, f.num_states))
+    budget = max(64, 10 * max(1, f.num_states))
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
     eps = []
     moves = []  # per state: (ilabel, nextstate, weight, output) of each emitting arc
@@ -369,22 +363,17 @@ def minimize(f: Fst) -> Fst:
 # Weight pushing
 # ----------------------------------------------------------------------
 
-def shortest_distance(f: Fst, reverse: bool = False) -> list[float]:
-    """Per-state shortest distance from the start (forward) or to a final
-    state including its final weight (reverse).  Label-correcting, so
-    negative arc weights are fine as long as there is no negative cycle."""
+def _distance_to_final(f: Fst) -> list[float]:
+    """Per-state shortest distance to a final state, its final weight
+    included.  Label-correcting, so negative arc weights are fine as long
+    as there is no negative cycle."""
     n = f.num_states
-    if reverse:
-        edges: list[list[tuple[int, float, Arc]]] = [[] for _ in range(n)]
-        for s, a in f.all_arcs():
-            edges[a.nextstate].append((s, a.weight, a))
-        seeds = dict(sorted(f.finals.items()))
-    else:
-        edges = [[(a.nextstate, a.weight, a) for a in row] for row in f._arcs]
-        seeds = {f.start: ONE}
-    dist, _ = _relax(
-        seeds, edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
-        "shortest_distance did not converge (negative cycle?)",
+    edges: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for s, a in f.all_arcs():
+        edges[a.nextstate].append((s, a.weight))
+    dist = _relax(
+        dict(sorted(f.finals.items())), edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
+        "push_weights: distances to a final state did not converge (negative cycle?)",
     )
     return [dist.get(s, ZERO) for s in range(n)]
 
@@ -397,7 +386,7 @@ def push_weights(f: Fst) -> Fst:
     re-applied at the start state, so each complete path keeps its exact
     original weight.  Requires every state to be co-accessible.
     """
-    dist = shortest_distance(f, reverse=True)
+    dist = _distance_to_final(f)
     dead = [s for s in range(f.num_states) if dist[s] == ZERO]
     if dead:
         raise FstError(
@@ -416,47 +405,3 @@ def push_weights(f: Fst) -> Fst:
         if f.is_final(s):
             finals[s] = wtimes(lead, f.final_weight(s) - dist[s])
     return Fst(arcs, f.start, finals, f.isyms, f.osyms)
-
-
-# ----------------------------------------------------------------------
-# Best path
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BestPath:
-    ilabels: tuple[int, ...]
-    olabels: tuple[int, ...]
-    weight: float
-    states: tuple[int, ...]
-
-
-def shortest_path(f: Fst) -> BestPath:
-    """Minimum-total-weight accepting path; epsilons are dropped from the
-    returned label sequences.  Raises when nothing accepts."""
-    n = f.num_states
-    edges = [[(a.nextstate, a.weight, a) for a in row] for row in f._arcs]
-    dist, back = _relax(
-        {f.start: ONE}, edges.__getitem__, 8 * (n + 1) * max(1, f.num_arcs),
-        "shortest_path did not converge (negative cycle?)",
-    )
-    best_state = -1
-    best = ZERO
-    for s in sorted(f.finals):
-        total = wtimes(dist.get(s, ZERO), f.final_weight(s))
-        if total < best:
-            best = total
-            best_state = s
-    if best_state < 0:
-        raise FstError("shortest_path: no accepting path")
-    rev: list[Arc] = []
-    s = best_state
-    while s != f.start:
-        if len(rev) > n:
-            raise FstError("shortest_path: broken backpointer chain")
-        s, a = back[s]
-        rev.append(a)
-    rev.reverse()
-    ilabels = tuple(a.ilabel for a in rev if a.ilabel != EPSILON)
-    olabels = tuple(a.olabel for a in rev if a.olabel != EPSILON)
-    states = (f.start,) + tuple(a.nextstate for a in rev)
-    return BestPath(ilabels, olabels, best, states)

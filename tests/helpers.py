@@ -232,9 +232,9 @@ def _close_elems_oracle(eps: list, elems: list[_OracleElem], limit: int) -> list
             seeds[key] = e.weight
     if not any(eps[s] for s, _ in seeds):
         return [_OracleElem(s, w, z) for (s, z), w in seeds.items()]
-    best, _ = _relax(
+    best = _relax(
         seeds,
-        lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
+        lambda key: [((t, key[1] + z), w) for t, w, z in eps[key[0]]],
         limit,
         "determinize: epsilon closure diverged (cyclic epsilon output?)",
     )
@@ -245,11 +245,11 @@ def _subset_key_oracle(elems: list[_OracleElem]) -> tuple:
     return tuple(sorted((e.state, e.out, round(e.weight, _QUANT)) for e in elems))
 
 
-def determinize_oracle(f: Fst, state_budget_factor: int = 10) -> Fst:
+def determinize_oracle(f: Fst) -> Fst:
     """``determinize`` with ``NamedTuple`` subset elements, the arcs of each
     element scanned on every visit, and the closure called on every
     label's group."""
-    budget = max(64, state_budget_factor * max(1, f.num_states))
+    budget = max(64, 10 * max(1, f.num_states))
     close_limit = 64 * (f.num_states + 2) * (f.num_arcs + 2)
     eps = [
         [(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))

@@ -185,7 +185,7 @@ def test_c06_fst_algebra_oracle_suite():
                 assert abs(a1.weight - a2.weight) <= 1e-9
         push_checked += 1
 
-        d = determinize(f, state_budget_factor=1000)
+        d = determinize(f)
         assert maps_match(base, enum_weight_map(d, 6, 60), 1e-9), f"det trial {trial}"
         if acceptor:
             m = minimize(d)

@@ -751,6 +751,7 @@ class TestBlankFold:
 @pytest.mark.parametrize("field, value, match", [
     ("beam", 0.0, "beam and acoustic_scale must be positive"),
     ("acoustic_scale", -1.0, "beam and acoustic_scale must be positive"),
+    ("acoustic_scale", math.inf, "acoustic_scale must be finite"),
     ("max_active", 0, "max_active must be >= 1"),
     ("max_active", 2.5, "max_active 2.5 is not an integer"),
     ("max_active", "7", "max_active '7' is not an integer"),

@@ -33,8 +33,6 @@ from spikefst.wfst import (
     push_weights,
     read_fst_text,
     rm_epsilon,
-    shortest_distance,
-    shortest_path,
     trim,
     wplus,
     write_fst_text,
@@ -363,8 +361,8 @@ class TestDeterminize:
             seeds = {}
             for s, w, z in elems:
                 seeds[s, z] = min(seeds.get((s, z), ZERO), w)
-            best, _ = _relax(
-                seeds, lambda key: [((t, key[1] + z), w, None) for t, w, z in eps[key[0]]],
+            best = _relax(
+                seeds, lambda key: [((t, key[1] + z), w) for t, w, z in eps[key[0]]],
                 100, "diverged",
             )
             return [(s, w, z) for (s, z), w in best.items()]
@@ -391,14 +389,14 @@ class TestDeterminize:
         for trial in range(40):
             acceptor = trial % 2 == 0
             f = random_acyclic_fst(rng, max_states=6, acceptor=acceptor)
-            d = determinize(f, state_budget_factor=500)
+            d = determinize(f)
             assert maps_match(enum_weight_map(f, 20, 40), enum_weight_map(d, 20, 60), 1e-9)
 
     def test_output_is_input_deterministic(self):
         rng = np.random.default_rng(8)
         for trial in range(25):
             f = random_acyclic_fst(rng, max_states=7, acceptor=True)
-            d = determinize(f, state_budget_factor=500)
+            d = determinize(f)
             for s in range(d.num_states):
                 ilabels = [a.ilabel for a in d.arcs(s)]
                 assert len(ilabels) == len(set(ilabels))
@@ -417,7 +415,7 @@ class TestDeterminize:
 
     def test_budget_guard_diagnoses_divergence(self):
         with pytest.raises(FstError, match="budget"):
-            determinize(not_determinizable(), state_budget_factor=10)
+            determinize(not_determinizable())
 
     def test_label_whose_arcs_all_weigh_zero_gets_no_arc(self):
         # an inf arc is no path
@@ -443,7 +441,7 @@ class TestMinimize:
         rng = np.random.default_rng(9)
         for trial in range(30):
             f = random_acyclic_fst(rng, max_states=7, acceptor=True)
-            d = determinize(f, state_budget_factor=500)
+            d = determinize(f)
             m = minimize(d)
             assert m.num_states <= d.num_states
             assert maps_match(enum_weight_map(d, 20, 40), enum_weight_map(m, 20, 40), 1e-9)
@@ -487,6 +485,14 @@ class TestPushWeights:
         with pytest.raises(FstError, match="trim"):
             push_weights(f)
 
+    def test_distance_to_final_includes_the_final_weight(self):
+        from spikefst.wfst.ops import _distance_to_final
+
+        f = chain([(1, 1, 0.25), (2, 2, 0.5)], final_weight=0.125)
+        d = _distance_to_final(f)
+        assert d[0] == pytest.approx(0.875)
+        assert d[2] == pytest.approx(0.125)
+
 
 class TestRmEpsilon:
     def test_bridge_folded_into_successor(self):
@@ -506,37 +512,6 @@ class TestRmEpsilon:
             assert maps_match(enum_weight_map(f, 20, 40), enum_weight_map(g, 20, 40), 1e-9)
 
 
-class TestShortestPath:
-    def test_two_paths_picks_cheaper(self):
-        best = shortest_path(fst_of(2, [(0, 1, 1, 1.0, 1), (0, 2, 2, 0.5, 1)], {1: 0.0}))
-        assert best.ilabels == (2,) and best.weight == pytest.approx(0.5)
-
-    def test_single_path(self):
-        f = chain([(1, 2, 0.25), (3, 4, 0.5)], final_weight=0.125)
-        best = shortest_path(f)
-        assert best.ilabels == (1, 3)
-        assert best.olabels == (2, 4)
-        assert best.weight == pytest.approx(0.875)
-
-    def test_no_accepting_path(self):
-        with pytest.raises(FstError, match="no accepting path"):
-            shortest_path(Fst([[]], 0, {}))
-
-    def test_random_dag_matches_enumeration(self):
-        rng = np.random.default_rng(13)
-        for trial in range(40):
-            f = random_acyclic_fst(rng, eps_prob=0.1)
-            best = shortest_path(f)
-            m = enum_weight_map(f, 20, 40)
-            assert best.weight == pytest.approx(min(m.values()), abs=1e-9)
-
-    def test_distance_reverse_matches_forward_on_reversal(self):
-        f = chain([(1, 1, 0.25), (2, 2, 0.5)], final_weight=0.125)
-        d = shortest_distance(f, reverse=True)
-        assert d[0] == pytest.approx(0.875)
-        assert d[2] == pytest.approx(0.125)
-
-
 def two_cycle(there, back):
     """0 -1:1-> 1, then a 2-cycle 1 -there-> 2 -back-> 1, each arc given as
     (ilabel, olabel, weight); 2 is final."""
@@ -552,16 +527,12 @@ class TestRelaxGuard:
 
     @pytest.mark.parametrize("op, cycle, what", [
         (rm_epsilon, NEG_EPS, "epsilon-closure did not converge"),
-        (shortest_distance, NEG, "shortest_distance did not converge"),
-        (lambda f: shortest_distance(f, reverse=True), NEG,
-         "shortest_distance did not converge"),
-        (shortest_path, NEG, "shortest_path did not converge"),
-        (push_weights, NEG, "shortest_distance did not converge"),
+        (push_weights, NEG, "push_weights: distances to a final state did not converge"),
         (determinize, ((EPSILON, 5, 0.0), (EPSILON, EPSILON, 0.0)),
          "epsilon closure diverged"),
         (determinize, NEG_EPS, "epsilon closure diverged"),
-    ], ids=["rm_epsilon", "distance", "distance_reverse", "shortest_path",
-            "push_weights", "determinize_growing_output", "determinize_negative"])
+    ], ids=["rm_epsilon", "push_weights", "determinize_growing_output",
+            "determinize_negative"])
     def test_cycle_raises(self, op, cycle, what):
         with pytest.raises(FstError, match=what):
             op(two_cycle(*cycle))

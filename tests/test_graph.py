@@ -19,7 +19,7 @@ from spikefst.graph import (
     make_token_table,
     parse_arpa,
 )
-from spikefst.wfst import Fst, SymbolTable, compose, determinize, shortest_path, write_fst_text
+from spikefst.wfst import Fst, SymbolTable, compose, determinize, write_fst_text
 
 LN10 = math.log(10.0)
 
@@ -41,8 +41,9 @@ def linear_acceptor(ids, isyms=None) -> Fst:
 
 def transduce(machine: Fst, ids) -> tuple[tuple[int, ...], float]:
     """Output labels and weight of the best path for one input string."""
-    best = shortest_path(compose(linear_acceptor(ids), machine))
-    return best.olabels, best.weight
+    paths = enum_weight_map(compose(linear_acceptor(ids), machine), len(ids))
+    (_, olabels), weight = min(paths.items(), key=lambda kv: kv[1])
+    return olabels, weight
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestLexiconFst:
     def test_homophones_recoverable_and_determinizable(self):
         lex = Lexicon([("one", ("a", "b")), ("two", ("a", "b")), ("three", ("b",))])
         l = build_lexicon_fst(lex, add_disambig=True)
-        d = determinize(l, state_budget_factor=50)
+        d = determinize(l)
         wt = lex.word_table
         outputs = {
             key[1] for key in enum_weight_map(d, 8, 20) if len(key[0]) <= 3
@@ -120,7 +121,7 @@ class TestLexiconFst:
         assert aux
         used = {arc.ilabel for s in range(l.num_states) for arc in l.arcs(s)}
         assert used & aux
-        determinize(l, state_budget_factor=50)  # must not diverge
+        determinize(l)  # must not diverge
 
     def test_no_entries_rejected(self):
         with pytest.raises(GraphError, match="lexicon has no entries"):

@@ -5,6 +5,9 @@ and ``decoder.py`` holds the search and nothing else: it does not score,
 and it imports nothing from ``compress``.  Only ``spikefst.wfst``
 touches an ``Fst``'s arc rows, and the public names of ``Fst`` and
 ``SymbolTable`` are pinned, so that no mutator comes back unnoticed.
+Every name ``spikefst.wfst`` exports has a caller in ``src/`` or
+``perfbench/`` outside the module that defines it, so no API that only
+tests use comes back unnoticed.
 ``compress.py``'s public names and ``CompressConfig``'s fields are
 pinned too, so that ``compress`` stays the one way to compress and no
 knob comes back unnoticed, and it reads and writes no file: the
@@ -16,6 +19,7 @@ writes a file: everything else calls ``errors.write_file``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "spikefst"
 MODULES = sorted(SRC.rglob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _package_imports(tree):
@@ -99,6 +104,28 @@ def test_fst_public_names_are_pinned():
     assert _public_names(_wfst_class("Fst")) == {
         "start", "finals", "isyms", "osyms", "num_states", "num_arcs", "arcs", "all_arcs",
         "final_weight", "is_final"}
+
+
+def _top_level_names(tree):
+    """Names a module binds at its top level by ``def``, ``class`` or ``=``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_wfst_export_has_a_caller():
+    init = SRC / "wfst" / "__init__.py"
+    (exports,) = [ast.literal_eval(n.value) for n in ast.parse(init.read_text()).body
+                  if isinstance(n, ast.Assign) and n.targets[0].id == "__all__"]
+    definer = {name: path for path in (SRC / "wfst").glob("*.py") if path != init
+               for name in _top_level_names(ast.parse(path.read_text()))}
+    callers = [p for p in MODULES + sorted(PERFBENCH.glob("*.py")) if p != init]
+    assert not [name for name in exports if not any(
+        re.search(rf"\b{name}\b", p.read_text()) for p in callers if p != definer[name])]
 
 
 def test_symbol_table_public_names_are_pinned():

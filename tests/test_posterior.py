@@ -100,6 +100,12 @@ INVALID = {
     "source_frame_not_an_integer": (
         lambda: CompressedPosteriors(np.eye(2), (-1, 1.5), 1),
         "source frames must be integers, got float64"),
+    "source_frame_a_string": (
+        lambda: CompressedPosteriors(np.eye(2), ("a", "b"), 0),
+        "source frames must be integers, got <U1"),
+    "source_frame_none": (
+        lambda: CompressedPosteriors(np.eye(2), (-1, None), 0),
+        "source frames must be integers, got object"),
     "source_map_not_1d": (
         lambda: CompressedPosteriors(np.eye(2), ((-1,), (1,)), 1), "source_map length"),
     "source_frames_decrease": (
@@ -123,6 +129,8 @@ INVALID = {
     "synth_peak": (lambda: SynthConfig(vocab_size=4, peak=0.5), "peak probability"),
     "synth_peak_minus_noise": (
         lambda: SynthConfig(vocab_size=4, peak=0.6, noise=0.4), "peak - noise"),
+    "synth_noise_nan": (
+        lambda: SynthConfig(vocab_size=4, noise=float("nan")), "peak - noise"),
     "synth_range": (lambda: SynthConfig(vocab_size=4, blank_run=(3, 2)), "length ranges"),
     "synth_spike": (lambda: SynthConfig(vocab_size=4, spike_len=(0, 2)), "spike length"),
     "synth_label": (
@@ -406,6 +414,12 @@ class TestValidation:
     def test_needs_blank_plus_token(self):
         with pytest.raises(ValidationError):
             PosteriorMatrix(np.ones((2, 1)))
+
+    def test_float64_array_is_kept_without_a_copy_and_made_read_only(self):
+        a = np.array([[0.9, 0.1], [0.2, 0.8]])
+        p = PosteriorMatrix(a)
+        assert p.values is a
+        assert not a.flags.writeable
 
 
 def outcome(check, v):
