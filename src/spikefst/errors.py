@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one integer check of
-a value, and the one file read and the one file write that every loader
-and every writer goes through."""
+a value, and the one file read, line numbering (:func:`text_lines`) and
+file write that every loader and every writer goes through."""
 
 import operator
 import os
@@ -39,6 +39,12 @@ def read_file(path, binary: bool = False):
         raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
+def text_lines(text: str):
+    """``(number, line)`` for each non-blank line of ``text.splitlines()``,
+    numbered from 1 and not stripped: lexicon and transcript tabs need it raw."""
+    return ((ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip())
 
 
 def write_file(path, data) -> None:

@@ -23,8 +23,9 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 
-from .errors import ArpaError, DataFormatError, GraphError, read_file
+from .errors import ArpaError, DataFormatError, GraphError, read_file, text_lines
 from .wfst import (
     EPSILON,
     EPSILON_SYM,
@@ -132,15 +133,16 @@ class Lexicon:
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         entries = []
-        for ln, line in enumerate(read_file(path).splitlines(), start=1):
-            if not line.strip():
-                continue
+        for ln, line in text_lines(read_file(path)):
             parts = line.split("\t") if "\t" in line else line.split(None, 1)
             if len(parts) != 2 or not parts[1].split():
                 raise DataFormatError(
                     f"{path}: line {ln}: expected 'word<TAB>token token ...'"
                 )
             word, pron = parts[0].strip(), tuple(parts[1].split())
+            if word.split() != [word]:
+                raise DataFormatError(
+                    f"{path}: line {ln}: word {word!r} is empty or holds whitespace")
             if word == EPSILON_SYM:
                 raise DataFormatError(f"{path}: line {ln}: word {word!r} is reserved")
             for tok in pron:
@@ -254,90 +256,77 @@ def parse_arpa(text: str) -> NGramModel:
     """Parse standard ARPA text into an :class:`NGramModel`.
 
     Declared per-order counts must match the entries exactly; a missing
-    backoff weight defaults to 0.  All diagnostics carry the number of a
-    line of *text* (line 1 if it has none).
+    backoff weight defaults to 0, and a NaN weight or ``+inf`` backoff is
+    refused.  All diagnostics carry the number of a line of *text* (its
+    last line at the end of the text, line 1 if it has none).
     """
-    lines = text.splitlines()
-    declared: dict[int, int] = {}
+    lines = [(ln, line.strip()) for ln, line in text_lines(text)]
+    last = max(1, len(text.splitlines()))
+    if not lines:
+        raise ArpaError(last, "missing \\data\\ header")
+    if lines[0][1] != "\\data\\":
+        raise ArpaError(lines[0][0], f"expected \\data\\ header, got {lines[0][1]!r}")
 
-    i = 0
-    n_lines = len(lines)
-    while i < n_lines and lines[i].strip() != "\\data\\":
-        if lines[i].strip():
-            raise ArpaError(i + 1, f"expected \\data\\ header, got {lines[i].strip()!r}")
-        i += 1
-    if i == n_lines:
-        raise ArpaError(max(1, n_lines), "missing \\data\\ header")
-    i += 1
-    while i < n_lines:
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        if line.startswith("ngram "):
-            try:
-                order_part, count_part = line[len("ngram "):].split("=")
-                declared[int(order_part)] = int(count_part)
-            except ValueError:
-                raise ArpaError(i + 1, f"malformed count line {line!r}") from None
-            i += 1
-            count_line = i
-        else:
-            break
-    if not declared:
-        raise ArpaError(i + 1 if i < n_lines else n_lines, "no ngram counts declared")
+    counts = list(takewhile(lambda entry: entry[1].startswith("ngram "), lines[1:]))
+    sections = lines[1 + len(counts):]
+    if not counts:
+        raise ArpaError(sections[0][0] if sections else last, "no ngram counts declared")
+    declared: dict[int, int] = {}
+    for ln, line in counts:
+        try:
+            order_part, count_part = line[len("ngram "):].split("=")
+            declared[int(order_part)] = int(count_part)
+        except ValueError:
+            raise ArpaError(ln, f"malformed count line {line!r}") from None
     order = max(declared)
     if sorted(declared) != list(range(1, order + 1)):
-        raise ArpaError(count_line, f"non-contiguous ngram orders declared: {sorted(declared)}")
+        raise ArpaError(counts[-1][0], f"non-contiguous ngram orders declared: {sorted(declared)}")
     grams = [{} for _ in range(order)]
 
     current = 0
-    ended = False
-    while i < n_lines:
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
+    for ln, line in sections:
         if line == "\\end\\":
-            ended = True
             break
         if line.startswith("\\") and line.endswith("-grams:"):
             try:
                 current = int(line[1:-len("-grams:")])
             except ValueError:
-                raise ArpaError(i, f"malformed section header {line!r}") from None
+                raise ArpaError(ln, f"malformed section header {line!r}") from None
             if not (1 <= current <= order):
-                raise ArpaError(i, f"section order {current} outside declared 1..{order}")
+                raise ArpaError(ln, f"section order {current} outside declared 1..{order}")
             continue
         if current == 0:
-            raise ArpaError(i, f"entry before any -grams section: {line!r}")
+            raise ArpaError(ln, f"entry before any -grams section: {line!r}")
         parts = line.split()
         if len(parts) == current + 1:
             backoff = 0.0
         elif len(parts) == current + 2:
             try:
                 backoff = float(parts[-1])
+                if not backoff < math.inf:  # NaN or +inf
+                    raise ValueError
             except ValueError:
-                raise ArpaError(i, f"malformed backoff weight {parts[-1]!r}") from None
+                raise ArpaError(ln, f"malformed backoff weight {parts[-1]!r}") from None
             parts = parts[:-1]
         else:
             raise ArpaError(
-                i, f"expected {current + 1} or {current + 2} fields, got {len(parts)}"
+                ln, f"expected {current + 1} or {current + 2} fields, got {len(parts)}"
             )
         try:
             logp = float(parts[0])
+            if logp != logp:  # NaN
+                raise ValueError
         except ValueError:
-            raise ArpaError(i, f"malformed probability {parts[0]!r}") from None
+            raise ArpaError(ln, f"malformed probability {parts[0]!r}") from None
         if logp > 0:
-            raise ArpaError(i, f"log10 probability {logp} is positive")
-        gram = tuple(parts[1:])
-        grams[current - 1][gram] = (logp, backoff)
-    if not ended:
-        raise ArpaError(n_lines, "missing \\end\\ terminator")
+            raise ArpaError(ln, f"log10 probability {logp} is positive")
+        grams[current - 1][tuple(parts[1:])] = (logp, backoff)
+    else:
+        raise ArpaError(last, "missing \\end\\ terminator")
     for k in range(1, order + 1):
         if len(grams[k - 1]) != declared[k]:
             raise ArpaError(
-                n_lines,
+                last,
                 f"ngram {k}: declared {declared[k]} entries, found {len(grams[k - 1])}",
             )
     return NGramModel(order, grams)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, integer, read_file, write_file
+from .errors import DataFormatError, ValidationError, integer, read_file, text_lines, write_file
 
 BLANK_ID = 0
 # source_map marker for inserted one-hot blank rows
@@ -277,10 +277,7 @@ def load_labels(path, token_table=None) -> list[LabelSequence]:
     indices), or token indices.  A symbol of the table wins over the
     integer it spells."""
     out = []
-    for ln, line in enumerate(read_file(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for ln, line in text_lines(read_file(path)):
         toks = []
         for part in line.split():
             if token_table is not None and part in token_table:

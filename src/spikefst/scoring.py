@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DataFormatError, ValidationError, read_file
+from .errors import DataFormatError, ValidationError, read_file, text_lines
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,7 @@ def read_trans_file(path) -> dict[str, str]:
     """Read "utt_id<TAB>tokenized text" lines (also tolerates space-split).
     An utterance id may appear on one line only."""
     out: dict[str, str] = {}
-    for ln, line in enumerate(read_file(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    for ln, line in text_lines(read_file(path)):
         parts = line.split("\t", 1) if "\t" in line else line.split(None, 1)
         utt = parts[0].strip()
         if not utt:

@@ -17,7 +17,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from ..errors import DataFormatError, FstError, read_file, write_file
+from ..errors import DataFormatError, FstError, read_file, text_lines, write_file
 
 EPSILON = 0
 EPSILON_SYM = "<eps>"
@@ -43,14 +43,17 @@ class Arc(NamedTuple):
 
 class SymbolTable:
     """An immutable symbol <-> id map: ``SymbolTable(symbols)`` numbers
-    ``<eps>`` 0 and *symbols* 1, 2, ... and refuses a repeated symbol; a
-    table whose ids have gaps comes only from :meth:`from_file`."""
+    ``<eps>`` 0 and *symbols* 1, 2, ... and refuses a symbol repeated, empty
+    or holding whitespace; a table whose ids have gaps comes only from
+    :meth:`from_file`."""
 
     def __init__(self, symbols: Iterable[str] = ()):
         self._sym2id: dict[str, int] = {}
         for key, sym in enumerate([EPSILON_SYM, *symbols]):
             if sym in self._sym2id:
                 raise FstError(f"symbol {sym!r} already bound to id {self._sym2id[sym]}")
+            if sym.split() != [sym]:
+                raise FstError(f"symbol {sym!r} is empty or holds whitespace")
             self._sym2id[sym] = key
         self._id2sym = dict(enumerate(self._sym2id))
 
@@ -77,9 +80,7 @@ class SymbolTable:
         table = cls.__new__(cls)
         table._sym2id = {}
         table._id2sym = {}
-        for ln, line in enumerate(read_file(path).splitlines(), start=1):
-            if not line.strip():
-                continue
+        for ln, line in text_lines(read_file(path)):
             parts = line.split()
             if len(parts) != 2:
                 raise DataFormatError(f"{path}: line {ln}: expected 'symbol<TAB>id'")
@@ -272,11 +273,15 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
                   osyms: SymbolTable | None = None) -> Fst:
     """Read arc lines "src dst ilabel olabel [weight]" and final lines
     "state [weight]" (weights default to ONE); the first line's src is
-    the start state.  A malformed line, a negative id or label, or a NaN
-    weight raises ``DataFormatError`` naming the line."""
+    the start state.  A malformed line, a negative id or label, a NaN weight
+    or an arc label a given table does not bind raises ``DataFormatError``
+    naming the line."""
     arcs: list[list[Arc]] = []
     finals: dict[int, float] = {}
     start = -1
+    in_ids = isyms._id2sym if isyms is not None else None
+    out_ids = osyms._id2sym if osyms is not None else None
+    # Not text_lines: this loop splits every line anyway, and the helper would add a pass.
     for ln, line in enumerate(read_file(path).splitlines(), start=1):
         parts = line.split()
         n = len(parts)
@@ -303,6 +308,10 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
         if top >= len(arcs):
             arcs.extend([] for _ in range(top + 1 - len(arcs)))
         if n > 2:
+            if in_ids is not None and il not in in_ids:
+                raise DataFormatError(f"{path}: line {ln}: input label {il} has no input symbol")
+            if out_ids is not None and ol not in out_ids:
+                raise DataFormatError(f"{path}: line {ln}: output label {ol} has no output symbol")
             arcs[src].append(Arc(il, ol, w, dst))
         else:
             finals[src] = w

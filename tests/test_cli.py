@@ -107,6 +107,37 @@ class TestBuildGraph:
                    for r in caplog.records)
         assert not (out / "tlg.fst.txt").exists()  # nothing partial written
 
+    @pytest.mark.parametrize("field, old, new, what", [
+        (0, "-0.642290", "nan", "malformed probability 'nan'"),
+        (2, "-0.426877", "inf", "malformed backoff weight 'inf'"),
+    ], ids=["probability_nan", "backoff_inf"])
+    def test_non_finite_arpa_weight_exits_two_naming_its_line(self, workdir, tmp_path, caplog,
+                                                             field, old, new, what):
+        lines = (workdir / "lm.arpa").read_text().splitlines(keepends=True)
+        k = next(k for k, line in enumerate(lines) if line.split()[field:field + 1] == [old])
+        lines[k] = lines[k].replace(old, new, 1)
+        bad = tmp_path / "lm.arpa"
+        bad.write_text("".join(lines))
+        rc = main(["build-graph", "--lexicon", str(workdir / "lexicon.txt"),
+                   "--arpa", str(bad), "--out-dir", str(tmp_path / "graph")])
+        assert rc == 2
+        assert [r.message for r in caplog.records] == [
+            f"{bad}: parse_arpa: line {k + 1}: {what}"]
+        assert not (tmp_path / "graph").exists()
+
+    @pytest.mark.parametrize("line, word", [("my word\tk a", "my word"), ("\tk a", "")],
+                             ids=["space", "empty"])
+    def test_lexicon_word_with_whitespace_exits_two_naming_its_line(self, workdir, tmp_path,
+                                                                    caplog, line, word):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(f"se\ts e\n{line}\n")
+        rc = main(["build-graph", "--lexicon", str(lexicon), "--arpa", str(workdir / "lm.arpa"),
+                   "--out-dir", str(tmp_path / "graph")])
+        assert rc == 2
+        assert [r.message for r in caplog.records] == [
+            f"{lexicon}: line 2: word {word!r} is empty or holds whitespace"]
+        assert not (tmp_path / "graph").exists()
+
 
 class TestSynth:
     def test_one_file_per_utterance(self, workdir, posterior_dir):
@@ -456,6 +487,31 @@ class TestExitCodes:
         assert any("tlg.fst.txt: line 100: malformed FST line '1.5 " in r.message
                    for r in caplog.records)
 
+    @pytest.mark.parametrize("command", [
+        ["decode", "--out", "{out}/out.jsonl"],
+        ["bench", "--refs", "{refs}", "--out-dir", "{out}", "--modes", "dense", "--repeats", "1"],
+        ["sweep", "--refs", "{refs}", "--beams", "12"],
+    ], ids=["decode", "bench", "sweep"])
+    def test_words_table_missing_an_emitted_id_is_two(self, workdir, tmp_path, graph_dir,
+                                                      posterior_dir, caplog, command):
+        bad = tmp_path / "graph"
+        bad.mkdir()
+        for name in ("tokens.txt", "tlg.fst.txt"):
+            (bad / name).write_text((graph_dir / name).read_text())
+        words = (graph_dir / "words.txt").read_text().splitlines(keepends=True)
+        dropped = int(words.pop().split()[1])
+        (bad / "words.txt").write_text("".join(words))
+        arcs = (bad / "tlg.fst.txt").read_text().splitlines()
+        ln = next(k for k, line in enumerate(arcs, start=1)
+                  if len(line.split()) > 2 and int(line.split()[3]) == dropped)
+        paths = {"out": tmp_path / "out", "refs": workdir / "refs.txt"}
+        rc = main(command[:1] + ["--graph-dir", str(bad), "--input", str(posterior_dir)]
+                  + [a.format(**paths) for a in command[1:]])
+        assert rc == 2
+        assert [r.message for r in caplog.records] == [
+            f"{bad / 'tlg.fst.txt'}: line {ln}: output label {dropped} has no output symbol"]
+        assert not paths["out"].exists()
+
     def test_negative_symbol_id_is_two(self, tmp_path, graph_dir, posterior_dir, caplog):
         bad = tmp_path / "graph"
         bad.mkdir()
@@ -702,6 +758,21 @@ class TestLoaderFuzz:
                 assert main(["build-graph", "--lexicon", str(workdir / "lexicon.txt"),
                              "--arpa", str(bad), "--out-dir", str(tmp_path / "graph")]) == 2
         assert not (tmp_path / "graph").exists()
+
+    @pytest.mark.parametrize("name", ["lexicon.txt", "graph/words.txt", "refs.txt", "labels.txt"])
+    def test_every_line_prefix_of_a_text_file(self, workdir, graph_dir, tmp_path, name):
+        tokens = SymbolTable.from_file(graph_dir / "tokens.txt")
+        load = {"lexicon.txt": Lexicon.from_file, "graph/words.txt": SymbolTable.from_file,
+                "refs.txt": read_trans_file,
+                "labels.txt": lambda path: load_labels(path, tokens)}[name]
+        lines = (workdir / name).read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.txt"
+        for k in range(len(lines) + 1):
+            bad.write_text("".join(lines[:k]))
+            try:
+                load(bad)
+            except DataFormatError:
+                assert k < len(lines)  # the whole file loads
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -223,6 +223,29 @@ class TestStructure:
         with pytest.raises(FstError, match=f"^{re.escape(match)}$"):
             SymbolTable(symbols)
 
+    @pytest.mark.parametrize("symbol", ["", "my word", "a\tb", "a\n", "a\xa0b"],
+                             ids=["empty", "space", "tab", "newline", "no_break_space"])
+    def test_symbol_table_refuses_a_symbol_its_file_cannot_hold(self, symbol):
+        with pytest.raises(FstError,
+                           match=f"^{re.escape(f'symbol {symbol!r} is empty or holds whitespace')}$"):
+            SymbolTable(["a", symbol])
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("0 1 1 2\n1 2 2 1\n2\n", 2, "input label 2 has no input symbol"),
+        ("0 1 1 2\n1 2 1 3 0.5\n2\n", 2, "output label 3 has no output symbol"),
+    ], ids=["input", "output"])
+    def test_read_refuses_an_arc_label_its_tables_do_not_bind(self, tmp_path, text, line, match):
+        path = tmp_path / "m.fst.txt"
+        path.write_text(text)
+        isyms, osyms = SymbolTable(["a"]), SymbolTable(["x", "y"])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: line {line}: {match}')}$"):
+            read_fst_text(path, isyms, osyms)
+        # a final line carries no label, and without tables every label is read
+        path.write_text("0 1 1 2\n7 0.5\n1\n")
+        assert read_fst_text(path, isyms, osyms).num_states == 8
+        path.write_text(text)
+        assert read_fst_text(path).num_arcs == 2
+
     def test_symbol_table_rejects_non_integer_id(self, tmp_path):
         path = tmp_path / "syms.txt"
         path.write_text("<eps> 0\na x\n")

@@ -150,7 +150,10 @@ class TestLexiconFst:
     @pytest.mark.parametrize("entries, match", [
         ([("<eps>", ("a",))], "symbol '<eps>' already bound to id 0"),
         ([("x", ("<blk>", "a"))], "symbol '<blk>' already bound to id 1"),
-    ], ids=["epsilon_word", "blank_token"])
+        ([("my word", ("a",))], "symbol 'my word' is empty or holds whitespace"),
+        ([("", ("a",))], "symbol '' is empty or holds whitespace"),
+        ([("x", ("a b",))], "symbol 'a b' is empty or holds whitespace"),
+    ], ids=["epsilon_word", "blank_token", "spaced_word", "empty_word", "spaced_token"])
     def test_reserved_symbol_in_a_lexicon_is_refused(self, entries, match):
         with pytest.raises(FstError, match=f"^{re.escape(match)}$"):
             Lexicon(entries)
@@ -164,6 +167,16 @@ class TestLexiconFst:
         path.write_text(f"se\ts e\n{line}\n")
         with pytest.raises(DataFormatError,
                            match=f"^{re.escape(f'{path}: line 2: {what} is reserved')}$"):
+            Lexicon.from_file(path)
+
+    @pytest.mark.parametrize("line, word", [
+        ("my word\ts e", "my word"), ("\ts e", ""), ("a\xa0b\ts e", "a\xa0b")],
+        ids=["space", "empty", "no_break_space"])
+    def test_from_file_refuses_a_word_its_symbol_table_cannot_hold(self, tmp_path, line, word):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"se\ts e\n{line}\n")
+        message = f"{path}: line 2: word {word!r} is empty or holds whitespace"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             Lexicon.from_file(path)
 
     def test_from_file(self, tmp_path):
@@ -244,12 +257,38 @@ class TestParseArpa:
         ("\\data\\\nngram 1=1\n\n\\x-grams:\n", 4, "malformed section header"),
         ("\\data\\\nngram 1=1\n\n\\2-grams:\n", 4, "section order 2 outside declared 1..1"),
         ("\\data\\\nngram 1=1\n\n\\1-grams:\nx a\n", 5, "malformed probability 'x'"),
+        ("\n\njunk\n\\data\\\n", 3, "header, got 'junk'"),
+        ("\\data\\\nngram 1=x\n", 2, "malformed count line 'ngram 1=x'"),
+        ("\\data\\\n\n\\1-grams:\n", 3, "no ngram counts declared"),
+        ("\\data\\\n\n", 2, "no ngram counts declared"),
+        ("\\data\\\nngram 1=1\n\n-0.1 a\n", 4, "entry before any -grams section: '-0.1 a'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a x\n", 5, "malformed backoff weight 'x'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a b c\n", 5,
+         "expected 2 or 3 fields, got 4"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n0.5 a\n", 5, "log10 probability 0.5 is positive"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a\n\n\n", 7, "missing \\\\end"),
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.1 a\n\n\\end\\\n\n", 8,
+         "ngram 1: declared 2 entries, found 1"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\nnan a\n", 5, "malformed probability 'nan'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a NaN\n", 5, "malformed backoff weight 'NaN'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a inf\n", 5, "malformed backoff weight 'inf'"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a +Infinity\n", 5,
+         "malformed backoff weight '\\+Infinity'"),
     ], ids=["empty", "orders_from_two", "orders_skip_two", "blank_lines_before_data",
-            "section_header", "section_order", "probability"])
+            "section_header", "section_order", "probability", "data_header", "count_line",
+            "no_counts_at_a_line", "no_counts_at_the_end", "entry_before_a_section", "backoff",
+            "field_count", "positive_probability", "end_after_blank_lines", "count_mismatch",
+            "probability_nan", "backoff_nan", "backoff_inf", "backoff_plus_infinity"])
     def test_error_names_a_line_of_the_text(self, text, line, match):
         with pytest.raises(ArpaError, match=match) as err:
             parse_arpa(text)
         assert err.value.line == line
+
+    def test_minus_infinity_and_a_positive_backoff_are_legal(self):
+        model = parse_arpa("\\data\\\nngram 1=3\n\n\\1-grams:\n-inf a\n-0.1 b -inf\n"
+                           "-0.2 c 0.5\n\n\\end\\\n")
+        assert model.grams[0] == {("a",): (-math.inf, 0.0), ("b",): (-0.1, -math.inf),
+                                  ("c",): (-0.2, 0.5)}
 
     def test_backoff_query_hand_computed(self):
         model = parse_arpa(MINI_BIGRAM)

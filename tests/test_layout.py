@@ -15,7 +15,9 @@ posterior file format is ``posterior.py``'s alone.  So is the row
 gather: ``compress.py`` builds no ``CompressedPosteriors`` itself and
 never touches the inserted blank row, so a second gather cannot return
 unnoticed.  Only ``errors.py``
-writes a file: everything else calls ``errors.write_file``.
+writes a file: everything else calls ``errors.write_file``.  It also
+numbers the lines of a text file: no other loader enumerates
+``splitlines()`` itself.
 """
 
 import ast
@@ -184,3 +186,26 @@ def test_only_errors_writes_files(path):
         f"line {f.lineno}: {ast.unparse(f)}" for f in calls
         if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in _WRITES
         or ast.unparse(f) == "os.replace"]
+
+
+# read_fst_text splits every line into fields anyway and skips a line with
+# none, so it keeps its own loop: errors.text_lines would cost it a second
+# pass over the graph text on every read.
+_OWN_LINE_LOOP = {("wfst/fst.py", "read_fst_text")}
+
+
+def test_text_lines_are_numbered_in_one_place():
+    found = []
+    for path in MODULES:
+        name = path.relative_to(SRC).as_posix()
+        if name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and (name, fn.name) in _OWN_LINE_LOOP for node in ast.walk(fn)}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in exempt and isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "enumerate" and node.args
+                  and isinstance(node.args[0], ast.Call)
+                  and ast.unparse(node.args[0].func).endswith(".splitlines")]
+    assert not found
