@@ -47,6 +47,7 @@ from .errors import ValidationError, integer
 from .posterior import (
     BLANK_ID,
     CUSTOM_BLANK,
+    ROW_SUM_TOL,
     CompressedPosteriors,
     PosteriorMatrix,
     argmax_labels,
@@ -180,7 +181,9 @@ def _aed_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
 
 
 def _average_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
-    """Each maximal blank run becomes the elementwise mean of its rows."""
+    """Each maximal blank run becomes the elementwise mean of its rows.  A
+    mean whose sum rounds past 1 +/- ROW_SUM_TOL is divided by its sum;
+    every other mean is kept as computed."""
     tokens, starts, ends = segment_blocks(labels)
     blank = tokens == BLANK_ID
     keep = labels != BLANK_ID
@@ -188,6 +191,10 @@ def _average_rows(p: PosteriorMatrix, labels: np.ndarray, cfg: CompressConfig):
     values = p.values.copy()
     for s, e in zip(starts[blank], ends[blank]):
         values[s] = p.values[s:e].mean(axis=0)
+    means = starts[blank]
+    sums = values[means].sum(axis=1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    values[means[off]] /= sums[off, None]
     return np.flatnonzero(keep), PosteriorMatrix(values)
 
 

@@ -42,6 +42,7 @@ from .wfst import (
     rm_epsilon,
     trim,
 )
+from .wfst.fst import make_arc
 
 log = logging.getLogger(__name__)
 
@@ -95,12 +96,12 @@ def build_token_fst(token_table: SymbolTable) -> Fst:
 
     # state 0 is the start, then one state per real token in table order
     state_of = {tok: s for s, tok in enumerate(ids, start=1)}
-    arcs = [[Arc(1, EPSILON, ONE, 0)]  # blank self-loop
-            + [Arc(tok, tok, ONE, s) for tok, s in state_of.items()]]
+    arcs = [[make_arc((1, EPSILON, ONE, 0))]  # blank self-loop
+            + [make_arc((tok, tok, ONE, s)) for tok, s in state_of.items()]]
     for tok, s in state_of.items():
-        arcs.append([Arc(tok, EPSILON, ONE, s),  # repeat absorption
-                     Arc(1, EPSILON, ONE, 0)]    # blank separator
-                    + [Arc(other, other, ONE, s2)
+        arcs.append([make_arc((tok, EPSILON, ONE, s)),  # repeat absorption
+                     make_arc((1, EPSILON, ONE, 0))]    # blank separator
+                    + [make_arc((other, other, ONE, s2))
                        for other, s2 in state_of.items() if other != tok])
     finals = dict.fromkeys(range(len(arcs)), ONE)
     return arcsort(Fst(arcs, 0, finals, token_table, token_table), "olabel")
@@ -206,10 +207,10 @@ def build_lexicon_fst(lex: Lexicon, add_disambig: bool = True) -> Fst:
             dst = 0 if last else len(arcs)
             if not last:
                 arcs.append([])
-            arcs[src].append(Arc(tok_id, word_id if i == 0 else EPSILON, ONE, dst))
+            arcs[src].append(make_arc((tok_id, word_id if i == 0 else EPSILON, ONE, dst)))
             src = dst
         if disambig:
-            arcs[src].append(Arc(tt.find_id(f"#{disambig}"), EPSILON, ONE, 0))
+            arcs[src].append(make_arc((tt.find_id(f"#{disambig}"), EPSILON, ONE, 0)))
     return Fst(arcs, 0, {0: ONE}, tt, wt)
 
 
@@ -378,13 +379,13 @@ def build_grammar_fst(model: NGramModel, word_table: SymbolTable) -> Fst:
                 skipped.add(word)
             else:
                 word_id = word_table.find_id(word)
-                arcs[src].append(Arc(word_id, word_id, -_LOG10 * logp, suffix_state(gram)))
+                arcs[src].append(make_arc((word_id, word_id, -_LOG10 * logp, suffix_state(gram))))
     for gram, state in contexts.items():
         if not gram:
             continue
         entry = model.grams[len(gram) - 1].get(gram)
         backoff = entry[1] if entry is not None else 0.0
-        arcs[state].append(Arc(EPSILON, EPSILON, -_LOG10 * backoff, suffix_state(gram[1:])))
+        arcs[state].append(make_arc((EPSILON, EPSILON, -_LOG10 * backoff, suffix_state(gram[1:]))))
     if skipped:
         log.warning("grammar skipped %d LM words missing from the lexicon: %s",
                     len(skipped), ", ".join(sorted(skipped)[:8]))
@@ -414,7 +415,7 @@ def relabel_input_epsilon(f: Fst, labels: set[int]) -> Fst:
     """Rewrite the given input labels to epsilon (used to drop
     disambiguation symbols once they have done their job)."""
     arcs = [
-        [Arc(EPSILON, a.olabel, a.weight, a.nextstate) if a.ilabel in labels else a
+        [make_arc((EPSILON, a.olabel, a.weight, a.nextstate)) if a.ilabel in labels else a
          for a in f.arcs(s)]
         for s in range(f.num_states)
     ]

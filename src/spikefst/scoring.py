@@ -109,10 +109,13 @@ def score_corpus(refs: dict[str, str], hyps: dict[str, str], unit: str = "word")
 
 def read_trans_file(path) -> dict[str, str]:
     """Read "utt_id<TAB>tokenized text" lines (also tolerates space-split).
-    An utterance id may appear on one line only."""
+    An utterance id may appear on one line only, and a line holds at most
+    one tab, as in a lexicon."""
     out: dict[str, str] = {}
     for ln, line in text_lines(read_file(path)):
-        parts = line.split("\t", 1) if "\t" in line else line.split(None, 1)
+        parts = line.split("\t") if "\t" in line else line.split(None, 1)
+        if len(parts) > 2:
+            raise DataFormatError(f"{path}: line {ln}: expected 'utt_id<TAB>text' with one tab")
         utt = parts[0].strip()
         if not utt:
             raise DataFormatError(f"{path}: line {ln}: empty utterance id")

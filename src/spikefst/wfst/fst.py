@@ -13,6 +13,7 @@ from a machine stays valid for as long as the machine lives.
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -35,10 +36,18 @@ def wtimes(a: float, b: float) -> float:
 
 
 class Arc(NamedTuple):
+    """One transition.  The algorithms here and in :mod:`spikefst.wfst.ops`,
+    and the machine constructors of :mod:`spikefst.graph`, make arcs with
+    ``make_arc((ilabel, olabel, weight, nextstate))``: the same value as
+    ``Arc(...)``, made in one C-level call."""
+
     ilabel: int
     olabel: int
     weight: float
     nextstate: int
+
+
+make_arc = partial(tuple.__new__, Arc)
 
 
 class SymbolTable:
@@ -237,8 +246,7 @@ def trim(f: Fst) -> Fst:
     order = sorted(live)
     remap = {s: i for i, s in enumerate(order)}
     out_arcs = [
-        [Arc(a.ilabel, a.olabel, a.weight, remap[a.nextstate])
-         for a in arcs[s] if a.nextstate in live]
+        [make_arc((il, ol, w, remap[t])) for il, ol, w, t in arcs[s] if t in live]
         for s in order
     ]
     finals = {remap[s]: f._finals[s] for s in order if s in f._finals}
@@ -252,21 +260,24 @@ def trim(f: Fst) -> Fst:
 def write_fst_text(f: Fst, path) -> None:
     """Arc lines "src dst ilabel olabel weight", then final lines
     "state weight"; the first line's src is the start state."""
-    lines: list[str] = []
-    finals = sorted(f._finals)
-    if not f._arcs[f.start] and f.is_final(f.start):
+    start, arcs, finals = f._start, f._arcs, f._finals
+    head = ""
+    tail = sorted(finals)
+    if not arcs[start] and start in finals:
         # The start state is identified by the first line, so its final
         # line must lead when it has no arcs.
-        lines.append(f"{f.start} {f.final_weight(f.start):.9g}")
-        finals = [s for s in finals if s != f.start]
-    elif not f._arcs[f.start] and (f.num_arcs or f._finals):
+        head = "%s %.9g\n" % (start, finals[start])
+        tail.remove(start)
+    elif not arcs[start] and (f.num_arcs or finals):
         raise FstError("start state has no arcs and is not final: trim before writing")
-    for s in [f.start] + [s for s in range(f.num_states) if s != f.start]:
-        for a in f._arcs[s]:
-            lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
-    for s in finals:
-        lines.append(f"{s} {f.final_weight(s):.9g}")
-    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
+    fields = []
+    add = fields.extend
+    for s in (start, *range(start), *range(start + 1, len(arcs))):
+        for il, ol, w, t in arcs[s]:
+            add((s, t, il, ol, w))
+    final_fields = [x for s in tail for x in (s, finals[s])]
+    write_file(path, head + ("%s %s %s %s %.9g\n" * (len(fields) // 5)) % tuple(fields)
+               + ("%s %.9g\n" * len(tail)) % tuple(final_fields))
 
 
 def read_fst_text(path, isyms: SymbolTable | None = None,
@@ -285,20 +296,23 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
     for ln, line in enumerate(read_file(path).splitlines(), start=1):
         parts = line.split()
         n = len(parts)
-        if not n:
-            continue
         try:
-            if n == 4 or n == 5:
-                src, dst, il, ol = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-                w = float(parts[4]) if n == 5 else ONE
+            if n == 5:
+                src, dst, il, ol, w = parts
+                src, dst, il, ol, w = int(src), int(dst), int(il), int(ol), float(w)
+            elif n == 4:
+                src, dst, il, ol = parts
+                src, dst, il, ol, w = int(src), int(dst), int(il), int(ol), ONE
             elif n == 1 or n == 2:
                 src = dst = il = ol = int(parts[0])  # a final line has one id
                 w = float(parts[1]) if n == 2 else ONE
+            elif not n:
+                continue
             else:
                 raise ValueError("bad field count")
         except ValueError:
             raise DataFormatError(f"{path}: line {ln}: malformed FST line {line!r}") from None
-        if src < 0 or dst < 0 or il < 0 or ol < 0:
+        if (src | dst | il | ol) < 0:
             raise DataFormatError(f"{path}: line {ln}: negative state id or label in {line!r}")
         if w != w:  # NaN
             raise DataFormatError(f"{path}: line {ln}: NaN weight in {line!r}")
@@ -306,13 +320,13 @@ def read_fst_text(path, isyms: SymbolTable | None = None,
             start = src
         top = src if src > dst else dst
         if top >= len(arcs):
-            arcs.extend([] for _ in range(top + 1 - len(arcs)))
+            arcs += [[] for _ in range(top + 1 - len(arcs))]
         if n > 2:
             if in_ids is not None and il not in in_ids:
                 raise DataFormatError(f"{path}: line {ln}: input label {il} has no input symbol")
             if out_ids is not None and ol not in out_ids:
                 raise DataFormatError(f"{path}: line {ln}: output label {ol} has no output symbol")
-            arcs[src].append(Arc(il, ol, w, dst))
+            arcs[src].append(make_arc((il, ol, w, dst)))
         else:
             finals[src] = w
     if start < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import FstError
-from .fst import EPSILON, ONE, ZERO, Arc, Fst, trim, wplus, wtimes
+from .fst import EPSILON, ONE, ZERO, Arc, Fst, make_arc, trim, wplus, wtimes
 
 # Residual-weight granularity used only when hashing subset/partition
 # keys; stored weights stay exact.
@@ -50,8 +50,7 @@ def rm_epsilon(f: Fst) -> Fst:
     """Remove eps:eps arcs, folding their weights into the arcs and final
     weights reachable through them; string weights are preserved."""
     eps = [
-        [(a.nextstate, a.weight) for a in row
-         if a.ilabel == EPSILON and a.olabel == EPSILON]
+        [(t, w) for il, ol, w, t in row if il == EPSILON and ol == EPSILON]
         for row in f._arcs
     ]
     limit = 4 * (f.num_states + 1) * max(1, f.num_arcs)
@@ -65,15 +64,15 @@ def rm_epsilon(f: Fst) -> Fst:
         best_arc: dict[tuple[int, int, int], float] = {}
         final = ZERO
         for q, w in closure.items():
-            for a in f._arcs[q]:
-                if a.ilabel == EPSILON and a.olabel == EPSILON:
+            for il, ol, wa, t in f._arcs[q]:
+                if il == EPSILON and ol == EPSILON:
                     continue
-                key = (a.ilabel, a.olabel, a.nextstate)
-                cand = wtimes(w, a.weight)
+                key = (il, ol, t)
+                cand = wtimes(w, wa)
                 if cand < best_arc.get(key, ZERO):
                     best_arc[key] = cand
             final = wplus(final, wtimes(w, f.final_weight(q)))
-        arcs.append([Arc(il, ol, w, dst) for (il, ol, dst), w in sorted(best_arc.items())])
+        arcs.append([make_arc((il, ol, w, dst)) for (il, ol, dst), w in sorted(best_arc.items())])
         if final != ZERO:
             finals[s] = final
     return trim(Fst(arcs, f.start, finals, f.isyms, f.osyms))
@@ -96,10 +95,11 @@ def compose(a: Fst, b: Fst) -> Fst:
     if a.osyms is not None and b.isyms is not None and a.osyms != b.isyms:
         raise FstError("compose: output symbols of a do not match input symbols of b")
 
-    b_by_label: list[dict[int, list[Arc]]] = [{} for _ in range(b.num_states)]
+    # Per b state: (olabel, weight, nextstate) of its arcs, by input label.
+    b_by_label: list[dict[int, list[tuple]]] = [{} for _ in range(b.num_states)]
     for sb, row in enumerate(b._arcs):
-        for arc in row:
-            b_by_label[sb].setdefault(arc.ilabel, []).append(arc)
+        for il, ol, w, t in row:
+            b_by_label[sb].setdefault(il, []).append((ol, w, t))
 
     key0 = (a.start, b.start, 0)
     ids: dict[tuple[int, int, int], int] = {key0: 0}
@@ -107,48 +107,44 @@ def compose(a: Fst, b: Fst) -> Fst:
     finals: dict[int, float] = {}
     queue = deque([key0])
 
-    def state_of(key: tuple[int, int, int]) -> int:
-        sid = ids.get(key)
-        if sid is None:
-            sid = ids[key] = len(arcs)
-            arcs.append([])
-            queue.append(key)
+    def new_state(key: tuple[int, int, int]) -> int:
+        sid = ids[key] = len(arcs)
+        arcs.append([])
+        queue.append(key)
         return sid
 
+    # An exact tuple unpacks faster than an Arc, and each row of a is read
+    # once per b state it meets.
+    a_arcs = [list(map(tuple, row)) for row in a._arcs]
+    a_finals, b_finals = a._finals, b._finals
     while queue:
         key = queue.popleft()
         sa, sb, filt = key
         src = ids[key]
-        row = arcs[src]
+        add = arcs[src].append
         grouped = b_by_label[sb]
-        for arc_a in a._arcs[sa]:
-            if arc_a.olabel != EPSILON:
-                for arc_b in grouped.get(arc_a.olabel, ()):
-                    row.append(Arc(
-                        arc_a.ilabel, arc_b.olabel,
-                        wtimes(arc_a.weight, arc_b.weight),
-                        state_of((arc_a.nextstate, arc_b.nextstate, 0)),
-                    ))
+        for il, ol, wa, ta in a_arcs[sa]:
+            if ol != EPSILON:
+                for ob, wb, tb in grouped.get(ol, ()):
+                    nxt = (ta, tb, 0)
+                    dst = ids.get(nxt)
+                    add(make_arc((il, ob, wa + wb, new_state(nxt) if dst is None else dst)))
             else:
                 if filt != 2:  # a moves alone
-                    row.append(Arc(
-                        arc_a.ilabel, EPSILON, arc_a.weight,
-                        state_of((arc_a.nextstate, sb, 1)),
-                    ))
+                    nxt = (ta, sb, 1)
+                    dst = ids.get(nxt)
+                    add(make_arc((il, EPSILON, wa, new_state(nxt) if dst is None else dst)))
                 if filt == 0:  # simultaneous epsilon pairing
-                    for arc_b in grouped.get(EPSILON, ()):
-                        row.append(Arc(
-                            arc_a.ilabel, arc_b.olabel,
-                            wtimes(arc_a.weight, arc_b.weight),
-                            state_of((arc_a.nextstate, arc_b.nextstate, 0)),
-                        ))
+                    for ob, wb, tb in grouped.get(EPSILON, ()):
+                        nxt = (ta, tb, 0)
+                        dst = ids.get(nxt)
+                        add(make_arc((il, ob, wa + wb, new_state(nxt) if dst is None else dst)))
         if filt != 1:  # b moves alone
-            for arc_b in grouped.get(EPSILON, ()):
-                row.append(Arc(
-                    EPSILON, arc_b.olabel, arc_b.weight,
-                    state_of((sa, arc_b.nextstate, 2)),
-                ))
-        wf = wtimes(a.final_weight(sa), b.final_weight(sb))
+            for ob, wb, tb in grouped.get(EPSILON, ()):
+                nxt = (sa, tb, 2)
+                dst = ids.get(nxt)
+                add(make_arc((EPSILON, ob, wb, new_state(nxt) if dst is None else dst)))
+        wf = a_finals.get(sa, ZERO) + b_finals.get(sb, ZERO)
         if wf != ZERO:
             finals[src] = wf
     return trim(Fst(arcs, 0, finals, a.isyms, b.osyms))
@@ -186,7 +182,10 @@ def _close_elems(eps: list, elems: list[tuple], limit: int) -> list[tuple]:
 
 
 def _subset_key(elems: list[tuple]) -> tuple:
-    return tuple(sorted((s, z, round(w, _QUANT)) for s, w, z in elems))
+    if len(elems) == 1:
+        (s, w, z), = elems
+        return ((s, z, round(w, _QUANT)),)
+    return tuple(sorted([(s, z, round(w, _QUANT)) for s, w, z in elems]))
 
 
 def determinize(f: Fst) -> Fst:
@@ -204,11 +203,10 @@ def determinize(f: Fst) -> Fst:
     eps = []
     moves = []  # per state: (ilabel, nextstate, weight, output) of each emitting arc
     for row in f._arcs:
-        eps.append([(a.nextstate, a.weight, () if a.olabel == EPSILON else (a.olabel,))
-                    for a in row if a.ilabel == EPSILON])
-        moves.append([(a.ilabel, a.nextstate, a.weight,
-                       () if a.olabel == EPSILON else (a.olabel,))
-                      for a in row if a.ilabel != EPSILON])
+        eps.append([(t, w, () if ol == EPSILON else (ol,))
+                    for il, ol, w, t in row if il == EPSILON])
+        moves.append([(il, t, w, () if ol == EPSILON else (ol,))
+                      for il, ol, w, t in row if il != EPSILON])
 
     start_elems = _close_elems(eps, [(f.start, ONE, ())], close_limit)
     ids: dict[tuple, int] = {_subset_key(start_elems): 0}
@@ -235,7 +233,7 @@ def determinize(f: Fst) -> Fst:
                 cands = _close_elems(eps, cands, close_limit)
                 if not cands:
                     continue  # every element weighs ZERO: no path on this label
-            w_min = min(w for _, w, _ in cands)
+            w_min = min([w for _, w, _ in cands])
             # the arc emits the first output symbol, if every element shares it
             head = cands[0][2][:1]
             if any(z[:1] != head for _, _, z in cands):
@@ -254,7 +252,7 @@ def determinize(f: Fst) -> Fst:
                         "machine is likely not determinizable"
                     )
                 queue.append((dst, nxt))
-            arcs[src].append(Arc(label, emit, w_min, dst))
+            arcs[src].append(make_arc((label, emit, w_min, dst)))
     return Fst(arcs, 0, finals, f.isyms, f.osyms)
 
 
@@ -262,6 +260,8 @@ def _set_subset_final(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
                       state: int, elems: list[tuple]) -> None:
     """Final weight for a subset; delayed outputs still pending at a final
     element are flushed through a chain of input-epsilon emission arcs."""
+    if not any(s in f._finals for s, _, _ in elems):
+        return
     plain = ZERO
     pending: dict[tuple[int, ...], float] = {}
     for s, w, z in elems:
@@ -279,7 +279,7 @@ def _set_subset_final(f: Fst, arcs: list[list[Arc]], finals: dict[int, float],
         for i, sym in enumerate(z):
             nxt = len(arcs)
             arcs.append([])
-            arcs[src].append(Arc(EPSILON, sym, pending[z] if i == 0 else ONE, nxt))
+            arcs[src].append(make_arc((EPSILON, sym, pending[z] if i == 0 else ONE, nxt)))
             src = nxt
         finals[src] = ONE
 
@@ -313,7 +313,7 @@ def minimize(f: Fst) -> Fst:
                 )
             seen.add(a.ilabel)
         row = sorted(row)
-        pictures.append(tuple([(a.ilabel, a.olabel, round(a.weight, _QUANT)) for a in row]))
+        pictures.append(tuple([(il, ol, round(w, _QUANT)) for il, ol, w, _ in row]))
         dests.append([a.nextstate for a in row])
 
     def intern_all(keys: list) -> list[int]:
@@ -348,12 +348,15 @@ def minimize(f: Fst) -> Fst:
             if block[a.nextstate] not in seen_cls:
                 seen_cls.add(block[a.nextstate])
                 queue.append(a.nextstate)
+    if order == list(range(g.num_states)):
+        # One state per class, already numbered in BFS order: the rebuild
+        # would copy g arc for arc (trim puts its finals in state order).
+        return g
 
     arcs: list[list[Arc]] = []
     finals: dict[int, float] = {}
     for new_id, rep in enumerate(order):
-        arcs.append([Arc(a.ilabel, a.olabel, a.weight, class_rep[block[a.nextstate]])
-                     for a in g._arcs[rep]])
+        arcs.append([make_arc((il, ol, w, class_rep[block[t]])) for il, ol, w, t in g._arcs[rep]])
         if g.is_final(rep):
             finals[new_id] = g.final_weight(rep)
     return Fst(arcs, 0, finals, g.isyms, g.osyms)
@@ -398,9 +401,7 @@ def push_weights(f: Fst) -> Fst:
     for s, row in enumerate(f._arcs):
         lead = head if s == f.start else ONE
         arcs.append([
-            Arc(a.ilabel, a.olabel, wtimes(lead, a.weight + dist[a.nextstate] - dist[s]),
-                a.nextstate)
-            for a in row
+            make_arc((il, ol, wtimes(lead, w + dist[t] - dist[s]), t)) for il, ol, w, t in row
         ])
         if f.is_final(s):
             finals[s] = wtimes(lead, f.final_weight(s) - dist[s])

@@ -9,8 +9,8 @@ the decoder's list-indexed costs, and enumerated simple epsilon paths
 instead of the decoder's label-correcting epsilon closure.
 
 ``stochastic_oracle``, ``segment_blocks_oracle``, ``koo_select_oracle``,
-``trim_oracle``, ``determinize_oracle``, ``minimize_oracle`` and
-``read_fst_text_oracle`` are different: they keep earlier, plainer
+``trim_oracle``, ``determinize_oracle``, ``minimize_oracle``,
+``read_fst_text_oracle`` and ``write_fst_text_oracle`` are different: they keep earlier, plainer
 versions of fast paths in the package, so that a rewrite can be held to
 the same arrays, the same machines and the same error messages.
 """
@@ -417,6 +417,23 @@ def read_fst_text_oracle(path, isyms=None, osyms=None) -> Fst:
     if start < 0:
         arcs, start = [[]], 0
     return Fst(arcs, start, finals, isyms, osyms)
+
+
+def write_fst_text_oracle(f: Fst, path) -> None:
+    """``write_fst_text`` with one f-string per line."""
+    lines: list[str] = []
+    finals = sorted(f.finals)
+    if not f.arcs(f.start) and f.is_final(f.start):
+        lines.append(f"{f.start} {f.final_weight(f.start):.9g}")
+        finals = [s for s in finals if s != f.start]
+    elif not f.arcs(f.start) and (f.num_arcs or f.finals):
+        raise FstError("start state has no arcs and is not final: trim before writing")
+    for s in [f.start] + [s for s in range(f.num_states) if s != f.start]:
+        for a in f.arcs(s):
+            lines.append(f"{s} {a.nextstate} {a.ilabel} {a.olabel} {a.weight:.9g}")
+    for s in finals:
+        lines.append(f"{s} {f.final_weight(s):.9g}")
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def machine_parts(f: Fst):
@@ -1074,6 +1091,28 @@ class ToyLang:
         from spikefst.graph import posterior_vocab_size
 
         return posterior_vocab_size(self.lexicon.token_table)
+
+
+def large_build_inputs() -> tuple[Fst, Fst, Fst]:
+    """Token, lexicon and grammar machines of a graph about 40 times the
+    size of ``ToyLang``'s (numpy seed 3): 200 words of 2-6 tokens drawn
+    from 20, every pronunciation distinct, and a bigram model over 2 000
+    sentences of 2-7 Zipf-drawn words plus one singleton per word."""
+    rng = np.random.default_rng(3)
+    tokens = [f"t{k:02d}" for k in range(20)]
+    prons: dict[tuple[str, ...], str] = {}
+    while len(prons) < 200:
+        pron = tuple(tokens[k] for k in rng.integers(0, 20, size=int(rng.integers(2, 7))))
+        prons.setdefault(pron, f"w{len(prons):03d}")
+    lexicon = Lexicon([(w, pron) for pron, w in prons.items()])
+    words = list(prons.values())
+    zipf = 1.0 / np.arange(1, len(words) + 1)
+    zipf /= zipf.sum()
+    sentences = [[words[k] for k in rng.choice(len(words), size=int(rng.integers(2, 8)), p=zipf)]
+                 for _ in range(2000)] + [[w] for w in words]
+    model = parse_arpa(make_bigram_arpa(sentences))
+    return (build_token_fst(lexicon.token_table), build_lexicon_fst(lexicon, add_disambig=True),
+            build_grammar_fst(model, lexicon.word_table))
 
 
 def make_corpus(lang: ToyLang, rng: np.random.Generator, n_utts: int,

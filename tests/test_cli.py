@@ -387,6 +387,14 @@ class TestExitCodes:
                    "--hyps", str(workdir / "refs.txt")])
         assert rc == 2
 
+    def test_transcript_with_a_second_tab_is_two(self, workdir, tmp_path, caplog):
+        hyps = tmp_path / "hyps.txt"
+        hyps.write_text("utt1\tka se\tx\n")
+        rc = main(["score", "--refs", str(workdir / "refs.txt"), "--hyps", str(hyps)])
+        assert rc == 2
+        assert [r.message for r in caplog.records] == [
+            f"{hyps}: line 1: expected 'utt_id<TAB>text' with one tab"]
+
     @pytest.mark.parametrize("argv, message", [
         (["compress", "--input", "{empty}", "--out", "{out}"], "{empty}: no .spkf files found"),
         (["synth", "--labels", "{labels}", "--out-dir", "{out}"],

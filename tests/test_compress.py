@@ -24,6 +24,7 @@ from spikefst import (
     synth_posteriors,
 )
 from spikefst.compress import MODES
+from spikefst.posterior import ROW_SUM_TOL, check_stochastic
 
 
 def matrix_from_argmax(pattern, vocab=4, peak=0.7):
@@ -340,15 +341,19 @@ class TestBaselines:
         with pytest.raises(ValidationError):
             CompressConfig(mode="lsd", lsd_threshold=1.5)
 
-    def test_average_mean_past_the_row_sum_tolerance_is_refused(self):
-        # each row passes the check, but their mean does not
-        p = PosteriorMatrix(np.array([
+    def test_average_mean_past_the_row_sum_tolerance_is_renormalised(self):
+        # each row passes the check, but their mean sums to 1.000100: it is
+        # divided by its sum, so the compressed matrix passes the check too
+        values = np.array([
             [0.586276249616697, 0.3357864093775581, 0.07803734100574485],
             [0.765876529632702, 0.1906894821821709, 0.04353398818512719],
-            [0.5198728074003468, 0.19986361649724413, 0.2803635761024091]]))
-        with pytest.raises(ValidationError,
-                           match=r"^row 0 sums to 1\.000100, expected 1 \+/- 0\.0001$"):
-            compress(p, CompressConfig(mode="average"))
+            [0.5198728074003468, 0.19986361649724413, 0.2803635761024091]])
+        mean = values.mean(axis=0)
+        assert abs(mean.sum() - 1.0) > ROW_SUM_TOL
+        out = compress(PosteriorMatrix(values), CompressConfig(mode="average"))
+        assert out.source_map == (0,) and out.nonblank_count == 0
+        assert np.array_equal(out.values, (mean / mean.sum())[None])
+        check_stochastic(out.values)
 
     def test_config_stores_a_numpy_integer_window_as_int(self):
         cfg = CompressConfig(mode="swd", swd_window=np.int64(2))

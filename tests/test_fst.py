@@ -16,6 +16,7 @@ from helpers import (
     read_fst_text_oracle,
     same_outcome,
     trim_oracle,
+    write_fst_text_oracle,
 )
 from spikefst.errors import DataFormatError, FstError
 from spikefst.graph import disambig_ids, relabel_input_epsilon
@@ -453,12 +454,18 @@ class TestMinimize:
         m = minimize(f)
         assert m.num_states == f.num_states - 1
         assert maps_match(enum_weight_map(f), enum_weight_map(m))
+        assert machine_parts(m) == machine_parts(minimize_oracle(f))
 
     def test_already_minimal_fixpoint(self):
         f = chain([(1, 1, 0.5), (2, 2, 0.25)])
         m = minimize(f)
-        assert m.num_states == f.num_states
+        assert m is f  # one state per class, in BFS order: the trimmed input itself
         assert minimize(m).num_states == m.num_states
+        # one state per class too, but BFS meets state 2 before state 1
+        f = fst_of(3, [(0, 1, 1, 0.5, 2), (2, 2, 2, 0.25, 1)], {1: 0.0})
+        m = minimize(f)
+        assert m is not f and machine_parts(m) == machine_parts(minimize_oracle(f))
+        assert [a.nextstate for _, a in m.all_arcs()] == [1, 2]
 
     def test_random_det_machines_language_preserved(self):
         rng = np.random.default_rng(9)
@@ -597,7 +604,8 @@ def damaged(lines, rng):
 
 class TestSetupOracles:
     """trim, determinize, minimize and the AT&T reader give exactly the
-    machines, or the errors, of the earlier versions kept in helpers."""
+    machines, or the errors, of the earlier versions kept in helpers, and
+    the AT&T writer gives exactly their bytes."""
 
     @staticmethod
     def check_all(f, tmp_path, det=True):
@@ -605,10 +613,17 @@ class TestSetupOracles:
         same_outcome(minimize, minimize_oracle, f)
         if det and (d := same_outcome(determinize, determinize_oracle, f)) is not None:
             same_outcome(minimize, minimize_oracle, d)
-        if f.arcs(f.start) or f.is_final(f.start):
-            path = tmp_path / "m.fst.txt"
-            write_fst_text(f, path)
-            same_outcome(read_fst_text, read_fst_text_oracle, path)
+        path, want = tmp_path / "m.fst.txt", tmp_path / "want.fst.txt"
+        try:
+            write_fst_text_oracle(f, want)
+        except FstError as exc:
+            with pytest.raises(FstError, match=f"^{re.escape(str(exc))}$"):
+                write_fst_text(f, path)
+            return
+        write_fst_text(f, path)
+        assert path.read_bytes() == want.read_bytes()
+        same_outcome(read_fst_text, read_fst_text_oracle, path)
+        assert all(type(a) is Arc for _, a in read_fst_text(path).all_arcs())
 
     def test_random_machines(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -641,6 +656,14 @@ class TestSetupOracles:
         stages.append(arcsort(stages[-1], "ilabel"))
         for f in stages:
             self.check_all(f, tmp_path)
+            assert all(type(a) is Arc for _, a in f.all_arcs())
+
+    def test_writer_keeps_every_weight_and_a_start_that_is_only_final(self, tmp_path):
+        f = fst_of(5, [(1, 2, 3, math.inf, 2), (2, 3, 4, -0.0, 3), (3, 4, 5, 1e-300, 4)],
+                   {0: -3.5, 1: -0.0, 3: 1e-300, 4: 2.5})
+        self.check_all(f, tmp_path)
+        assert (tmp_path / "m.fst.txt").read_text() == (
+            "0 -3.5\n1 2 2 3 inf\n2 3 3 4 -0\n3 4 4 5 1e-300\n1 -0\n3 1e-300\n4 2.5\n")
 
     @pytest.mark.parametrize("op, oracle, machine, what", [
         (determinize, determinize_oracle, not_determinizable(), "budget"),

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import ToyLang, collapse_oracle, enum_weight_map, fst_of
+from helpers import ToyLang, collapse_oracle, enum_weight_map, fst_of, large_build_inputs
 from spikefst.errors import ArpaError, DataFormatError, FstError, GraphError
 from spikefst.graph import (
     BOS,
@@ -190,6 +190,10 @@ class TestLexiconFst:
         bad = tmp_path / "bad.txt"
         bad.write_text("wordonly\n")
         with pytest.raises(DataFormatError, match="line 1"):
+            Lexicon.from_file(bad)
+        bad.write_text("se\ts e\nka\tk a\tx\n")  # a second tab, as read_trans_file refuses
+        message = f"{bad}: line 2: expected 'word<TAB>token token ...'"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             Lexicon.from_file(bad)
 
 
@@ -402,6 +406,14 @@ class TestBuildTlg:
         write_fst_text(build_tlg(lang.token_fst, lang.lexicon_fst, lang.grammar_fst,
                                  use_pushing=pushed), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TLG_SHA256[seed, pushed]
+
+    def test_large_graph_bytes_are_pinned(self, tmp_path):
+        # about 10k states: determinize, minimize and compose at scale
+        path = tmp_path / "tlg.fst.txt"
+        tlg = build_tlg(*large_build_inputs())
+        write_fst_text(tlg, path)
+        assert (tlg.num_states, tlg.num_arcs) == (9828, 79595)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == "e520c2e0dae825ed"
 
     def test_stage_failure_names_stage(self, lang):
         # its output symbols are not the grammar's input symbols

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,14 @@ class TestTransFile:
         path = tmp_path / "refs.txt"
         path.write_text("utt1\tka se\n\tmu\n")
         with pytest.raises(DataFormatError, match=r"refs\.txt: line 2: empty utterance id"):
+            read_trans_file(path)
+
+    def test_second_tab_names_line(self, tmp_path):
+        # the lexicon's rule: a line that holds a tab holds one tab
+        path = tmp_path / "refs.txt"
+        path.write_text("utt1\tka se\nutt2\tmu\tx\n")
+        message = f"{path}: line 2: expected 'utt_id<TAB>text' with one tab"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             read_trans_file(path)
 
     def test_repeated_utterance_id_names_line(self, tmp_path):
